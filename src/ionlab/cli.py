@@ -115,15 +115,6 @@ class RunReport:
         }
 
 
-from .parallel import worker_count  # noqa: E402  (re-exported for callers)
-
-
-def spawn_seeds(master_seed: int, count: int) -> list:
-    """Deterministic per-worker seeds from the master seed."""
-    seq = np.random.SeedSequence(master_seed)
-    return [int(s.generate_state(1)[0]) for s in seq.spawn(count)]
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 

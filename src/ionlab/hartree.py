@@ -5,12 +5,13 @@ int |v|^2 <= t,
 
     e(t) = int |grad v|^2 - |v|^2/|x| + (1/2) |v|^2 (|v|^2 * 1/|x|),
 
-by self-consistent iteration on the linearized operator
--Laplace - 1/r + |v|^2 * 1/r.  Below the critical mass t_c the
-constraint is active and the multiplier mu = -lambda_1 is positive;
-above it the bound mass saturates at t_c, where lambda_1 crosses zero,
-and e(t) stays flat.  The same machinery, with an attraction charge and
-a coupling strength, evaluates the unscaled product-state energy.
+which is the gradient-corrected functional of ``tfw`` with c_tf = 0,
+c_w = 1 and Z = 1, so both share its gradient flow.  The uncapped
+minimizer carries the critical mass t_c.  Below t_c the cap binds and
+the multiplier mu = -lambda is positive; from t_c on the bound mass
+saturates and e(t) stays flat at the uncapped minimum.  The same flow,
+with charge Z and cap N - 1, evaluates the unscaled product-state
+energy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .radial import (
@@ -26,14 +26,12 @@ from .radial import (
     RadialGrid,
     integrate_3d,
     make_log_grid,
-    multiplication_operator,
     newton_potential,
     reduced_laplacian,
-    extremal_eigs,
 )
+from .tfw import TFWOptions, TFWParams, _TFWModel
 
 __all__ = [
-    "HartreeOptions",
     "HartreeState",
     "default_hartree_grid",
     "minimize_e",
@@ -49,16 +47,8 @@ __all__ = [
 
 LIEB_OXFORD_CONSTANT = 1.68
 
-
-@dataclass(frozen=True)
-class HartreeOptions:
-    # The eigen-residual of the banded solver floors near 2e-7 on the
-    # default grid (spectral range ~1e12); 1e-6 stays safely above it,
-    # and energy errors are variational, hence second order in this.
-    mix: float = 0.3
-    residual_tol: float = 1e-6
-    max_iter: int = 600
-    lambda_tol: float = 1e-10
+# The flow's stopping rule, shared with the gradient-corrected solver.
+_FLOW = TFWOptions()
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class HartreeState:
     mu: float
     energy: float
     bound_mass: float
-    residual: float
+    residual: float  # relative stationarity defect
     iterations: int
 
 
@@ -94,235 +84,100 @@ def kinetic_energy(u: RadialField) -> float:
     return float(psi @ (a @ psi))
 
 
-class _MeanFieldSolver:
-    """SCF at fixed orbital mass for -Laplace - z/r + coupling (v^2 * 1/r)."""
-
-    def __init__(self, grid: RadialGrid, z: float, coupling: float, opts: HartreeOptions):
-        self.grid = grid
-        self.z = z
-        self.coupling = coupling
-        self.opts = opts
-        self.a = reduced_laplacian(grid).matrix
-        self.s = _weight(grid)
-        self.attraction = -z / grid.r
-
-    def hamiltonian(self, v_values: np.ndarray):
-        dens = RadialField(self.grid, self.coupling * v_values**2)
-        w = newton_potential(dens).values
-        pot = self.attraction + w
-        return self.a + multiplication_operator(RadialField(self.grid, pot)).matrix, pot
-
-    def residual_of(self, v_values: np.ndarray, mass: float):
-        h, _ = self.hamiltonian(v_values)
-        psi = self.s * self.grid.r * v_values
-        lam = float(psi @ (h @ psi)) / float(psi @ psi)
-        r = h @ psi - lam * psi
-        return float(np.linalg.norm(r)) / np.sqrt(max(mass, 1e-300)), lam
-
-    def ground_orbital(self, h) -> np.ndarray:
-        _, vecs = extremal_eigs(h, k=1, which="smallest")
-        psi = vecs[:, 0]
-        phi = np.abs(psi / self.s)
-        return phi / self.grid.r
-
-    def scf(self, mass: float, v0: np.ndarray | None = None):
-        opts = self.opts
-        if v0 is None:
-            v0 = np.exp(-0.5 * self.grid.r)
-        v = normalize_mass(RadialField(self.grid, np.abs(v0)), mass).values
-        lam = 0.0
-        res = np.inf
-        best = np.inf
-        mix = opts.mix
-        cap = opts.mix
-        improving = 0
-        for it in range(1, opts.max_iter + 1):
-            res, lam = self.residual_of(v, mass)
-            if res < opts.residual_tol:
-                return v, lam, res, it
-            if res > 1.5 * best:
-                # Oscillation (charge sloshing); damp harder for good.
-                cap = max(0.7 * min(cap, mix), 0.02)
-                mix = max(0.5 * mix, 0.02)
-                improving = 0
-            elif res < best:
-                improving += 1
-                if improving >= 30:
-                    mix = min(1.25 * mix, cap)
-                    improving = 0
-            best = min(best, res)
-            h, _ = self.hamiltonian(v)
-            v_new = self.ground_orbital(h)
-            v_new = normalize_mass(RadialField(self.grid, v_new), mass).values
-            v = (1.0 - mix) * v + mix * v_new
-            v = normalize_mass(RadialField(self.grid, v), mass).values
+def _flow(grid: RadialGrid | None, z: float, cap: float | None):
+    """Minimizer of the c_tf = 0 functional at charge z under the mass
+    cap, from the hydrogenic seed: (model, v, rel, iterations, lambda)."""
+    grid = grid if grid is not None else default_hartree_grid()
+    model = _TFWModel(TFWParams(z=z, c_tf=0.0), grid)
+    v, rel, iters, lam = model.implicit_flow(
+        model.seed(), _FLOW.max_iter, _FLOW.rel_residual_tol, cap
+    )
+    if rel >= _FLOW.rel_residual_tol:
         raise ConvergenceError(
-            f"mean-field iteration stalled at residual {res:.3e}",
-            residual=res,
-            iterations=opts.max_iter,
+            f"mean-field flow stalled at relative residual {rel:.3e} "
+            f"(Z={z:g}, cap={cap})",
+            residual=rel,
+            iterations=iters,
         )
-
-    def energy(self, v_values: np.ndarray) -> float:
-        grid = self.grid
-        v2 = RadialField(grid, v_values**2)
-        kin = kinetic_energy(RadialField(grid, v_values))
-        attract = self.z * integrate_3d(v2, radial_power=-1)
-        hart = 0.5 * self.coupling * integrate_3d(
-            RadialField(grid, v_values**2 * newton_potential(v2).values)
-        )
-        return float(kin - attract + hart)
+    return model, v, rel, iters, lam
 
 
-def minimize_e(
-    t: float,
-    grid: RadialGrid | None = None,
-    opts: HartreeOptions | None = None,
-) -> HartreeState:
+def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
     """Minimize the rescaled product-state functional over int v^2 <= t.
 
-    Runs the SCF at full mass t; if the resulting multiplier would be
-    negative (no binding for the last sliver of mass), the bound mass is
-    reduced to the point where the ground eigenvalue crosses zero, which
-    is how the flat branch e(t) = e(t_c) for t >= t_c emerges.
+    One capped flow: below t_c the minimizer sits on the cap with
+    mu > 0; from t_c on it leaves the cap, with mu = 0, bound mass t_c
+    and the flat energy e(t_c).
     """
     if t <= 0:
         raise ParameterError(f"target mass must be positive, got {t}")
-    grid = grid if grid is not None else default_hartree_grid()
-    opts = opts or HartreeOptions()
-    solver = _MeanFieldSolver(grid, z=1.0, coupling=1.0, opts=opts)
-
-    # Continuation in mass: every solve warm-starts near a converged
-    # neighbor, which keeps the SCF stable as binding weakens.
-    state = {"v": None, "iters": 0}
-
-    def scf_at(m: float) -> float:
-        vv, ll, _, it = solver.scf(m, state["v"])
-        state["v"] = vv
-        state["iters"] += it
-        return ll
-
-    m_lo = min(t, 1.0)
-    lam = scf_at(m_lo)
-    if lam > opts.lambda_tol and m_lo < 1.0:
-        raise DomainError(f"no binding at mass {m_lo}; unexpected for t <= 1")
-    mass = m_lo
-    while mass < t and lam < 0.0:
-        m_lo, lam_lo = mass, lam
-        mass = min(t, 1.15 * mass)
-        lam = scf_at(mass)
-
-    if lam > opts.lambda_tol:
-        # Saturated regime: multiplier crossed zero inside (m_lo, mass].
-        mass = float(
-            scipy.optimize.brentq(scf_at, m_lo, mass, xtol=1e-8, maxiter=80)
-        )
-        scf_at(mass)
-    v = state["v"]
-    res, lam = solver.residual_of(v, mass)
-    iters = state["iters"]
-
+    model, v, rel, iters, lam = _flow(grid, 1.0, t)
     return HartreeState(
-        v=RadialField(grid, v, nonnegative=True),
+        v=RadialField(model.grid, v, nonnegative=True),
         t=float(t),
-        mu=-lam,
-        energy=solver.energy(v),
-        bound_mass=float(integrate_3d(RadialField(grid, v**2))),
-        residual=res,
+        mu=0.0 - lam,  # +0.0, not -0.0, off the cap
+        energy=model.energy(v),
+        bound_mass=model.mass(v),
+        residual=rel,
         iterations=iters,
     )
 
 
-def compute_tc(
-    grid: RadialGrid | None = None,
-    tol: float = 0.01,
-    opts: HartreeOptions | None = None,
-) -> float:
-    """Critical mass by bisection on the sign of the multiplier mu(t).
+def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
+    """Critical mass: the mass of the uncapped minimizer.
 
-    mu > 0 (binding, constraint active) below t_c, mu < 0 would be
-    required above it.  The bracket [1, 2] reflects that the transition
-    sits strictly above 1 and provably below 1.5211 < 2.
+    Certified by the multiplier one tolerance below: mu(t_c - tol) > 0,
+    i.e. the cap still binds there.
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    grid = grid if grid is not None else default_hartree_grid()
-    opts = opts or HartreeOptions()
-    solver = _MeanFieldSolver(grid, z=1.0, coupling=1.0, opts=opts)
-
-    cache: list = []
-
-    def lam_at(m: float) -> float:
-        v0 = None
-        if cache:
-            v0 = min(cache, key=lambda mv: abs(mv[0] - m))[1]
-        v, lam, _, _ = solver.scf(m, v0)
-        cache.append((m, v))
-        return lam
-
-    lo, hi = 1.0, 2.0
-    if lam_at(lo) >= 0:
-        raise DomainError("multiplier not positive at t = 1; no bracket")
-    # Ladder up so every solve warm-starts near a converged neighbor.
-    m = lo
-    lam = -1.0
-    while m < hi:
-        m_next = min(hi, 1.15 * m)
-        lam = lam_at(m_next)
-        if lam > 0:
-            hi = m_next
-            break
-        lo = m = m_next
-    if lam <= 0:
-        raise DomainError("multiplier still positive at t = 2; no bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lam_at(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    model, v, _, _, _ = _flow(grid, 1.0, None)
+    tc = model.mass(v)
+    mu = minimize_e(tc - tol, grid).mu
+    if not mu > 0:
+        raise ConvergenceError(
+            f"t_c = {tc:.6g} not certified: mu(t_c - {tol:g}) = {mu:.3e} "
+            "is not positive"
+        )
+    return tc
 
 
-def e_curve(ts, grid: RadialGrid | None = None, opts: HartreeOptions | None = None):
-    """Rows (t, e, mu, bound_mass) for each requested mass.
-
-    Points are independent; they run on the IONLAB_THREADS pool and are
-    merged in input order.
-    """
-    from .parallel import parallel_map
-
+def e_curve(ts, grid: RadialGrid | None = None):
+    """Rows (t, e, mu, bound_mass) for each requested mass."""
     ts = list(ts)
     if not ts:
         raise ParameterError("need at least one mass value")
     if any(t <= 0 for t in ts):
         raise ParameterError("masses must be positive")
-
-    def point(t):
-        st = minimize_e(t, grid, opts)
-        return (float(t), st.energy, st.mu, st.bound_mass)
-
-    return parallel_map(point, ts)
+    rows = []
+    for t in ts:
+        st = minimize_e(t, grid)
+        rows.append((float(t), st.energy, st.mu, st.bound_mass))
+    return rows
 
 
 def hartree_energy_direct(
-    n_particles: float,
-    z: float,
-    grid: RadialGrid | None = None,
-    opts: HartreeOptions | None = None,
+    n_particles: float, z: float, grid: RadialGrid | None = None
 ) -> float:
     """Product-state energy at physical charge and particle number:
     N inf over normalized u of int |grad u|^2 - Z u^2/|x|
-    + ((N-1)/2) u^2 (u^2 * 1/|x|).  Independent route used to validate
-    the rescaling onto e(t)."""
+    + ((N-1)/2) u^2 (u^2 * 1/|x|).  A second route, at charge Z, used to
+    validate the rescaling onto e(t).
+
+    With w = (N-1)^(1/2) u this is N/(N-1) times the charge-Z minimum
+    over int w^2 = N - 1, so the cap N - 1 must bind.
+    """
     if n_particles <= 1:
         raise ParameterError("need more than one particle for the pair term")
     if z <= 0:
         raise ParameterError("charge must be positive")
-    grid = grid if grid is not None else default_hartree_grid()
-    opts = opts or HartreeOptions()
-    solver = _MeanFieldSolver(grid, z=z, coupling=n_particles - 1.0, opts=opts)
-    v, lam, _, _ = solver.scf(1.0)
-    return float(n_particles) * solver.energy(v)
+    model, w, _, _, lam = _flow(grid, z, n_particles - 1.0)
+    if not lam < 0:
+        raise DomainError(
+            f"cap N - 1 = {n_particles - 1.0:g} does not bind at Z = {z:g}: "
+            "it exceeds the critical mass"
+        )
+    return float(n_particles) / (n_particles - 1.0) * model.energy(w)
 
 
 def hoffmann_ostenhof_product_check(u: RadialField, n_particles: int):

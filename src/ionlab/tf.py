@@ -5,12 +5,16 @@ fixed-point iteration on the Euler-Lagrange equation
 
     (5/3) c_tf rho^(2/3) = [Phi]_+,   Phi = Z/r - rho * 1/|x| - mu.
 
-The unconstrained (mu = 0) problem is solved first; its mass is the
-maximum the model binds, which equals Z.  Only if that exceeds N does
-the solver switch to an iteration whose density update is projected to
-mass N every step, with the multiplier resolved inside the loop; a
-nested outer-mu/inner-density scheme falls into edge/mass breathing
-cycles whenever the support boundary sits in the flat potential tail.
+One loop serves every stage: each density update is projected to mass
+min(N_cap, mass at mu = 0), with the multiplier resolved inside the
+step; with no cap it is the plain mu = 0 iteration.  The unconstrained
+stage runs first; its mass is the maximum the model binds, which
+equals Z.  Only if that exceeds N does the solver rerun with cap N.
+Resolving mu inside the loop matters: a nested outer-mu/inner-density
+scheme falls into edge/mass breathing cycles whenever the support
+boundary sits in the flat potential tail.  The gradient flow of
+``tfw`` is no substitute at c_w = 0: run on this model it stalls short
+of the bound mass.
 
 The default grid reaches r_max = 400: the neutral potential has the
 universal r^-4 tail, and the density mass beyond r ~ 100 is ~3e-3, too
@@ -19,7 +23,7 @@ much for per-mille mass checks on a shorter box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +76,6 @@ class TFSolverOptions:
     mix_alpha: float = 0.3
     residual_tol: float = 1e-8
     max_iter: int = 20_000
-    mass_rtol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,51 +150,16 @@ def _projected_target(
     return mu, _mass_of_target(grid, coeff, phi_bare, mu)[1]
 
 
-def _fixed_point(
-    grid: RadialGrid,
-    params: TFParams,
-    mu: float,
-    rho0: np.ndarray,
-    opts: TFSolverOptions,
-):
-    """Damped iteration rho <- (1-a) rho + a ((3/(5c)) [Phi]_+)^(3/2)
-    at a frozen multiplier."""
-    coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
-    rho = rho0.copy()
-    alpha = opts.mix_alpha
-    cap = opts.mix_alpha
-    best = np.inf
-    res = np.inf
-    improving = 0
-    for it in range(1, opts.max_iter + 1):
-        phi = _bare_potential(grid, params.z, rho) - mu
-        target = coeff * np.clip(phi, 0.0, None) ** 1.5
-        res = _residual_norm(grid, params, rho, phi)
-        if res < opts.residual_tol:
-            return rho, res, it
-        if res > 2.0 * best:
-            # Overshoot: damp harder, and lower the recovery ceiling so
-            # the iteration cannot cycle back into the unstable regime.
-            cap = max(0.7 * min(cap, alpha), 0.02)
-            alpha = max(0.5 * alpha, 0.02)
-            improving = 0
-        elif res < best:
-            improving += 1
-            if improving >= 50:
-                alpha = min(1.25 * alpha, cap)
-                improving = 0
-        best = min(best, res)
-        rho = (1.0 - alpha) * rho + alpha * target
-    return rho, res, opts.max_iter
-
-
 def _constrained_fixed_point(
     grid: RadialGrid,
     params: TFParams,
     rho0: np.ndarray,
     opts: TFSolverOptions,
+    n_cap: float,
 ):
-    """Damped iteration with the multiplier projected every step."""
+    """Damped iteration rho <- (1-a) rho + a target, with the target's
+    multiplier projected every step so it carries mass at most n_cap
+    (n_cap = inf is the mu = 0 iteration)."""
     rho = rho0.copy()
     alpha = opts.mix_alpha
     cap = opts.mix_alpha
@@ -201,11 +169,13 @@ def _constrained_fixed_point(
     improving = 0
     for it in range(1, opts.max_iter + 1):
         phi_bare = _bare_potential(grid, params.z, rho)
-        mu, target = _projected_target(grid, params, phi_bare, params.n_electrons)
+        mu, target = _projected_target(grid, params, phi_bare, n_cap)
         res = _residual_norm(grid, params, rho, phi_bare - mu)
         if res < opts.residual_tol:
             return rho, mu, res, it
         if res > 2.0 * best:
+            # Overshoot: damp harder, and lower the recovery ceiling so
+            # the iteration cannot cycle back into the unstable regime.
             cap = max(0.7 * min(cap, alpha), 0.02)
             alpha = max(0.5 * alpha, 0.02)
             improving = 0
@@ -238,6 +208,33 @@ def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
     return 0.995 * min(params.n_electrons, params.z) / mass * rho
 
 
+# The discrete neutral mass carries a small positive quadrature bias
+# (measured +2.6e-6 relative at Z=100); the slack must sit above it so
+# N = Z stays on the mu = 0 branch.
+_NEUTRAL_SLACK = 1e-5
+
+
+def _converged(
+    stage: str,
+    grid: RadialGrid,
+    params: TFParams,
+    rho: np.ndarray,
+    opts: TFSolverOptions,
+    n_cap: float,
+):
+    """Run the fixed point to opts.residual_tol or raise ConvergenceError
+    naming the stage and (Z, N)."""
+    rho, mu, res, iters = _constrained_fixed_point(grid, params, rho, opts, n_cap)
+    if res >= opts.residual_tol:
+        raise ConvergenceError(
+            f"{stage} stage stalled at residual {res:.3e} "
+            f"(Z={params.z:g}, N={params.n_electrons:g})",
+            residual=res,
+            iterations=iters,
+        )
+    return rho, mu, iters
+
+
 def solve_tf(
     params: TFParams,
     grid: RadialGrid | None = None,
@@ -254,69 +251,38 @@ def solve_tf(
     # The residual norm is extensive and scales like Z^(1/3) under the
     # natural rescaling; keep the stopping rule equally strict at all Z.
     tol = opts.residual_tol * max(1.0, params.z) ** (1.0 / 3.0)
-    work = TFSolverOptions(
-        mix_alpha=opts.mix_alpha,
-        residual_tol=tol,
-        max_iter=opts.max_iter,
-        mass_rtol=opts.mass_rtol,
-    )
+    work = replace(opts, residual_tol=tol)
+    n_cap = params.n_electrons
 
     # Coarse unconstrained (mu = 0) probe first: it is stable and its
     # mass approaches the maximum the model binds, which decides the
     # branch.  Only the branch that will be reported must converge to
     # the tight tolerance.
     rho0 = _initial_density(grid, params)
-    coarse = TFSolverOptions(
-        mix_alpha=opts.mix_alpha,
-        residual_tol=max(tol, 1e-4 * max(1.0, params.z) ** (1.0 / 3.0)),
-        max_iter=opts.max_iter,
-        mass_rtol=opts.mass_rtol,
-    )
-    rho, res, iters = _fixed_point(grid, params, 0.0, rho0, coarse)
-    total_iters = iters
-    mu = 0.0
+    coarse_tol = max(tol, 1e-4 * max(1.0, params.z) ** (1.0 / 3.0))
+    coarse = replace(opts, residual_tol=coarse_tol)
+    rho, mu, _, total_iters = _constrained_fixed_point(grid, params, rho0, coarse, np.inf)
     mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
 
-    if mass > params.n_electrons * 1.01:
+    if mass > n_cap * 1.01:
         # Clearly supercritical: the iteration that projects the
         # multiplier every step (update always carries mass N) converges
         # hard, and never chops the tail on and off the way a marginal
         # N ~ Z run on this branch would.
-        rho, mu, res, iters2 = _constrained_fixed_point(grid, params, rho, work)
-        if res >= tol:
-            raise ConvergenceError(
-                f"constrained iteration stalled at residual {res:.3e}",
-                residual=res,
-                iterations=iters2,
-            )
-        total_iters += iters2
-        mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
+        rho, mu, iters = _converged("constrained", grid, params, rho, work, n_cap)
+        total_iters += iters
     else:
         # Neutral or marginal: finish the mu = 0 branch tight, then make
         # the final call with a noise-level slack.
-        rho, res, iters2 = _fixed_point(grid, params, 0.0, rho, work)
-        if res >= tol:
-            raise ConvergenceError(
-                f"fixed point stalled at residual {res:.3e}",
-                residual=res,
-                iterations=iters2,
-            )
-        total_iters += iters2
+        rho, mu, iters = _converged("unconstrained", grid, params, rho, work, np.inf)
+        total_iters += iters
         mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
-        # The discrete neutral mass carries a small positive quadrature
-        # bias (measured +2.6e-6 relative at Z=100); the slack must sit
-        # above it so N = Z stays on the mu = 0 branch.
-        neutral_slack = max(1e-5, 10.0 * opts.mass_rtol)
-        if mass > params.n_electrons * (1.0 + neutral_slack):
-            rho, mu, res, iters3 = _constrained_fixed_point(grid, params, rho, work)
-            if res >= tol:
-                raise ConvergenceError(
-                    f"constrained iteration stalled at residual {res:.3e}",
-                    residual=res,
-                    iterations=iters3,
-                )
-            total_iters += iters3
-            mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
+        if mass > n_cap * (1.0 + _NEUTRAL_SLACK):
+            rho, mu, iters = _converged(
+                "marginal constrained", grid, params, rho, work, n_cap
+            )
+            total_iters += iters
+    mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
 
     phi = _bare_potential(grid, params.z, rho) - mu
     res = _residual_norm(grid, params, rho, phi)

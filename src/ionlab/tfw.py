@@ -1,27 +1,31 @@
-"""Gradient-corrected density functional with unconstrained mass.
+"""Gradient-corrected density functional, with an optional mass cap.
 
-Minimizes, over u >= 0 with no mass constraint,
+Minimizes, over u >= 0 with int u^2 <= N (N = infinity by default),
 
     E(u) = c_tf int u^(10/3) + c_w int |grad u|^2
            - Z int u^2/|x| + (1/2) int u^2 (u^2 * 1/|x|),
 
-whose unique positive radial minimizer carries a total mass n_c strictly
-above Z: the excess charge q = n_c - Z is the model's maximum ionization.
-The stationarity condition is
+whose unique positive radial minimizer without a cap carries a total
+mass n_c strictly above Z: the excess charge q = n_c - Z is the model's
+maximum ionization.  The stationarity condition is
 
-    (c_w (-Laplace) + (5/3) c_tf u^(4/3) - Phi) u = 0,
+    (c_w (-Laplace) + (5/3) c_tf u^(4/3) - Phi) u = lambda u,
     Phi = Z/|x| - u^2 * 1/|x|,
 
-i.e. the minimizer is a zero-mode of its own mean-field operator.
+with lambda = 0 unless the cap binds, i.e. the uncapped minimizer is a
+zero-mode of its own mean-field operator.  c_tf = 0 with Z = 1 is the
+rescaled product-state functional of ``hartree``.
 
 Solver: backward-Euler gradient flow with the full frozen linearized
 operator treated implicitly (a log grid makes any explicit treatment of
-the local terms unstable), energy-monotone step control, and charge
-continuation: each Z is seeded by rescaling the previous rung's
-solution, starting from the gradient-free density at the bottom rung.
-Eigenvalue-replacement SCF is useless here: at the minimizer the local
-potential cancels against the bulk term, so the linearized operator is
-nearly flat and its ground state is a box mode, not the solution.
+the local terms unstable), energy-monotone step control, and a
+projection back onto the cap after each step (the normalized gradient
+flow of Bao & Du, SIAM J. Sci. Comput. 25, 2004).  Charge continuation:
+each Z is seeded by rescaling the previous rung's solution, starting
+from the gradient-free density at the bottom rung.  Eigenvalue-
+replacement SCF is useless here: at the minimizer the local potential
+cancels against the bulk term, so the linearized operator is nearly
+flat and its ground state is a box mode, not the solution.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ class TFWParams:
     c_w: float = 1.0
 
     def __post_init__(self):
-        if self.z <= 0 or self.c_tf <= 0 or self.c_w <= 0:
-            raise ParameterError("Z, c_tf and c_w must all be positive")
+        if self.z <= 0 or self.c_tf < 0 or self.c_w <= 0:
+            raise ParameterError("Z and c_w must be positive and c_tf nonnegative")
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,10 @@ class TFWOptions:
     # default grid within the iteration budget.
     rel_residual_tol: float = 2e-6
     max_iter: int = 16_000
-    ladder_iter: int = 6_000
-    eta0: float = 0.1
+
+
+# Initial backward-Euler step size; the energy-monotone control adapts it.
+_ETA0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -128,42 +134,73 @@ class _TFWModel:
         hart = 0.5 * integrate_3d(RadialField(grid, u * u * newton_potential(u2).values))
         return float(kin + bulk - attract + hart)
 
-    def rel_residual(self, u: np.ndarray) -> float:
-        """Stationarity defect of (c_w A + vloc) u relative to the sizes
-        of its kinetic and potential parts."""
+    def mass(self, u: np.ndarray) -> float:
+        return float(integrate_3d(RadialField(self.grid, u * u)))
+
+    def rel_residual(self, u: np.ndarray, on_cap: bool = False):
+        """Stationarity defect of (c_w A + vloc - lambda) u relative to the
+        sizes of its kinetic and potential parts, and lambda itself.
+
+        lambda is the Rayleigh quotient <psi, H psi>/<psi, psi> while u
+        sits on a mass cap, and 0 otherwise.
+        """
         p = self.params
         psi = self.to_psi(u)
         kin_part = p.c_w * (self.a @ psi)
         pot_part = self.local_potential(u) * psi
+        lam = float(psi @ (kin_part + pot_part)) / float(psi @ psi) if on_cap else 0.0
+        pot_part = pot_part - lam * psi
         scale = np.linalg.norm(kin_part) + np.linalg.norm(pot_part)
         if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(kin_part + pot_part) / scale)
+            return 0.0, lam
+        return float(np.linalg.norm(kin_part + pot_part) / scale), lam
 
-    def tf_seed(self) -> np.ndarray:
-        """Square root of the gradient-free neutral density, the c_w -> 0
-        bulk limit and a good starting profile at every Z."""
-        z = self.params.z
+    def seed(self) -> np.ndarray:
+        """Starting profile: the hydrogenic ground state exp(-Z r/(2 c_w))
+        without a bulk term, else the square root of the gradient-free
+        neutral density, the c_w -> 0 bulk limit and a good starting
+        profile at every Z."""
+        p = self.params
+        if p.c_tf == 0.0:
+            return np.exp(-0.5 * p.z / p.c_w * self.grid.r)
         tf0 = solve_tf(
-            TFParams(z=z, n_electrons=z, c_tf=self.params.c_tf),
+            TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf),
             self.grid,
             TFSolverOptions(residual_tol=1e-6, max_iter=6000),
         )
         return np.sqrt(np.clip(tf0.rho.values, 0.0, None)) + 1e-30
 
-    def implicit_flow(self, u0: np.ndarray, max_iter: int, tol: float):
+    def _onto_cap(self, u: np.ndarray, cap: float | None):
+        """u scaled down to mass cap if it carries more, and whether it
+        now sits on the cap."""
+        if cap is None:
+            return u, False
+        m = self.mass(u)
+        if m < cap:
+            return u, False
+        return np.sqrt(cap / m) * u, True
+
+    def implicit_flow(
+        self, u0: np.ndarray, max_iter: int, tol: float, cap: float | None = None
+    ):
         """Backward-Euler descent psi <- (I + 2 eta H[u])^{-1} psi with
         energy-monotone step adaptation; H is tridiagonal, so each step
-        is one banded solve."""
-        u = np.abs(u0) + 1e-30
+        is one banded solve.  With a mass cap, each step that ends above
+        it is scaled back onto it.
+
+        Returns (u, rel, iterations, lambda), with rel and lambda from
+        ``rel_residual`` at the returned u.  Stops when rel < tol, when
+        the step size underflows, or after max_iter steps; iterations
+        counts the steps actually taken, and callers judge by rel.
+        """
+        u, on_cap = self._onto_cap(np.abs(u0) + 1e-30, cap)
         e = self.energy(u)
-        eta = TFWOptions().eta0
+        eta = _ETA0
         n = self.grid.n
-        rel = np.inf
         for it in range(1, max_iter + 1):
-            rel = self.rel_residual(u)
+            rel, lam = self.rel_residual(u, on_cap)
             if rel < tol:
-                return u, rel, it
+                return u, rel, it, lam
             psi = self.to_psi(u)
             vloc = self.local_potential(u)
             diag = 1.0 + 2.0 * eta * (self.params.c_w * self.kin_band[1] + vloc)
@@ -177,16 +214,17 @@ class _TFWModel:
             except (ValueError, np.linalg.LinAlgError):
                 eta *= 0.5
                 continue
-            u_new = np.abs(self.to_u(psi_new))
+            u_new, new_on_cap = self._onto_cap(np.abs(self.to_u(psi_new)), cap)
             e_new = self.energy(u_new)
             if e_new <= e + 1e-13 * abs(e):
-                u, e = u_new, e_new
+                u, e, on_cap = u_new, e_new, new_on_cap
                 eta = min(1.3 * eta, 1e4)
             else:
                 eta *= 0.5
                 if eta < 1e-12:
-                    break
-        return u, rel, max_iter
+                    return u, rel, it, lam
+        rel, lam = self.rel_residual(u, on_cap)
+        return u, rel, max_iter, lam
 
 
 def _ladder(z: float) -> list:
@@ -203,6 +241,37 @@ def _rescale_seed(grid: RadialGrid, u: np.ndarray, factor: float) -> np.ndarray:
     return factor * np.interp(grid.r * factor ** (1.0 / 3.0), grid.r, u, right=0.0)
 
 
+def _continuation(zs: list, c_tf: float, c_w: float, grid: RadialGrid, opts: TFWOptions):
+    """Uncapped minimizers at the increasing charges zs, solved along one
+    combined ladder with each rung seeded by rescaling the previous one.
+
+    Returns ([(model, u, rel)] for each z in zs, total flow steps).  A
+    rung that misses its tolerance raises ConvergenceError naming its Z.
+    """
+    points = sorted(set(zs) | {r for z in zs for r in _ladder(z)})
+    solved = []
+    steps = 0
+    u = z_prev = None
+    for z in points:
+        model = _TFWModel(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid)
+        seed = model.seed() if u is None else _rescale_seed(grid, u, z / z_prev)
+        wanted = z in zs
+        # Filler rungs only seed the next rung.
+        tol = opts.rel_residual_tol if wanted else max(5e-6, opts.rel_residual_tol)
+        u, rel, iters, _ = model.implicit_flow(seed, opts.max_iter, tol)
+        steps += iters
+        if rel >= tol:
+            raise ConvergenceError(
+                f"flow stalled at relative residual {rel:.3e} for Z={z:g}",
+                residual=rel,
+                iterations=steps,
+            )
+        if wanted:
+            solved.append((model, u, rel))
+        z_prev = z
+    return solved, steps
+
+
 def solve_tfw(
     params: TFWParams,
     grid: RadialGrid | None = None,
@@ -217,32 +286,10 @@ def solve_tfw(
     """
     grid = grid if grid is not None else default_tfw_grid()
     opts = opts or TFWOptions()
-
-    total_iters = 0
-    u = None
-    z_prev = None
-    for rung_z in _ladder(params.z):
-        p_rung = TFWParams(z=rung_z, c_tf=params.c_tf, c_w=params.c_w)
-        model = _TFWModel(p_rung, grid)
-        if u is None:
-            seed = model.tf_seed()
-        else:
-            seed = _rescale_seed(grid, u, rung_z / z_prev)
-        last = rung_z == params.z
-        budget = opts.max_iter if last else opts.ladder_iter
-        tol = opts.rel_residual_tol if last else max(5e-6, opts.rel_residual_tol)
-        u, rel, iters = model.implicit_flow(seed, budget, tol)
-        total_iters += iters
-        z_prev = rung_z
-
-    if rel > opts.rel_residual_tol:
-        raise ConvergenceError(
-            f"flow stalled at relative residual {rel:.3e}",
-            residual=rel,
-            iterations=total_iters,
-        )
-    model = _TFWModel(params, grid)
-    n_c = float(integrate_3d(RadialField(grid, u * u)))
+    [(model, u, rel)], steps = _continuation(
+        [params.z], params.c_tf, params.c_w, grid, opts
+    )
+    n_c = model.mass(u)
     return TFWSolution(
         u=RadialField(grid, u, nonnegative=True),
         phi=RadialField(grid, model.phi_of(u)),
@@ -250,7 +297,7 @@ def solve_tfw(
         q=n_c - params.z,
         energy=model.energy(u),
         residual=rel,
-        iterations=total_iters,
+        iterations=steps,
         params=params,
     )
 
@@ -275,30 +322,13 @@ def excess_charge_sweep(
     grid = grid if grid is not None else default_tfw_grid()
     opts = opts or TFWOptions()
 
-    # One combined ladder over all requested charges plus filler rungs.
-    points = sorted(set(zs) | {r for z in zs for r in _ladder(z)})
+    solved, _ = _continuation(zs, c_tf, c_w, grid, opts)
     rows = []
-    u = None
-    z_prev = None
-    for z in points:
-        params = TFWParams(z=z, c_tf=c_tf, c_w=c_w)
-        model = _TFWModel(params, grid)
-        seed = model.tf_seed() if u is None else _rescale_seed(grid, u, z / z_prev)
-        wanted = z in zs
-        budget = opts.max_iter if wanted else opts.ladder_iter
-        tol = opts.rel_residual_tol if wanted else max(5e-6, opts.rel_residual_tol)
-        u, rel, _ = model.implicit_flow(seed, budget, tol)
-        z_prev = z
-        if wanted:
-            if rel > opts.rel_residual_tol:
-                raise ConvergenceError(
-                    f"flow stalled at relative residual {rel:.3e} for Z={z}",
-                    residual=rel,
-                )
-            n_c = float(integrate_3d(RadialField(grid, u * u)))
-            u1 = float(np.interp(1.0, grid.r, u))
-            phi1 = float(np.interp(1.0, grid.r, model.phi_of(u)))
-            rows.append((z, n_c - z, u1, phi1))
+    for model, u, _ in solved:
+        z = model.params.z
+        u1 = float(np.interp(1.0, grid.r, u))
+        phi1 = float(np.interp(1.0, grid.r, model.phi_of(u)))
+        rows.append((z, model.mass(u) - z, u1, phi1))
     return rows
 
 
@@ -323,7 +353,7 @@ def subharmonic_majorant_check(
     """
     grid = sol.u.grid
     model = _TFWModel(sol.params, grid)
-    res = model.rel_residual(sol.u.values)
+    res, _ = model.rel_residual(sol.u.values)
     if res > residual_cap:
         raise DomainError(
             f"input does not solve the stationarity equation (residual {res:.2e})"

@@ -172,16 +172,6 @@ class TestOtherRunners:
 
 
 class TestHelpers:
-    def test_spawn_seeds_deterministic(self):
-        assert cli.spawn_seeds(123, 4) == cli.spawn_seeds(123, 4)
-        assert cli.spawn_seeds(123, 4) != cli.spawn_seeds(124, 4)
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("IONLAB_THREADS", "7")
-        assert cli.worker_count() == 7
-        monkeypatch.setenv("IONLAB_THREADS", "junk")
-        assert cli.worker_count() == 1
-
     def test_float_formatting_roundtrip(self):
         for x in (np.pi, 1 / 3, 1e-300, 123456.789e17):
             assert float(cli._fmt(x)) == x

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ionlab.errors import ParameterError
+from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.hartree import (
     LIEB_OXFORD_CONSTANT,
+    compute_tc,
     e_curve,
     hartree_energy_direct,
     hoffmann_ostenhof_product_check,
@@ -13,6 +16,7 @@ from ionlab.hartree import (
     normalize_mass,
 )
 from ionlab.radial import RadialField, field_from_function, make_log_grid
+from ionlab.tfw import TFWParams, _TFWModel
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +58,13 @@ class TestMinimize:
             minimize_e(0.0, grid)
 
     def test_variational_against_trial_states(self, grid, exp_orbital):
-        from ionlab.hartree import _MeanFieldSolver, HartreeOptions
-
         st = minimize_e(1.0, grid)
-        solver = _MeanFieldSolver(grid, z=1.0, coupling=1.0, opts=HartreeOptions())
+        model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), grid)
         for scale in (0.6, 1.0, 1.8):
             trial = normalize_mass(
                 field_from_function(grid, lambda r: np.exp(-scale * r)), 1.0
             )
-            assert solver.energy(trial.values) >= st.energy - 1e-12
+            assert model.energy(trial.values) >= st.energy - 1e-12
 
 
 class TestCriticalMass:
@@ -76,10 +78,28 @@ class TestCriticalMass:
         assert hartree_tc > 1.0
 
     def test_bad_tolerance_rejected(self):
-        from ionlab.hartree import compute_tc
-
         with pytest.raises(ParameterError):
             compute_tc(tol=0.0)
+
+    def test_matches_multiplier_bisection(self, hartree_tc):
+        # Oracle: bisect on the sign of mu(t) over [1, 2]; mu > 0 while
+        # the mass cap binds, i.e. below t_c.
+        lo, hi = 1.0, 2.0
+        while hi - lo > 0.01:
+            mid = 0.5 * (lo + hi)
+            if minimize_e(mid).mu > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert abs(0.5 * (lo + hi) - hartree_tc) < 0.01
+
+    def test_uncertified_result_raises(self, monkeypatch, grid):
+        import ionlab.hartree as hartree
+
+        unbound = SimpleNamespace(mu=0.0)
+        monkeypatch.setattr(hartree, "minimize_e", lambda t, grid=None: unbound)
+        with pytest.raises(ConvergenceError):
+            compute_tc(grid)
 
 
 class TestECurve:
@@ -105,8 +125,8 @@ class TestECurve:
 
     def test_virial_diagnostic_recorded(self, grid):
         # 2K + V_attr + V_hartree vanishes at constrained minimizers;
-        # recorded here as a diagnostic, not asserted.
-        from ionlab.hartree import _MeanFieldSolver, HartreeOptions
+        # recorded here as a diagnostic, not asserted.  The parts must
+        # add up to the energy of the shared model.
         from ionlab.radial import integrate_3d, newton_potential
 
         st = minimize_e(1.0, grid)
@@ -116,6 +136,7 @@ class TestECurve:
         u2 = RadialField(grid, v * v)
         hart = 0.5 * integrate_3d(RadialField(grid, v * v * newton_potential(u2).values))
         print(f"virial 2K + V = {2 * kin + attract + hart:.3e} (K={kin:.4f})")
+        assert kin + attract + hart == pytest.approx(st.energy, rel=1e-12)
 
 
 class TestProductStateChecks:
@@ -182,3 +203,32 @@ class TestScalingConsistency:
     def test_direct_requires_multiple_particles(self, grid):
         with pytest.raises(ParameterError):
             hartree_energy_direct(1.0, 1.0, grid)
+
+    def test_direct_rejects_cap_above_critical_mass(self, grid):
+        # N - 1 = 2 > t_c Z: the normalized minimum is not attained.
+        with pytest.raises(DomainError):
+            hartree_energy_direct(3.0, 1.0, grid)
+
+
+class TestReferenceValues:
+    """Values of the eigenvalue-replacement SCF that the gradient flow
+    replaced, on the default grid (residual 1e-6, brentq to 1e-8 in mass
+    on the flat branch)."""
+
+    @pytest.mark.parametrize(
+        "t, energy",
+        [
+            (0.2, -0.04396397510868701),
+            (0.6, -0.09977151641401312),
+            (1.0, -0.1219587057232827),
+            (1.6, -0.12416627130963892),
+            (2.0, -0.12416627130963892),
+        ],
+    )
+    def test_e_of_t(self, t, energy):
+        assert minimize_e(t).energy == pytest.approx(energy, rel=1e-8)
+
+    def test_direct_energy(self):
+        assert hartree_energy_direct(3.0, 2.5) == pytest.approx(
+            -2.6793934190345583, rel=1e-8
+        )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ionlab.errors import DomainError, ParameterError
+from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, field_from_function, integrate_3d, make_log_grid
 from ionlab.tf import (
     TFParams,
@@ -39,6 +39,11 @@ class TestMaximumIonization:
         assert ionized.mu > 0
         assert ionized.mu * (0.7 - ionized.mass) == pytest.approx(0.0, abs=1e-9)
         assert ionized.mass <= 0.7 * (1 + 1e-9)
+
+    def test_stall_names_stage_and_charges(self, small_grid):
+        params = TFParams(z=1.0, n_electrons=1.0)
+        with pytest.raises(ConvergenceError, match=r"stage stalled .*\(Z=1, N=1\)"):
+            solve_tf(params, small_grid, TFSolverOptions(max_iter=3))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError):
@@ -129,11 +134,13 @@ class TestUniquenessAndPositivity:
         opts = TFSolverOptions(residual_tol=1e-9)
         sol_a = solve_tf(params, small_grid, opts)
 
-        # second run from a very different initial profile
-        from ionlab.tf import _fixed_point
+        # second run, uncapped, from a very different initial profile
+        from ionlab.tf import _constrained_fixed_point
 
         rho0 = np.full(small_grid.n, 1e-3)
-        rho_b, res_b, _ = _fixed_point(small_grid, params, 0.0, rho0, opts)
+        rho_b, _, res_b, _ = _constrained_fixed_point(
+            small_grid, params, rho0, opts, np.inf
+        )
         assert res_b < 2e-9
         diff = integrate_3d(
             RadialField(small_grid, np.abs(sol_a.rho.values - rho_b))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ionlab.errors import DomainError, ParameterError
+from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, integrate_3d
 from ionlab.tfw import (
+    TFWOptions,
     TFWParams,
+    _TFWModel,
+    default_tfw_grid,
     excess_charge_sweep,
     solve_tfw,
     subharmonic_majorant_check,
@@ -57,6 +60,13 @@ class TestExcessCharge:
             TFWParams(z=-1.0)
         with pytest.raises(ParameterError):
             TFWParams(z=1.0, c_w=0.0)
+        with pytest.raises(ParameterError):
+            TFWParams(z=1.0, c_tf=-0.1)
+        assert TFWParams(z=1.0, c_tf=0.0).c_tf == 0.0
+
+    def test_rung_that_misses_tolerance_names_its_charge(self):
+        with pytest.raises(ConvergenceError, match=r"Z=1\b"):
+            excess_charge_sweep([1.0, 4.0], opts=TFWOptions(max_iter=5))
 
 
 class TestStationarity:
@@ -66,6 +76,14 @@ class TestStationarity:
     def test_solution_mass_equals_nc(self, tfw_z1):
         mass = integrate_3d(RadialField(tfw_z1.u.grid, tfw_z1.u.values**2))
         assert mass == pytest.approx(tfw_z1.n_c, rel=1e-12)
+
+    def test_step_underflow_reports_steps_taken(self):
+        model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), default_tfw_grid())
+        rising = iter(range(10**6))
+        model.energy = lambda u: float(next(rising))  # every step is rejected
+        _, rel, iters, _ = model.implicit_flow(model.seed(), max_iter=1000, tol=1e-9)
+        assert iters < 100  # eta = 0.1 halves below 1e-12 after 37 rejections
+        assert rel >= 1e-9
 
     def test_gradient_coefficient_trend(self):
         # weaker gradient correction -> smaller excess charge
