@@ -96,6 +96,8 @@ class RunReport:
     timings: dict
     diagnostics: dict
     version: str = __version__
+    # Solver facts kept off the document, like the timings: printed on stderr.
+    meta: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         # Wall time stays off the document: emitted bytes must be a pure
@@ -265,9 +267,14 @@ def _run_hf(params: dict, seed: int):
         "z": z, "n": n, "E_scf": scf.energy, "E_relaxed": rel.energy,
         "E_exact": exact,
         "relaxed_gap": abs(scf.energy - rel.energy),
+        "relaxed_converged": rel.converged,
         "fermi_degenerate": scf.fermi_degenerate,
     }
-    return payload, None, None, {"scf_iterations": scf.iterations}
+    meta = {
+        "relaxed_iterations": rel.iterations,
+        "relaxed_stationarity_gap": rel.stationarity_gap,
+    }
+    return payload, None, None, {"scf_iterations": scf.iterations}, meta
 
 
 def _run_beta(params: dict, seed: int):
@@ -391,7 +398,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config; deterministic given (config, seed)."""
     t0 = time.perf_counter()
-    payload, table, columns, diags = _RUNNERS[config.command](
+    payload, table, columns, diags, *meta = _RUNNERS[config.command](
         config.parameters, config.seed
     )
     elapsed = time.perf_counter() - t0
@@ -404,6 +411,7 @@ def run(config: RunConfig) -> RunReport:
         # of the payload and round it coarsely for the log.
         timings={"elapsed_s": round(elapsed, 3)},
         diagnostics=diags,
+        meta=meta[0] if meta else {},
     )
 
 
@@ -490,6 +498,8 @@ def main(argv=None) -> int:
         f"ionlab: {config.command} finished in {report.timings['elapsed_s']}s",
         file=sys.stderr,
     )
+    if report.meta:
+        print(f"ionlab: {config.command} meta {_json_value(report.meta)}", file=sys.stderr)
     if config.output_path:
         with open(config.output_path, "wb") as fh:
             fh.write(data)

@@ -206,7 +206,11 @@ def solve_hf_scf(
         if best is None or state.energy < best.energy:
             best = state
     if best is None:
-        raise ConvergenceError("aufbau iteration failed from every start")
+        raise ConvergenceError(
+            f"scf stage: aufbau iteration failed from every start within "
+            f"{max_iter} iterations (n={n}, dim={d})",
+            iterations=max_iter,
+        )
     return best
 
 
@@ -234,22 +238,20 @@ def _project_box_trace(sym: np.ndarray, n: float) -> np.ndarray:
     """Euclidean projection onto {0 <= gamma <= 1, Tr gamma = n}.
 
     Unitarily invariant set: project the eigenvalues onto the permuted
-    box-with-sum (water filling with clipping).
+    box-with-sum (water filling with clipping).  The filled trace
+    t(theta) = sum clip(lambda_i - theta, 0, 1) is nonincreasing and
+    piecewise linear with breakpoints lambda_i and lambda_i - 1, so the
+    level theta with t(theta) = n is exact from the sorted breakpoints
+    (the capped-simplex projection of Wang & Lu).
     """
     evals, evecs = np.linalg.eigh(sym)
-
-    def trace_at(theta):
-        return float(np.sum(np.clip(evals - theta, 0.0, 1.0)))
-
-    lo = float(np.min(evals)) - 1.5
-    hi = float(np.max(evals)) + 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if trace_at(mid) > n:
-            lo = mid
-        else:
-            hi = mid
-    occ = np.clip(evals - 0.5 * (lo + hi), 0.0, 1.0)
+    bps = np.sort(np.concatenate((evals - 1.0, evals)))
+    t = np.clip(evals - bps[:, None], 0.0, 1.0).sum(axis=1)
+    k = int(np.count_nonzero(t > n))  # t[k-1] > n >= t[k]; t[0] = dim, t[-1] = 0
+    theta = bps[0] if k == 0 else (
+        bps[k - 1] + (t[k - 1] - n) / (t[k - 1] - t[k]) * (bps[k] - bps[k - 1])
+    )
+    occ = np.clip(evals - theta, 0.0, 1.0)
     return (evecs * occ) @ evecs.T
 
 
@@ -294,6 +296,7 @@ def _projected_gradient(basis, n, gamma0, max_iter, tol):
     step = 0.5 / (1.0 + np.linalg.norm(basis.h0))
     gap = np.inf
     scale = 1.0
+    it = 0
     for it in range(1, max_iter + 1):
         f = fock_matrix(gamma, basis)
         evals = np.linalg.eigvalsh(f)
@@ -325,7 +328,7 @@ def _projected_gradient(basis, n, gamma0, max_iter, tol):
         trace_n=float(np.trace(gamma)),
         energy=energy,
         converged=bool(gap < tol * scale),
-        iterations=max_iter,
+        iterations=it,
         stationarity_gap=float(gap),
     )
 

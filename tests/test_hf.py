@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from ionlab.errors import BasisError, CapacityError, ParameterError
+import ionlab.hf
+from ionlab.errors import BasisError, CapacityError, ConvergenceError, ParameterError
 from ionlab.hf import (
     OneBodyBasis,
+    _project_box_trace,
+    _projected_gradient,
     boys_f0,
     build_sgauss_basis,
     exact_diagonalization,
@@ -161,11 +164,59 @@ class TestSolvers:
         assert np.all(evals < 1 + 1e-10)
         assert np.trace(st.gamma) == pytest.approx(2.0, abs=1e-9)
 
+    def test_line_search_failure_reports_iteration_reached(self, helium_like, monkeypatch):
+        rising = iter(range(10**6))
+        monkeypatch.setattr(ionlab.hf, "hf_energy", lambda g, b: float(next(rising)))
+        st = _projected_gradient(helium_like, 2, np.eye(3) * (2 / 3), max_iter=50, tol=1e-9)
+        assert st.iterations == 1  # every trial step rises, so the first line search fails
+        assert st.converged is False
+
+    def test_scf_failure_names_stage_and_size(self, helium_like):
+        with pytest.raises(ConvergenceError, match=r"scf stage.*n=2, dim=3"):
+            solve_hf_scf(helium_like, 2, max_iter=1, tol=1e-30)
+
     def test_invalid_n(self, helium_like):
         with pytest.raises(ParameterError):
             solve_hf_scf(helium_like, 0)
         with pytest.raises(ParameterError):
             solve_hf_relaxed(helium_like, 5)
+
+
+def _bisection_projection(sym, n):
+    """Reference: the water-filling level by 200 bisection steps."""
+    evals, evecs = np.linalg.eigh(sym)
+    lo, hi = float(np.min(evals)) - 1.5, float(np.max(evals)) + 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.clip(evals - mid, 0.0, 1.0)) > n:
+            lo = mid
+        else:
+            hi = mid
+    occ = np.clip(evals - 0.5 * (lo + hi), 0.0, 1.0)
+    return (evecs * occ) @ evecs.T
+
+
+class TestBoxTraceProjection:
+    def _cases(self, rng):
+        for d in range(1, 7):
+            for _ in range(12):
+                m = rng.normal(size=(d, d)) * rng.choice([0.1, 1.0, 10.0])
+                yield 0.5 * (m + m.T)
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            # repeated eigenvalues; gaps above 1 make t(theta) flat at integer n
+            yield (q * np.where(np.arange(d) % 2, 0.3, -1.2)) @ q.T
+            yield (q * 3.0 * np.arange(d)) @ q.T
+            yield np.zeros((d, d))
+
+    def test_feasible_and_matches_bisection(self, rng):
+        for sym in self._cases(rng):
+            d = sym.shape[0]
+            for n in [*range(d + 1), *rng.uniform(0.0, d, size=3)]:
+                p = _project_box_trace(sym, n)
+                evals = np.linalg.eigvalsh(p)
+                assert np.trace(p) == pytest.approx(n, abs=1e-12)
+                assert evals.min() >= -1e-12 and evals.max() <= 1 + 1e-12
+                assert np.max(np.abs(p - _bisection_projection(sym, n))) <= 1e-12
 
 
 class TestExactDiagonalization:
