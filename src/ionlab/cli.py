@@ -96,8 +96,6 @@ class RunReport:
     timings: dict
     diagnostics: dict
     version: str = __version__
-    # Solver facts kept off the document, like the timings: printed on stderr.
-    meta: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         # Wall time stays off the document: emitted bytes must be a pure
@@ -270,11 +268,12 @@ def _run_hf(params: dict, seed: int):
         "relaxed_converged": rel.converged,
         "fermi_degenerate": scf.fermi_degenerate,
     }
-    meta = {
+    diags = {
+        "scf_iterations": scf.iterations,
         "relaxed_iterations": rel.iterations,
         "relaxed_stationarity_gap": rel.stationarity_gap,
     }
-    return payload, None, None, {"scf_iterations": scf.iterations}, meta
+    return payload, None, None, diags
 
 
 def _run_beta(params: dict, seed: int):
@@ -398,7 +397,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config; deterministic given (config, seed)."""
     t0 = time.perf_counter()
-    payload, table, columns, diags, *meta = _RUNNERS[config.command](
+    payload, table, columns, diags = _RUNNERS[config.command](
         config.parameters, config.seed
     )
     elapsed = time.perf_counter() - t0
@@ -411,7 +410,6 @@ def run(config: RunConfig) -> RunReport:
         # of the payload and round it coarsely for the log.
         timings={"elapsed_s": round(elapsed, 3)},
         diagnostics=diags,
-        meta=meta[0] if meta else {},
     )
 
 
@@ -498,8 +496,6 @@ def main(argv=None) -> int:
         f"ionlab: {config.command} finished in {report.timings['elapsed_s']}s",
         file=sys.stderr,
     )
-    if report.meta:
-        print(f"ionlab: {config.command} meta {_json_value(report.meta)}", file=sys.stderr)
     if config.output_path:
         with open(config.output_path, "wb") as fh:
             fh.write(data)

@@ -288,9 +288,8 @@ def extremal_eigs(
     """k extremal eigenpairs of a symmetric matrix, ascending order.
 
     Tridiagonal and diagonal matrices go through bisection plus inverse
-    iteration (LAPACK stebz/stein), O(n k) in time and memory; other
-    banded matrices (bandwidth <= 16) through the direct banded solver;
-    anything else falls back to dense for n <= 4000 and to Lanczos beyond.
+    iteration (LAPACK stebz/stein), O(n k) in time and memory; anything
+    else goes to dense for n <= 4000 and to Lanczos beyond.
     Returns (values, vectors) with vectors in columns.
     """
     if which not in ("smallest", "largest"):
@@ -310,13 +309,6 @@ def extremal_eigs(
             sp.diagonal(0), sp.diagonal(1), select="i", select_range=idx,
             lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
         )
-    if bw <= 16:
-        # Upper banded storage: a_band[bw + i - j, j] = a[i, j] for i <= j.
-        band = np.zeros((bw + 1, n))
-        coo = sp.tocoo()
-        up = coo.row <= coo.col
-        band[bw + coo.row[up] - coo.col[up], coo.col[up]] = coo.data[up]
-        return scipy.linalg.eig_banded(band, lower=False, select="i", select_range=idx)
     if n <= 4000:
         dense = sp.toarray()
         vals, vecs = scipy.linalg.eigh(dense, subset_by_index=idx)
