@@ -10,7 +10,8 @@ the liquid drop model, all behind one CLI.
 
 __version__ = "0.1.0"
 
-from . import classical, drop, hartree, hf, opchecks, radial, tf, tfw  # noqa: F401
+import importlib
+
 from .errors import (  # noqa: F401
     BasisError,
     CapacityError,
@@ -20,3 +21,14 @@ from .errors import (  # noqa: F401
     IonlabError,
     ParameterError,
 )
+
+# Submodules load on first attribute access (PEP 562), so ``import ionlab``
+# and a CLI command pay only for the solvers they use: ``classical`` and
+# ``drop`` alone pull in scipy.optimize.
+_SUBMODULES = ("classical", "drop", "hartree", "hf", "opchecks", "radial", "tf", "tfw")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

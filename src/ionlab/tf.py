@@ -124,6 +124,12 @@ def _mass_of_target(grid: RadialGrid, coeff: float, phi_bare: np.ndarray, mu: fl
     return float(4.0 * np.pi * np.dot(grid.w, grid.r**2 * target)), target
 
 
+# Newton on the multiplier settles in 9-21 steps from mu = 0 on the
+# default grid (80 bisection steps before); the cap only catches a
+# mass(mu) that is not the convex decreasing map the iteration relies on.
+_MU_NEWTON_STEPS = 100
+
+
 def _projected_target(
     grid: RadialGrid, params: TFParams, phi_bare: np.ndarray, n_cap: float
 ):
@@ -135,19 +141,31 @@ def _projected_target(
     when the support edge sits in the flat potential tail.
     """
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
-    mass0, target0 = _mass_of_target(grid, coeff, phi_bare, 0.0)
-    if mass0 <= n_cap:
-        return 0.0, target0
-    lo, hi = 0.0, float(np.max(phi_bare))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        m_mid, _ = _mass_of_target(grid, coeff, phi_bare, mid)
-        if m_mid > n_cap:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    return mu, _mass_of_target(grid, coeff, phi_bare, mu)[1]
+    mass, target = _mass_of_target(grid, coeff, phi_bare, 0.0)
+    if mass <= n_cap:
+        return 0.0, target
+    # Newton from mu = 0 on mass(mu) = N.  mass is convex and decreasing,
+    # so every tangent step lands left of the root: the iterates rise
+    # monotonically and the first step that fails to raise mu means mu
+    # has settled to rounding.
+    weight = 4.0 * np.pi * grid.w * grid.r**2
+    mu = 0.0
+    for _ in range(_MU_NEWTON_STEPS):
+        slope = -1.5 * coeff * float(
+            np.dot(weight, np.sqrt(np.clip(phi_bare - mu, 0.0, None)))
+        )
+        if not slope < 0.0:
+            break
+        mu_next = mu - (mass - n_cap) / slope
+        if not mu_next > mu:
+            return mu, target
+        mu = mu_next
+        mass, target = _mass_of_target(grid, coeff, phi_bare, mu)
+    raise ConvergenceError(
+        f"multiplier stage: Newton on mass(mu) = N did not settle "
+        f"(mu={mu:.6g}, mass={mass:.9g}, Z={params.z:g}, N={n_cap:g})",
+        residual=abs(mass - n_cap) / n_cap,
+    )
 
 
 def _constrained_fixed_point(
@@ -244,7 +262,7 @@ def solve_tf(
 
     mu = 0 first; if the unconstrained mass (which equals Z) exceeds N,
     a second stage pins the update's mass to N each iteration, with the
-    multiplier found by bisection inside the step.
+    multiplier found by Newton's method inside the step.
     """
     grid = grid if grid is not None else default_tf_grid()
     opts = opts or TFSolverOptions()

@@ -115,29 +115,41 @@ class _TFWModel:
     def to_u(self, psi: np.ndarray) -> np.ndarray:
         return psi / (self.s * self.grid.r)
 
-    def phi_of(self, u: np.ndarray) -> np.ndarray:
-        dens = RadialField(self.grid, u * u)
-        return self.params.z / self.grid.r - newton_potential(dens).values
+    def coulomb(self, u: np.ndarray) -> np.ndarray:
+        """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
 
-    def local_potential(self, u: np.ndarray) -> np.ndarray:
+        The methods below take it as an optional vh and compute it only
+        when it is not given."""
+        return newton_potential(RadialField(self.grid, u * u)).values
+
+    def phi_of(self, u: np.ndarray, vh: np.ndarray | None = None) -> np.ndarray:
+        if vh is None:
+            vh = self.coulomb(u)
+        return self.params.z / self.grid.r - vh
+
+    def local_potential(self, u: np.ndarray, vh: np.ndarray | None = None) -> np.ndarray:
         p = self.params
-        return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - self.phi_of(u)
+        return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - self.phi_of(u, vh)
 
-    def energy(self, u: np.ndarray) -> float:
+    def energy(self, u: np.ndarray, vh: np.ndarray | None = None) -> float:
         grid = self.grid
         p = self.params
+        if vh is None:
+            vh = self.coulomb(u)
         u2 = RadialField(grid, u * u)
         psi = self.to_psi(u)
         kin = p.c_w * float(psi @ (self.a @ psi))
         bulk = p.c_tf * integrate_3d(RadialField(grid, np.abs(u) ** (10.0 / 3.0)))
         attract = p.z * integrate_3d(u2, radial_power=-1)
-        hart = 0.5 * integrate_3d(RadialField(grid, u * u * newton_potential(u2).values))
+        hart = 0.5 * integrate_3d(RadialField(grid, u * u * vh))
         return float(kin + bulk - attract + hart)
 
     def mass(self, u: np.ndarray) -> float:
         return float(integrate_3d(RadialField(self.grid, u * u)))
 
-    def rel_residual(self, u: np.ndarray, on_cap: bool = False):
+    def rel_residual(
+        self, u: np.ndarray, on_cap: bool = False, vh: np.ndarray | None = None
+    ):
         """Stationarity defect of (c_w A + vloc - lambda) u relative to the
         sizes of its kinetic and potential parts, and lambda itself.
 
@@ -147,7 +159,7 @@ class _TFWModel:
         p = self.params
         psi = self.to_psi(u)
         kin_part = p.c_w * (self.a @ psi)
-        pot_part = self.local_potential(u) * psi
+        pot_part = self.local_potential(u, vh) * psi
         lam = float(psi @ (kin_part + pot_part)) / float(psi @ psi) if on_cap else 0.0
         pot_part = pot_part - lam * psi
         scale = np.linalg.norm(kin_part) + np.linalg.norm(pot_part)
@@ -192,17 +204,22 @@ class _TFWModel:
         ``rel_residual`` at the returned u.  Stops when rel < tol, when
         the step size underflows, or after max_iter steps; iterations
         counts the steps actually taken, and callers judge by rel.
+
+        Each candidate density costs one Coulomb solve: the accepted
+        state (u, e, vh) carries its Hartree potential into the next
+        step's residual, local potential and banded system.
         """
         u, on_cap = self._onto_cap(np.abs(u0) + 1e-30, cap)
-        e = self.energy(u)
+        vh = self.coulomb(u)
+        e = self.energy(u, vh)
         eta = _ETA0
         n = self.grid.n
         for it in range(1, max_iter + 1):
-            rel, lam = self.rel_residual(u, on_cap)
+            rel, lam = self.rel_residual(u, on_cap, vh)
             if rel < tol:
                 return u, rel, it, lam
             psi = self.to_psi(u)
-            vloc = self.local_potential(u)
+            vloc = self.local_potential(u, vh)
             diag = 1.0 + 2.0 * eta * (self.params.c_w * self.kin_band[1] + vloc)
             off = 2.0 * eta * self.params.c_w * self.kin_band[0]
             ab = np.zeros((3, n))
@@ -215,15 +232,16 @@ class _TFWModel:
                 eta *= 0.5
                 continue
             u_new, new_on_cap = self._onto_cap(np.abs(self.to_u(psi_new)), cap)
-            e_new = self.energy(u_new)
+            vh_new = self.coulomb(u_new)
+            e_new = self.energy(u_new, vh_new)
             if e_new <= e + 1e-13 * abs(e):
-                u, e, on_cap = u_new, e_new, new_on_cap
+                u, e, vh, on_cap = u_new, e_new, vh_new, new_on_cap
                 eta = min(1.3 * eta, 1e4)
             else:
                 eta *= 0.5
                 if eta < 1e-12:
                     return u, rel, it, lam
-        rel, lam = self.rel_residual(u, on_cap)
+        rel, lam = self.rel_residual(u, on_cap, vh)
         return u, rel, max_iter, lam
 
 
@@ -290,12 +308,13 @@ def solve_tfw(
         [params.z], params.c_tf, params.c_w, grid, opts
     )
     n_c = model.mass(u)
+    vh = model.coulomb(u)
     return TFWSolution(
         u=RadialField(grid, u, nonnegative=True),
-        phi=RadialField(grid, model.phi_of(u)),
+        phi=RadialField(grid, model.phi_of(u, vh)),
         n_c=n_c,
         q=n_c - params.z,
-        energy=model.energy(u),
+        energy=model.energy(u, vh),
         residual=rel,
         iterations=steps,
         params=params,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,3 +202,34 @@ class TestHelpers:
     def test_float_formatting_roundtrip(self):
         for x in (np.pi, 1 / 3, 1e-300, 123456.789e17):
             assert float(cli._fmt(x)) == x
+
+
+class TestLazyImports:
+    def test_import_leaves_solvers_unloaded(self):
+        """A fresh ``import ionlab`` loads no solver module and no
+        scipy.optimize; submodules still resolve as attributes."""
+        code = (
+            "import sys, ionlab\n"
+            "print('scipy.optimize' in sys.modules, 'ionlab.tfw' in sys.modules)\n"
+            "print(ionlab.tfw.solve_tfw.__name__, ionlab.ConvergenceError.__name__)\n"
+            "from ionlab import tf\n"
+            "print(tf.solve_tf.__name__, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout.split("\n")
+        assert out[:3] == [
+            "False False",
+            "solve_tfw ConvergenceError",
+            "solve_tf False",
+        ]
+
+    def test_unknown_attribute_raises(self):
+        import ionlab
+
+        with pytest.raises(AttributeError, match="no_such_module"):
+            ionlab.no_such_module

@@ -232,3 +232,7 @@ class TestReferenceValues:
         assert hartree_energy_direct(3.0, 2.5) == pytest.approx(
             -2.6793934190345583, rel=1e-8
         )
+
+    def test_critical_mass_pinned(self, hartree_tc):
+        # The flow's t_c at full precision, not just the old SCF's 1e-8.
+        assert hartree_tc == pytest.approx(1.2074134941412034, rel=1e-12)

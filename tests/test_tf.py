@@ -52,6 +52,65 @@ class TestMaximumIonization:
             TFParams(z=1.0, n_electrons=-2.0)
 
 
+def _bisection_multiplier(grid, coeff, phi, n_cap):
+    """Reference multiplier: 80 bisection steps on mass(mu) = n_cap."""
+    weight = 4.0 * np.pi * grid.w * grid.r**2
+    lo, hi = 0.0, float(np.max(phi))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        mass = np.dot(weight, coeff * np.clip(phi - mid, 0.0, None) ** 1.5)
+        lo, hi = (mid, hi) if mass > n_cap else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestMultiplier:
+    """The Newton-resolved multiplier of the projected update."""
+
+    @pytest.mark.parametrize(
+        "profile, fraction",
+        [
+            ("coulomb", 0.5),
+            ("screened", 0.3),
+            ("screened", 0.999),
+            ("negative_tail", 0.6),
+            # the support edge lands deep in the flat r^-4 tail
+            ("power_tail", 0.999),
+            ("power_tail", 0.9),
+        ],
+    )
+    def test_matches_bisection_reference(self, small_grid, profile, fraction):
+        from ionlab.tf import _projected_target
+
+        r = small_grid.r
+        params = TFParams(z=5.0, n_electrons=1.0)
+        amp = sommerfeld_amplitude(params.c_tf)
+        phi = {
+            "coulomb": 5.0 / r,
+            "screened": 5.0 / r * np.exp(-(5.0 ** (1.0 / 3.0)) * r),
+            "negative_tail": 5.0 / r * np.exp(-r) - 0.5 / (r + 1.0),
+            "power_tail": 5.0 / r * np.exp(-r) + amp / (r**4 + 1.0),
+        }[profile]
+        coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
+        weight = 4.0 * np.pi * small_grid.w * r**2
+        n_cap = fraction * np.dot(weight, coeff * np.clip(phi, 0.0, None) ** 1.5)
+
+        mu, target = _projected_target(small_grid, params, phi, n_cap)
+        mu_ref = _bisection_multiplier(small_grid, coeff, phi, n_cap)
+        assert mu > 0
+        assert mu == pytest.approx(mu_ref, rel=1e-12)
+        assert np.dot(weight, target) == pytest.approx(n_cap, rel=1e-12)
+
+    def test_unsettled_newton_raises(self, small_grid, monkeypatch):
+        import ionlab.tf
+
+        monkeypatch.setattr(ionlab.tf, "_MU_NEWTON_STEPS", 1)
+        phi = 5.0 / small_grid.r * np.exp(-small_grid.r)
+        with pytest.raises(ConvergenceError, match="multiplier stage"):
+            ionlab.tf._projected_target(
+                small_grid, TFParams(z=5.0, n_electrons=1.0), phi, 1e-3
+            )
+
+
 class TestEnergyFunctional:
     def test_zero_density(self, small_grid):
         rho = RadialField(small_grid, np.zeros(small_grid.n))

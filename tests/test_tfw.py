@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import ionlab.tfw
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, integrate_3d
 from ionlab.tfw import (
@@ -64,6 +66,18 @@ class TestExcessCharge:
             TFWParams(z=1.0, c_tf=-0.1)
         assert TFWParams(z=1.0, c_tf=0.0).c_tf == 0.0
 
+    def test_sweep_rows_pinned(self, tfw_sweep_rows):
+        # The flow's answers at full precision, so that a Hartree
+        # potential reused for the wrong density cannot pass unnoticed.
+        expected = [
+            (1.0, 0.08991662850883442, 0.05751438425615938, 0.78504826370268),
+            (4.0, 0.16488514026197443, 0.2667088548265247, 2.1873552989088436),
+            (16.0, 0.21704730608260903, 0.6621203954080238, 5.521835342509976),
+            (64.0, 0.19439553612937743, 1.338321923698479, 13.737197011876475),
+        ]
+        for row, want in zip(tfw_sweep_rows, expected, strict=True):
+            assert row == pytest.approx(want, rel=1e-12)
+
     def test_rung_that_misses_tolerance_names_its_charge(self):
         with pytest.raises(ConvergenceError, match=r"Z=1\b"):
             excess_charge_sweep([1.0, 4.0], opts=TFWOptions(max_iter=5))
@@ -80,10 +94,35 @@ class TestStationarity:
     def test_step_underflow_reports_steps_taken(self):
         model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), default_tfw_grid())
         rising = iter(range(10**6))
-        model.energy = lambda u: float(next(rising))  # every step is rejected
+        model.energy = lambda u, *_: float(next(rising))  # every step is rejected
         _, rel, iters, _ = model.implicit_flow(model.seed(), max_iter=1000, tol=1e-9)
         assert iters < 100  # eta = 0.1 halves below 1e-12 after 37 rejections
         assert rel >= 1e-9
+
+    @pytest.mark.parametrize("cap", [None, 0.6])
+    def test_one_coulomb_solve_per_candidate(self, monkeypatch, cap):
+        """Each banded step yields one candidate density and costs one
+        Coulomb solve; the seed costs the one extra."""
+        counts = {"coulomb": 0, "banded": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ionlab.tfw, "newton_potential", counted("coulomb", ionlab.tfw.newton_potential)
+        )
+        monkeypatch.setattr(
+            scipy.linalg, "solve_banded", counted("banded", scipy.linalg.solve_banded)
+        )
+        model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), default_tfw_grid())
+        _, rel, iters, _ = model.implicit_flow(model.seed(), 16_000, 2e-6, cap)
+        assert rel < 2e-6
+        assert counts["banded"] == iters - 1
+        assert counts["coulomb"] == counts["banded"] + 1
 
     def test_gradient_coefficient_trend(self):
         # weaker gradient correction -> smaller excess charge
