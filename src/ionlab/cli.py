@@ -41,8 +41,7 @@ _SCHEMAS = {
            "rmax": float, "tol": float},
     "hartree": {"t": float, "tc": bool, "tol": float, "grid_n": int,
                 "ts": "float_list"},
-    "tfw": {"Z": float, "sweep": "float_list", "ctf": float, "cw": float,
-            "grid_n": int},
+    "tfw": {"Z": float, "sweep": "float_list", "ctf": float, "cw": float},
     "hf": {"z": float, "exponents": "float_list", "n": int, "scan": bool},
     "beta": {"n": int, "restarts": int},
     "pairinf": {"samples": int},

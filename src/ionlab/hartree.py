@@ -6,10 +6,10 @@ int |v|^2 <= t,
     e(t) = int |grad v|^2 - |v|^2/|x| + (1/2) |v|^2 (|v|^2 * 1/|x|),
 
 which is the gradient-corrected functional of ``tfw`` with c_tf = 0,
-c_w = 1 and Z = 1, so both share its gradient flow.  The uncapped
+c_w = 1 and Z = 1, so both share its Newton solver.  The uncapped
 minimizer carries the critical mass t_c.  Below t_c the cap binds and
 the multiplier mu = -lambda is positive; from t_c on the bound mass
-saturates and e(t) stays flat at the uncapped minimum.  The same flow,
+saturates and e(t) stays flat at the uncapped minimum.  The same solver,
 with charge Z and cap N - 1, evaluates the unscaled product-state
 energy.
 """
@@ -29,7 +29,7 @@ from .radial import (
     newton_potential,
     reduced_laplacian,
 )
-from .tfw import TFWOptions, TFWParams, _TFWModel
+from .tfw import TFWOptions, TFWParams, _minimize
 
 __all__ = [
     "HartreeState",
@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 LIEB_OXFORD_CONSTANT = 1.68
-
-# The flow's stopping rule, shared with the gradient-corrected solver.
-_FLOW = TFWOptions()
 
 
 @dataclass(frozen=True)
@@ -84,34 +81,22 @@ def kinetic_energy(u: RadialField) -> float:
     return float(psi @ (a @ psi))
 
 
-def _flow(grid: RadialGrid | None, z: float, cap: float | None):
+def _solve(grid: RadialGrid | None, z: float, cap: float | None):
     """Minimizer of the c_tf = 0 functional at charge z under the mass
-    cap, from the hydrogenic seed: (model, v, rel, iterations, lambda)."""
+    cap: (model, v, rel, Newton steps, lambda)."""
     grid = grid if grid is not None else default_hartree_grid()
-    model = _TFWModel(TFWParams(z=z, c_tf=0.0), grid)
-    v, rel, iters, lam = model.implicit_flow(
-        model.seed(), _FLOW.max_iter, _FLOW.rel_residual_tol, cap
-    )
-    if rel >= _FLOW.rel_residual_tol:
-        raise ConvergenceError(
-            f"mean-field flow stalled at relative residual {rel:.3e} "
-            f"(Z={z:g}, cap={cap})",
-            residual=rel,
-            iterations=iters,
-        )
-    return model, v, rel, iters, lam
+    return _minimize(TFWParams(z=z, c_tf=0.0), grid, TFWOptions(), cap)
 
 
 def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
     """Minimize the rescaled product-state functional over int v^2 <= t.
 
-    One capped flow: below t_c the minimizer sits on the cap with
-    mu > 0; from t_c on it leaves the cap, with mu = 0, bound mass t_c
-    and the flat energy e(t_c).
+    Below t_c the minimizer sits on the cap with mu > 0; from t_c on it
+    leaves the cap, with mu = 0, bound mass t_c and the flat energy e(t_c).
     """
     if t <= 0:
         raise ParameterError(f"target mass must be positive, got {t}")
-    model, v, rel, iters, lam = _flow(grid, 1.0, t)
+    model, v, rel, iters, lam = _solve(grid, 1.0, t)
     return HartreeState(
         v=RadialField(model.grid, v, nonnegative=True),
         t=float(t),
@@ -131,7 +116,7 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    model, v, _, _, _ = _flow(grid, 1.0, None)
+    model, v, _, _, _ = _solve(grid, 1.0, None)
     tc = model.mass(v)
     mu = minimize_e(tc - tol, grid).mu
     if not mu > 0:
@@ -171,7 +156,7 @@ def hartree_energy_direct(
         raise ParameterError("need more than one particle for the pair term")
     if z <= 0:
         raise ParameterError("charge must be positive")
-    model, w, _, _, lam = _flow(grid, z, n_particles - 1.0)
+    model, w, _, _, lam = _solve(grid, z, n_particles - 1.0)
     if not lam < 0:
         raise DomainError(
             f"cap N - 1 = {n_particles - 1.0:g} does not bind at Z = {z:g}: "

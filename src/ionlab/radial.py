@@ -27,6 +27,7 @@ __all__ = [
     "make_log_grid",
     "field_from_function",
     "integrate_3d",
+    "coulomb_potential",
     "newton_potential",
     "reduced_laplacian",
     "multiplication_operator",
@@ -163,20 +164,16 @@ def _cumulative_integral(grid: RadialGrid, integrand: np.ndarray) -> np.ndarray:
     return out - (h * h / 12.0) * (gp - gp[0])
 
 
-def newton_potential(rho: RadialField) -> RadialField:
-    """Coulomb potential of a radial charge density.
+def coulomb_potential(rho: RadialField) -> RadialField:
+    """Coulomb potential of a radial charge density of either sign.
 
     Phi(r) = M(r)/r + int_{|y|>r} rho/|y| dy with M(r) the charge enclosed
     in the ball of radius r; this is the shell decomposition
-    (rho * 1/|x|)(x) = int rho(y)/max(|x|,|y|) dy.
+    (rho * 1/|x|)(x) = int rho(y)/max(|x|,|y|) dy.  Linear in rho.
     """
-    if not rho.nonnegative and np.any(rho.values < 0):
-        scale = max(1.0, float(np.max(np.abs(rho.values))))
-        if np.min(rho.values) < -1e-12 * scale:
-            raise DomainError("newton_potential needs a nonnegative density")
     grid = rho.grid
     r = grid.r
-    vals = np.clip(rho.values, 0.0, None)
+    vals = rho.values
 
     # Constant extrapolation of rho onto [0, r_min] for the enclosed mass.
     enclosed = _cumulative_integral(grid, vals * r**2) + vals[0] * r[0] ** 3 / 3.0
@@ -186,6 +183,16 @@ def newton_potential(rho: RadialField) -> RadialField:
 
     phi = 4.0 * np.pi * (enclosed / r + outer)
     return RadialField(grid, phi)
+
+
+def newton_potential(rho: RadialField) -> RadialField:
+    """Coulomb potential of a nonnegative radial density; rounding-level
+    negative entries are clipped to zero."""
+    if not rho.nonnegative and np.any(rho.values < 0):
+        scale = max(1.0, float(np.max(np.abs(rho.values))))
+        if np.min(rho.values) < -1e-12 * scale:
+            raise DomainError("newton_potential needs a nonnegative density")
+    return coulomb_potential(RadialField(rho.grid, np.clip(rho.values, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -285,11 +292,9 @@ def extremal_eigs(
     k: int = 1,
     which: str = "smallest",
 ):
-    """k extremal eigenpairs of a symmetric matrix, ascending order.
-
-    Tridiagonal and diagonal matrices go through bisection plus inverse
-    iteration (LAPACK stebz/stein), O(n k) in time and memory; anything
-    else goes to dense for n <= 4000 and to Lanczos beyond.
+    """k extremal eigenpairs of a symmetric tridiagonal (or diagonal)
+    matrix, ascending order, by bisection plus inverse iteration (LAPACK
+    stebz/stein), O(n k) in time and memory.  Wider bands are rejected.
     Returns (values, vectors) with vectors in columns.
     """
     if which not in ("smallest", "largest"):
@@ -298,24 +303,15 @@ def extremal_eigs(
         sp = scipy.sparse.csr_matrix(mat)
     else:
         sp = mat.tocsr()
+    bw = _bandwidth(sp)
+    if bw > 1:
+        raise ParameterError(f"extremal_eigs needs a tridiagonal matrix, got bandwidth {bw}")
     n = sp.shape[0]
     k = min(k, n)
-    bw = _bandwidth(sp)
     idx = (0, k - 1) if which == "smallest" else (n - k, n - 1)
-    if bw <= 1:
-        # stebz's default tolerance is eps * ||T||_1, far too loose on graded
-        # matrices whose spectrum spans many decades; ask for full accuracy.
-        return scipy.linalg.eigh_tridiagonal(
-            sp.diagonal(0), sp.diagonal(1), select="i", select_range=idx,
-            lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
-        )
-    if n <= 4000:
-        dense = sp.toarray()
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=idx)
-        return vals, vecs
-    import scipy.sparse.linalg as spla
-
-    sigma_kind = "SA" if which == "smallest" else "LA"
-    vals, vecs = spla.eigsh(sp, k=k, which=sigma_kind)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    # stebz's default tolerance is eps * ||T||_1, far too loose on graded
+    # matrices whose spectrum spans many decades; ask for full accuracy.
+    return scipy.linalg.eigh_tridiagonal(
+        sp.diagonal(0), sp.diagonal(1), select="i", select_range=idx,
+        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+    )

@@ -16,16 +16,16 @@ with lambda = 0 unless the cap binds, i.e. the uncapped minimizer is a
 zero-mode of its own mean-field operator.  c_tf = 0 with Z = 1 is the
 rescaled product-state functional of ``hartree``.
 
-Solver: backward-Euler gradient flow with the full frozen linearized
-operator treated implicitly (a log grid makes any explicit treatment of
-the local terms unstable), energy-monotone step control, and a
-projection back onto the cap after each step (the normalized gradient
-flow of Bao & Du, SIAM J. Sci. Comput. 25, 2004).  Charge continuation:
-each Z is seeded by rescaling the previous rung's solution, starting
-from the gradient-free density at the bottom rung.  Eigenvalue-
-replacement SCF is useless here: at the minimizer the local potential
-cancels against the bulk term, so the linearized operator is nearly
-flat and its ground state is a box mode, not the solution.
+Solver: Newton-GMRES on the stationarity equation, with the exact
+Jacobian-vector product (one Coulomb solve each) and the tridiagonal part
+of the Jacobian as right preconditioner (Knoll & Keyes, J. Comput. Phys.
+193, 2004).  Every charge starts from its own seed, so an answer never
+depends on another charge.  A binding cap adds lambda as an unknown,
+bordered by the mass row; that solve starts from the uncapped minimizer
+rescaled onto the cap.  Eigenvalue-replacement SCF is useless here: at the
+minimizer the local potential cancels against the bulk term, so the
+linearized operator is nearly flat and its ground state is a box mode, not
+the solution.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .radial import (
     RadialField,
     RadialGrid,
+    coulomb_potential,
     integrate_3d,
     make_log_grid,
     newton_potential,
@@ -71,15 +73,11 @@ class TFWParams:
 
 @dataclass(frozen=True)
 class TFWOptions:
-    # Relative stationarity residuals floor around 2e-7 for Z ~ 1 and
-    # drift upward with Z; 2e-6 is attainable through Z = 64 on the
-    # default grid within the iteration budget.
-    rel_residual_tol: float = 2e-6
-    max_iter: int = 16_000
-
-
-# Initial backward-Euler step size; the energy-monotone control adapts it.
-_ETA0 = 0.1
+    # The relative stationarity residual floors near 2e-10 on the default
+    # grid.  max_iter caps the Newton steps of each solve; 6 to 21 were
+    # measured on the default grid for Z = 0.5 to 4096 and c_w = 0.1 to 1.
+    rel_residual_tol: float = 1e-9
+    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ class TFWSolution:
     q: float
     energy: float
     residual: float  # relative stationarity defect
-    iterations: int
+    iterations: int  # Newton steps
     params: TFWParams
 
 
@@ -103,17 +101,15 @@ class _TFWModel:
         self.params = params
         self.grid = grid
         self.a = reduced_laplacian(grid).matrix
-        self.s = np.sqrt(4.0 * np.pi * grid.mass)
-        upper = np.zeros((2, grid.n))
-        upper[1] = self.a.diagonal()
-        upper[0, 1:] = self.a.diagonal(1)
-        self.kin_band = upper
+        self.sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
+        self.wm = grid.w / grid.mass  # mass = sum wm psi^2
+        # A in LAPACK band storage: superdiagonal, diagonal, subdiagonal.
+        self.a_band = np.zeros((3, grid.n))
+        self.a_band[0, 1:] = self.a_band[2, :-1] = self.a.diagonal(1)
+        self.a_band[1] = self.a.diagonal()
 
     def to_psi(self, u: np.ndarray) -> np.ndarray:
-        return self.s * self.grid.r * u
-
-    def to_u(self, psi: np.ndarray) -> np.ndarray:
-        return psi / (self.s * self.grid.r)
+        return self.sr * u
 
     def coulomb(self, u: np.ndarray) -> np.ndarray:
         """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
@@ -147,34 +143,28 @@ class _TFWModel:
     def mass(self, u: np.ndarray) -> float:
         return float(integrate_3d(RadialField(self.grid, u * u)))
 
-    def rel_residual(
-        self, u: np.ndarray, on_cap: bool = False, vh: np.ndarray | None = None
-    ):
-        """Stationarity defect of (c_w A + vloc - lambda) u relative to the
-        sizes of its kinetic and potential parts, and lambda itself.
-
-        lambda is the Rayleigh quotient <psi, H psi>/<psi, psi> while u
-        sits on a mass cap, and 0 otherwise.
-        """
-        p = self.params
+    def stationarity(self, u: np.ndarray, lam: float = 0.0, vh: np.ndarray | None = None):
+        """F = (c_w A + vloc - lambda) psi, and its norm relative to the
+        sizes of its kinetic and potential parts."""
         psi = self.to_psi(u)
-        kin_part = p.c_w * (self.a @ psi)
-        pot_part = self.local_potential(u, vh) * psi
-        lam = float(psi @ (kin_part + pot_part)) / float(psi @ psi) if on_cap else 0.0
-        pot_part = pot_part - lam * psi
+        kin_part = self.params.c_w * (self.a @ psi)
+        pot_part = (self.local_potential(u, vh) - lam) * psi
+        f = kin_part + pot_part
         scale = np.linalg.norm(kin_part) + np.linalg.norm(pot_part)
-        if scale == 0.0:
-            return 0.0, lam
-        return float(np.linalg.norm(kin_part + pot_part) / scale), lam
+        # The null state solves F = 0 trivially; it is never a minimizer.
+        return f, (float(np.linalg.norm(f) / scale) if scale > 0.0 else np.inf)
 
     def seed(self) -> np.ndarray:
-        """Starting profile: the hydrogenic ground state exp(-Z r/(2 c_w))
-        without a bulk term, else the square root of the gradient-free
-        neutral density, the c_w -> 0 bulk limit and a good starting
-        profile at every Z."""
+        """Starting profile.  Without a bulk term: exp(-r/2) at Z = c_w = 1,
+        carried to other Z and c_w by the exact scaling of that functional,
+        u -> c_w^(1/2) b^2 u(b r) with b = Z/c_w; its mass 8 pi Z lies well
+        above the minimizer's.  With it: the square root of the
+        gradient-free neutral density, the c_w -> 0 bulk limit and a good
+        starting profile at every Z."""
         p = self.params
         if p.c_tf == 0.0:
-            return np.exp(-0.5 * p.z / p.c_w * self.grid.r)
+            b = p.z / p.c_w
+            return np.sqrt(p.c_w) * b * b * np.exp(-0.5 * b * self.grid.r)
         tf0 = solve_tf(
             TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf),
             self.grid,
@@ -182,112 +172,135 @@ class _TFWModel:
         )
         return np.sqrt(np.clip(tf0.rho.values, 0.0, None)) + 1e-30
 
-    def _onto_cap(self, u: np.ndarray, cap: float | None):
-        """u scaled down to mass cap if it carries more, and whether it
-        now sits on the cap."""
-        if cap is None:
-            return u, False
-        m = self.mass(u)
-        if m < cap:
-            return u, False
-        return np.sqrt(cap / m) * u, True
-
-    def implicit_flow(
-        self, u0: np.ndarray, max_iter: int, tol: float, cap: float | None = None
-    ):
-        """Backward-Euler descent psi <- (I + 2 eta H[u])^{-1} psi with
-        energy-monotone step adaptation; H is tridiagonal, so each step
-        is one banded solve.  With a mass cap, each step that ends above
-        it is scaled back onto it.
-
-        Returns (u, rel, iterations, lambda), with rel and lambda from
-        ``rel_residual`` at the returned u.  Stops when rel < tol, when
-        the step size underflows, or after max_iter steps; iterations
-        counts the steps actually taken, and callers judge by rel.
-
-        Each candidate density costs one Coulomb solve: the accepted
-        state (u, e, vh) carries its Hartree potential into the next
-        step's residual, local potential and banded system.
-        """
-        u, on_cap = self._onto_cap(np.abs(u0) + 1e-30, cap)
+    def _defect(self, psi: np.ndarray, lam: float, cap: float | None):
+        """(F, with the mass row sum (w/m) psi^2 - cap appended under a cap;
+        its Hartree potential; the relative defect, under a cap the larger
+        of the stationarity and the relative mass defects)."""
+        u = psi / self.sr
         vh = self.coulomb(u)
-        e = self.energy(u, vh)
-        eta = _ETA0
+        f, rel = self.stationarity(u, lam, vh)
+        if cap is not None:
+            dm = float(self.wm @ (psi * psi)) - cap
+            f = np.append(f, dm)
+            rel = max(rel, abs(dm) / cap)
+        return f, vh, rel
+
+    def newton(self, u: np.ndarray, cap: float | None = None):
+        """Newton-GMRES on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
+
+        Without a cap lambda = 0.  Under a cap lambda is a second unknown,
+        bordered by the quadrature mass row and started at the Rayleigh
+        quotient of u.  The Jacobian-vector product
+
+            c_w A d + (vloc + (20/9) c_tf |u|^(4/3) - lambda) d
+                    + psi (2 u d/(s r)) * 1/|x|
+
+        costs one Coulomb solve.  GMRES is right-preconditioned by the
+        tridiagonal part T, bordered under a cap, at one banded solve, and
+        steps backtrack on |F|.  The null state solves F = 0 too, and from
+        the hydrogenic seed (c_tf = 0, no cap) plain Newton can run into
+        it; there the steps are deflated (Farrell, Birkisson & Funke, SIAM
+        J. Sci. Comput. 37, 2015): Newton on F/|psi|^2, whose step is F's
+        divided by 1 + 2 <psi, d>/|psi|^2, backtracking on |F|/|psi|^2.
+
+        Yields (u, lambda, relative defect) for the start and after each
+        step; ends when backtracking cannot reduce the merit.
+        """
         n = self.grid.n
-        for it in range(1, max_iter + 1):
-            rel, lam = self.rel_residual(u, on_cap, vh)
-            if rel < tol:
-                return u, rel, it, lam
-            psi = self.to_psi(u)
-            vloc = self.local_potential(u, vh)
-            diag = 1.0 + 2.0 * eta * (self.params.c_w * self.kin_band[1] + vloc)
-            off = 2.0 * eta * self.params.c_w * self.kin_band[0]
-            ab = np.zeros((3, n))
-            ab[0] = off
-            ab[1] = diag
-            ab[2, :-1] = off[1:]
-            try:
-                psi_new = scipy.linalg.solve_banded((1, 1), ab, psi)
-            except (ValueError, np.linalg.LinAlgError):
-                eta *= 0.5
-                continue
-            u_new, new_on_cap = self._onto_cap(np.abs(self.to_u(psi_new)), cap)
-            vh_new = self.coulomb(u_new)
-            e_new = self.energy(u_new, vh_new)
-            if e_new <= e + 1e-13 * abs(e):
-                u, e, vh, on_cap = u_new, e_new, vh_new, new_on_cap
-                eta = min(1.3 * eta, 1e4)
-            else:
-                eta *= 0.5
-                if eta < 1e-12:
-                    return u, rel, it, lam
-        rel, lam = self.rel_residual(u, on_cap, vh)
-        return u, rel, max_iter, lam
+        c_w, c_tf = self.params.c_w, self.params.c_tf
+        psi = self.to_psi(u)
+        lam = 0.0
+        if cap is not None:
+            lam = float(psi @ self.stationarity(u)[0]) / float(psi @ psi)
+        f, vh, rel = self._defect(psi, lam, cap)
+        yield u, lam, rel
 
+        deflate = cap is None and c_tf == 0.0
 
-def _ladder(z: float) -> list:
-    """Charges to visit on the way up: geometric rungs ending at z."""
-    rungs = [z]
-    while rungs[-1] > 2.5:
-        rungs.append(rungs[-1] / 2.0)
-    return rungs[::-1]
+        def merit(f, psi):
+            return np.linalg.norm(f) / (psi @ psi if deflate else 1.0)
 
+        while True:
+            u = psi / self.sr
+            bulk = (20.0 / 9.0) * c_tf * np.abs(u) ** (4.0 / 3.0)
+            diag = self.local_potential(u, vh) + bulk - lam
+            t_band = c_w * self.a_band
+            t_band[1] += diag
+            g = 2.0 * u / self.sr
 
-def _rescale_seed(grid: RadialGrid, u: np.ndarray, factor: float) -> np.ndarray:
-    """Map a solution at charge Z onto a seed at charge factor*Z using the
-    bulk scaling u -> factor * u(factor^(1/3) r)."""
-    return factor * np.interp(grid.r * factor ** (1.0 / 3.0), grid.r, u, right=0.0)
+            def jac(x):
+                d = x[:n]
+                dvh = coulomb_potential(RadialField(self.grid, g * d)).values
+                out = c_w * (self.a @ d) + diag * d + psi * dvh
+                if cap is None:
+                    return out
+                return np.append(out - x[n] * psi, 2.0 * self.wm @ (psi * d))
 
+            def precond(y):
+                # Block elimination of the bordered T under a cap.
+                z = scipy.linalg.solve_banded((1, 1), t_band, y[:n])
+                if cap is None:
+                    return z
+                t = (y[n] - c @ z) / (c @ t_psi)
+                return np.append(z + t * t_psi, t)
 
-def _continuation(zs: list, c_tf: float, c_w: float, grid: RadialGrid, opts: TFWOptions):
-    """Uncapped minimizers at the increasing charges zs, solved along one
-    combined ladder with each rung seeded by rescaling the previous one.
-
-    Returns ([(model, u, rel)] for each z in zs, total flow steps).  A
-    rung that misses its tolerance raises ConvergenceError naming its Z.
-    """
-    points = sorted(set(zs) | {r for z in zs for r in _ladder(z)})
-    solved = []
-    steps = 0
-    u = z_prev = None
-    for z in points:
-        model = _TFWModel(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid)
-        seed = model.seed() if u is None else _rescale_seed(grid, u, z / z_prev)
-        wanted = z in zs
-        # Filler rungs only seed the next rung.
-        tol = opts.rel_residual_tol if wanted else max(5e-6, opts.rel_residual_tol)
-        u, rel, iters, _ = model.implicit_flow(seed, opts.max_iter, tol)
-        steps += iters
-        if rel >= tol:
-            raise ConvergenceError(
-                f"flow stalled at relative residual {rel:.3e} for Z={z:g}",
-                residual=rel,
-                iterations=steps,
+            if cap is not None:
+                c = 2.0 * self.wm * psi
+                t_psi = scipy.linalg.solve_banded((1, 1), t_band, psi)
+            op = scipy.sparse.linalg.LinearOperator(
+                (f.size, f.size), matvec=lambda y: jac(precond(y)), dtype=float
             )
-        if wanted:
-            solved.append((model, u, rel))
-        z_prev = z
-    return solved, steps
+            y, _ = scipy.sparse.linalg.gmres(op, -f, rtol=1e-4, restart=40, maxiter=1)
+            dx = precond(y)
+            if deflate:
+                dx /= 1.0 + 2.0 * (psi @ dx) / (psi @ psi)
+            m0 = merit(f, psi)
+            step = 1.0
+            while True:
+                psi_t = psi + step * dx[:n]
+                lam_t = lam + step * float(dx[n]) if cap is not None else 0.0
+                f_t, vh_t, rel_t = self._defect(psi_t, lam_t, cap)
+                if merit(f_t, psi_t) <= (1.0 - 1e-4 * step) * m0:
+                    break
+                step *= 0.5
+                if step < 1e-10:
+                    return
+            psi, lam, f, vh, rel = psi_t, lam_t, f_t, vh_t, rel_t
+            yield psi / self.sr, lam, rel
+
+
+def _minimize(params: TFWParams, grid: RadialGrid, opts: TFWOptions, cap: float | None = None):
+    """The minimizer at charge params.z under an optional mass cap: the one
+    driver of the gradient-corrected and product-state solves.
+
+    Newton runs from the model's seed without the cap; only if that
+    minimizer carries more than cap does a bordered Newton solve follow,
+    started from it rescaled onto the cap.  Each solve stops at the first
+    relative defect below opts.rel_residual_tol and raises
+    ConvergenceError, naming Z, when it has none within opts.max_iter
+    Newton steps.  Returns (model, u, rel, Newton steps, lambda).
+    """
+    model = _TFWModel(params, grid)
+
+    def solve(u, cap):
+        for it, (u, lam, rel) in enumerate(model.newton(u, cap)):
+            if rel < opts.rel_residual_tol:
+                return u, rel, it, lam
+            if it == opts.max_iter:
+                break
+        raise ConvergenceError(
+            f"Newton stalled at relative residual {rel:.3e} for Z={params.z:g}"
+            + ("" if cap is None else f" under mass cap {cap:g}"),
+            residual=rel,
+            iterations=it,
+        )
+
+    u, rel, steps, lam = solve(model.seed(), None)
+    mass = model.mass(u)
+    if cap is not None and mass > cap:
+        u, rel, more, lam = solve(np.sqrt(cap / mass) * u, cap)
+        steps += more
+    return model, u, rel, steps, lam
 
 
 def solve_tfw(
@@ -298,15 +311,11 @@ def solve_tfw(
     """Fully unconstrained minimizer; its mass is the critical particle
     number n_c and q = n_c - Z > 0 is the excess charge.
 
-    The excess charge is an O(0.1) difference of O(Z) quantities, so its
-    resolution degrades with Z at fixed grid size; on the default grid
-    the bias stays well below q through Z ~ 100.
+    Solved by Newton from the model's own seed, so the answer at Z does
+    not depend on any other charge.
     """
     grid = grid if grid is not None else default_tfw_grid()
-    opts = opts or TFWOptions()
-    [(model, u, rel)], steps = _continuation(
-        [params.z], params.c_tf, params.c_w, grid, opts
-    )
+    model, u, rel, steps, _ = _minimize(params, grid, opts or TFWOptions())
     n_c = model.mass(u)
     vh = model.coulomb(u)
     return TFWSolution(
@@ -328,10 +337,11 @@ def excess_charge_sweep(
     grid: RadialGrid | None = None,
     opts: TFWOptions | None = None,
 ):
-    """Rows (z, q, u(1), phi(1)) over increasing charges.
+    """Rows (z, q, u(1), phi(1)) over increasing charges, each row the
+    ``solve_tfw`` answer at its charge.
 
-    Solutions are continued from one charge to the next, and successive
-    differences of each column contract as the large-Z limits emerge.
+    Successive differences of each column contract as the large-Z limits
+    emerge.
     """
     zs = [float(z) for z in zs]
     if not zs:
@@ -341,10 +351,9 @@ def excess_charge_sweep(
     grid = grid if grid is not None else default_tfw_grid()
     opts = opts or TFWOptions()
 
-    solved, _ = _continuation(zs, c_tf, c_w, grid, opts)
     rows = []
-    for model, u, _ in solved:
-        z = model.params.z
+    for z in zs:
+        model, u, _, _, _ = _minimize(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid, opts)
         u1 = float(np.interp(1.0, grid.r, u))
         phi1 = float(np.interp(1.0, grid.r, model.phi_of(u)))
         rows.append((z, model.mass(u) - z, u1, phi1))
@@ -360,7 +369,7 @@ class MajorantCheck:
 
 
 def subharmonic_majorant_check(
-    sol: TFWSolution, tol: float = 1e-6, residual_cap: float = 1e-4
+    sol: TFWSolution, tol: float = 1e-6, residual_cap: float = 1e-8
 ) -> MajorantCheck:
     """Excess-charge bound from the subharmonic majorant
     p = (4 pi c_w u^2 + Phi^2)^(1/2).
@@ -371,8 +380,7 @@ def subharmonic_majorant_check(
     residual above residual_cap) are rejected rather than scored.
     """
     grid = sol.u.grid
-    model = _TFWModel(sol.params, grid)
-    res, _ = model.rel_residual(sol.u.values)
+    _, res = _TFWModel(sol.params, grid).stationarity(sol.u.values)
     if res > residual_cap:
         raise DomainError(
             f"input does not solve the stationarity equation (residual {res:.2e})"

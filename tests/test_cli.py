@@ -103,6 +103,13 @@ class TestMainExitCodes:
         cfg.write_text(json.dumps({"bogus_key": 1}))
         assert cli.main(["drop", "--m", "1", "--config", str(cfg)]) == 2
 
+    def test_tfw_rejects_grid_size(self, tmp_path):
+        # tfw solves on its default grid only, so a grid size it would
+        # ignore is refused rather than echoed in the output's config.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 300}))
+        assert cli.main(["tfw", "--Z", "1", "--config", str(cfg)]) == 2
+
     def test_explicit_flags_win_over_config_file(self, tmp_path, capsysbinary):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 5.0, "split": 0.5}))

@@ -200,6 +200,14 @@ class TestScalingConsistency:
         predicted = n_particles * z**3 / (n_particles - 1.0) * st.energy
         assert abs(direct - predicted) / abs(direct) < 1e-3
 
+    def test_unscaled_matches_rescaled_form_below_unit_charge(self):
+        # At Z = 0.5 on the default grid plain Newton from the hydrogenic
+        # seed runs into the null state; the deflated steps reach the
+        # minimizer.
+        direct = hartree_energy_direct(1.5, 0.5)
+        predicted = 1.5 * 0.5**3 / 0.5 * minimize_e(1.0).energy
+        assert abs(direct - predicted) / abs(direct) < 1e-3
+
     def test_direct_requires_multiple_particles(self, grid):
         with pytest.raises(ParameterError):
             hartree_energy_direct(1.0, 1.0, grid)
@@ -211,9 +219,9 @@ class TestScalingConsistency:
 
 
 class TestReferenceValues:
-    """Values of the eigenvalue-replacement SCF that the gradient flow
-    replaced, on the default grid (residual 1e-6, brentq to 1e-8 in mass
-    on the flat branch)."""
+    """Values of the eigenvalue-replacement SCF that an earlier gradient
+    flow replaced, on the default grid (residual 1e-6, brentq to 1e-8 in
+    mass on the flat branch)."""
 
     @pytest.mark.parametrize(
         "t, energy",
@@ -234,5 +242,5 @@ class TestReferenceValues:
         )
 
     def test_critical_mass_pinned(self, hartree_tc):
-        # The flow's t_c at full precision, not just the old SCF's 1e-8.
-        assert hartree_tc == pytest.approx(1.2074134941412034, rel=1e-12)
+        # Newton's converged t_c at full precision, not just the old SCF's 1e-8.
+        assert hartree_tc == pytest.approx(1.2074350454540084, rel=1e-12)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionlab.errors import DomainError, ParameterError
 from ionlab.radial import (
     RadialField,
+    coulomb_potential,
     extremal_eigs,
     field_from_function,
     integrate_3d,
@@ -121,6 +123,16 @@ class TestNewtonPotential:
         with pytest.raises(DomainError):
             newton_potential(rho)
 
+    def test_signed_entry_point_is_linear(self, default_grid):
+        g = default_grid
+        pos = np.exp(-g.r)
+        neg = (1.0 + g.r) * np.exp(-0.5 * g.r)
+        plus = newton_potential(RadialField(g, pos)).values
+        assert np.array_equal(coulomb_potential(RadialField(g, pos)).values, plus)
+        minus = newton_potential(RadialField(g, neg)).values
+        signed = coulomb_potential(RadialField(g, 2.0 * pos - 3.0 * neg)).values
+        assert np.allclose(signed, 2.0 * plus - 3.0 * minus, rtol=0, atol=1e-13 * np.max(minus))
+
 
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
@@ -179,6 +191,11 @@ class TestExtremalEigs:
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0)
         overlaps = np.abs(np.sum(vecs * ref_vecs, axis=0))
         assert np.all(overlaps >= 1 - 1e-10)
+
+    def test_wider_band_rejected(self):
+        mat = scipy.sparse.diags([np.ones(8), 2.0 * np.ones(10), np.ones(8)], [-2, 0, 2])
+        with pytest.raises(ParameterError):
+            extremal_eigs(mat)
 
     def test_graded_hardy_matches_banded_solver(self):
         # stebz at its default tolerance (eps * ||T||_1) misses these by ~1e-4.
