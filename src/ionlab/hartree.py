@@ -88,15 +88,10 @@ def _solve(grid: RadialGrid | None, z: float, cap: float | None):
     return _minimize(TFWParams(z=z, c_tf=0.0), grid, TFWOptions(), cap)
 
 
-def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
-    """Minimize the rescaled product-state functional over int v^2 <= t.
-
-    Below t_c the minimizer sits on the cap with mu > 0; from t_c on it
-    leaves the cap, with mu = 0, bound mass t_c and the flat energy e(t_c).
-    """
-    if t <= 0:
-        raise ParameterError(f"target mass must be positive, got {t}")
-    model, v, rel, iters, lam = _solve(grid, 1.0, t)
+def _state(t: float, free) -> HartreeState:
+    """The minimizer at cap t, from the uncapped ``_solve`` result free."""
+    model = free[0]
+    _, v, rel, iters, lam = _minimize(model.params, model.grid, TFWOptions(), t, free)
     return HartreeState(
         v=RadialField(model.grid, v, nonnegative=True),
         t=float(t),
@@ -108,6 +103,17 @@ def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
     )
 
 
+def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
+    """Minimize the rescaled product-state functional over int v^2 <= t.
+
+    Below t_c the minimizer sits on the cap with mu > 0; from t_c on it
+    leaves the cap, with mu = 0, bound mass t_c and the flat energy e(t_c).
+    """
+    if t <= 0:
+        raise ParameterError(f"target mass must be positive, got {t}")
+    return _state(t, _solve(grid, 1.0, None))
+
+
 def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     """Critical mass: the mass of the uncapped minimizer.
 
@@ -116,9 +122,9 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    model, v, _, _, _ = _solve(grid, 1.0, None)
-    tc = model.mass(v)
-    mu = minimize_e(tc - tol, grid).mu
+    free = _solve(grid, 1.0, None)
+    tc = free[0].mass(free[1])
+    mu = _state(tc - tol, free).mu
     if not mu > 0:
         raise ConvergenceError(
             f"t_c = {tc:.6g} not certified: mu(t_c - {tol:g}) = {mu:.3e} "
@@ -128,15 +134,17 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
 
 
 def e_curve(ts, grid: RadialGrid | None = None):
-    """Rows (t, e, mu, bound_mass) for each requested mass."""
+    """Rows (t, e, mu, bound_mass) for each requested mass, all from one
+    uncapped solve."""
     ts = list(ts)
     if not ts:
         raise ParameterError("need at least one mass value")
     if any(t <= 0 for t in ts):
         raise ParameterError("masses must be positive")
+    free = _solve(grid, 1.0, None)
     rows = []
     for t in ts:
-        st = minimize_e(t, grid)
+        st = _state(t, free)
         rows.append((float(t), st.energy, st.mu, st.bound_mass))
     return rows
 

@@ -149,19 +149,23 @@ def integrate_3d(f: RadialField, radial_power: int = 0) -> float:
     return float(4.0 * np.pi * np.dot(f.grid.w, r ** (2 + radial_power) * f.values))
 
 
-def _cumulative_integral(grid: RadialGrid, integrand: np.ndarray) -> np.ndarray:
-    """Running integral int_{r_1}^{r_i} integrand dr at every node.
+def _cumulative_integral(grid: RadialGrid, integrand: np.ndarray, inward=False):
+    """Running integral int_{r_1}^{r_i} integrand dr at every node, or
+    int_{r_i}^{r_n} inward: summed from the end it starts at, so that small
+    far-field integrals keep their digits.
 
     Trapezoid in log coordinates with the Euler-Maclaurin endpoint
-    correction -h^2/12 (g'(x_i) - g'(x_1)), which lifts the cumulative
-    rule to fourth order for smooth integrands.
+    correction -h^2/12 (g'(x_i) - g'(x_1)), mirrored inward, which lifts the
+    cumulative rule to fourth order for smooth integrands.
     """
     h = grid.log_step
     g = integrand * grid.r
     seg = 0.5 * h * (g[:-1] + g[1:])
-    out = np.concatenate(([0.0], np.cumsum(seg)))
     gp = np.gradient(g, h)
-    return out - (h * h / 12.0) * (gp - gp[0])
+    c = h * h / 12.0
+    if inward:
+        return np.append(np.cumsum(seg[::-1])[::-1], 0.0) - c * (gp[-1] - gp)
+    return np.append(0.0, np.cumsum(seg)) - c * (gp - gp[0])
 
 
 def coulomb_potential(rho: RadialField) -> RadialField:
@@ -178,8 +182,7 @@ def coulomb_potential(rho: RadialField) -> RadialField:
     # Constant extrapolation of rho onto [0, r_min] for the enclosed mass.
     enclosed = _cumulative_integral(grid, vals * r**2) + vals[0] * r[0] ** 3 / 3.0
 
-    outer_cum = _cumulative_integral(grid, vals * r)
-    outer = outer_cum[-1] - outer_cum
+    outer = _cumulative_integral(grid, vals * r, inward=True)
 
     phi = 4.0 * np.pi * (enclosed / r + outer)
     return RadialField(grid, phi)

@@ -1,20 +1,21 @@
 """Gradient-free density functional solver (kinetic term ~ rho^(5/3)).
 
-Minimizes the relaxed problem over {rho >= 0, int rho <= N} by damped
-fixed-point iteration on the Euler-Lagrange equation
+Minimizes the relaxed problem over {rho >= 0, int rho <= N}, whose
+Euler-Lagrange equation is
 
     (5/3) c_tf rho^(2/3) = [Phi]_+,   Phi = Z/r - rho * 1/|x| - mu.
 
-One loop serves every stage: each density update is projected to mass
-min(N_cap, mass at mu = 0), with the multiplier resolved inside the
-step; with no cap it is the plain mu = 0 iteration.  The unconstrained
-stage runs first; its mass is the maximum the model binds, which
-equals Z.  Only if that exceeds N does the solver rerun with cap N.
-Resolving mu inside the loop matters: a nested outer-mu/inner-density
-scheme falls into edge/mass breathing cycles whenever the support
-boundary sits in the flat potential tail.  The gradient flow of
-``tfw`` is no substitute at c_w = 0: run on this model it stalls short
-of the bound mass.
+The unknown is the bare potential V = Phi + mu = Z/r - rho * 1/|x|.
+Newton-GMRES, the driver the gradient-corrected and product-state models
+share (``krylov``), solves G(V) = V - Z/r + rho(V) * 1/|x| = 0, where
+rho(V) = ((3/(5 c_tf)) [V - mu]_+)^(3/2) and each evaluation picks
+mu >= 0 so that rho carries mass min(N_cap, mass at mu = 0).  The mu = 0
+stage runs first; its mass is the maximum the model binds, which equals
+Z.  Only if that exceeds N does a second solve pin the mass to N.  The
+mass stays a projection inside each evaluation rather than a bordered
+row: Newton bordered by the mass row and started from the neutral state
+took damped steps of 2e-4 to 4e-3 at Z = 5, N = 3, and after 58 steps
+had shed only 0.17 of the 2 units of mass.
 
 The default grid reaches r_max = 400: the neutral potential has the
 universal r^-4 tail, and the density mass beyond r ~ 100 is ~3e-3, too
@@ -23,17 +24,21 @@ much for per-mille mass checks on a shorter box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceError, DomainError, ParameterError
+from .krylov import newton_krylov
 from .radial import (
     RadialField,
     RadialGrid,
+    coulomb_potential,
     integrate_3d,
     make_log_grid,
     newton_potential,
+    reduced_laplacian,
 )
 
 __all__ = [
@@ -71,11 +76,10 @@ class TFParams:
 
 @dataclass(frozen=True)
 class TFSolverOptions:
-    # Large-Z neutral runs decay roughly one residual decade per 2e3
-    # iterations on the default box; 2e4 covers Z ~ 100 with margin.
-    mix_alpha: float = 0.3
+    # residual_tol bounds the L1 Euler-Lagrange defect, scaled by
+    # Z^(1/3) in solve_tf.  max_iter caps the Newton steps of each stage.
     residual_tol: float = 1e-8
-    max_iter: int = 20_000
+    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -133,12 +137,10 @@ _MU_NEWTON_STEPS = 100
 def _projected_target(
     grid: RadialGrid, params: TFParams, phi_bare: np.ndarray, n_cap: float
 ):
-    """Density update with the multiplier resolved per iteration.
+    """The density of the bare potential phi_bare and its multiplier.
 
-    Picks mu >= 0 so the updated density carries mass min(N, mass at
-    mu=0): pinning the mass inside the loop removes the global breathing
-    mode that makes a nested (outer-mu, inner-density) iteration cycle
-    when the support edge sits in the flat potential tail.
+    Picks mu >= 0 so the density carries mass min(N, mass at mu=0).
+    Returns (mu, density).
     """
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
     mass, target = _mass_of_target(grid, coeff, phi_bare, 0.0)
@@ -168,62 +170,16 @@ def _projected_target(
     )
 
 
-def _constrained_fixed_point(
-    grid: RadialGrid,
-    params: TFParams,
-    rho0: np.ndarray,
-    opts: TFSolverOptions,
-    n_cap: float,
-):
-    """Damped iteration rho <- (1-a) rho + a target, with the target's
-    multiplier projected every step so it carries mass at most n_cap
-    (n_cap = inf is the mu = 0 iteration)."""
-    rho = rho0.copy()
-    alpha = opts.mix_alpha
-    cap = opts.mix_alpha
-    best = np.inf
-    res = np.inf
-    mu = 0.0
-    improving = 0
-    for it in range(1, opts.max_iter + 1):
-        phi_bare = _bare_potential(grid, params.z, rho)
-        mu, target = _projected_target(grid, params, phi_bare, n_cap)
-        res = _residual_norm(grid, params, rho, phi_bare - mu)
-        if res < opts.residual_tol:
-            return rho, mu, res, it
-        if res > 2.0 * best:
-            # Overshoot: damp harder, and lower the recovery ceiling so
-            # the iteration cannot cycle back into the unstable regime.
-            cap = max(0.7 * min(cap, alpha), 0.02)
-            alpha = max(0.5 * alpha, 0.02)
-            improving = 0
-        elif res < best:
-            improving += 1
-            if improving >= 50:
-                alpha = min(1.25 * alpha, cap)
-                improving = 0
-        best = min(best, res)
-        rho = (1.0 - alpha) * rho + alpha * target
-    return rho, mu, res, opts.max_iter
-
-
 def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
-    """Screened-core profile plus the universal r^-4 potential tail.
-
-    Seeding the far field with its known power law matters on large
-    boxes, where the tail otherwise equilibrates only diffusively.
-    """
+    """Screened-core profile plus the universal r^-4 potential tail,
+    scaled to the neutral mass Z that the mu = 0 stage converges to."""
     scale = params.z ** (1.0 / 3.0)
     amp = sommerfeld_amplitude(params.c_tf)
     phi_guess = params.z / grid.r * np.exp(-scale * grid.r) + amp / (
         grid.r**4 + (3.0 / scale) ** 4
     )
     rho = (3.0 / (5.0 * params.c_tf) * phi_guess) ** 1.5
-    mass = integrate_3d(RadialField(grid, rho))
-    # Seed slightly under-massed: starting exactly critical leaves the
-    # box-edge potential at zero up to noise, which flip-flops the
-    # positive part there and can sustain a limit cycle.
-    return 0.995 * min(params.n_electrons, params.z) / mass * rho
+    return params.z / integrate_3d(RadialField(grid, rho)) * rho
 
 
 # The discrete neutral mass carries a small positive quadrature bias
@@ -232,25 +188,59 @@ def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
 _NEUTRAL_SLACK = 1e-5
 
 
-def _converged(
-    stage: str,
-    grid: RadialGrid,
-    params: TFParams,
-    rho: np.ndarray,
-    opts: TFSolverOptions,
-    n_cap: float,
-):
-    """Run the fixed point to opts.residual_tol or raise ConvergenceError
-    naming the stage and (Z, N)."""
-    rho, mu, res, iters = _constrained_fixed_point(grid, params, rho, opts, n_cap)
-    if res >= opts.residual_tol:
-        raise ConvergenceError(
-            f"{stage} stage stalled at residual {res:.3e} "
-            f"(Z={params.z:g}, N={params.n_electrons:g})",
-            residual=res,
-            iterations=iters,
-        )
-    return rho, mu, iters
+def _newton(stage: str, grid: RadialGrid, params: TFParams, phi, opts, n_cap: float):
+    """Newton-GMRES on G(V) from the bare potential phi, with rho(V) of
+    mass at most n_cap (n_cap = inf is the mu = 0 problem).
+
+    With rho' = (3/2) coeff [V - mu]_+^(1/2) and q = 4 pi w r^2, the
+    Jacobian-vector product d + (rho' (d - <q rho', d>/sum q rho')) * 1/|x|
+    costs one Coulomb solve; the projection term holds the mass at n_cap
+    and enters only while mu > 0.  Poisson's equation makes 1/|x| equal
+    4 pi A^(-1) on reduced weighted functions s r f, so the right
+    preconditioner (A + 4 pi rho')^(-1) A, one banded solve, inverts the
+    Jacobian up to the projection term and the box-edge condition.  Steps
+    backtrack on |sqrt(q) G|; the stopping residual is the L1 defect of
+    the Euler-Lagrange equation at rho(V).  Returns (V, (mu, rho,
+    Z/r - rho * 1/|x|), residual, Newton steps).
+    """
+    coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
+    q = 4.0 * np.pi * grid.w * grid.r**2
+    sqrt_q = np.sqrt(q)
+    sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
+    a = reduced_laplacian(grid).matrix
+    a_band = np.zeros((3, grid.n))
+    a_band[0, 1:] = a_band[2, :-1] = a.diagonal(1)
+    a_band[1] = a.diagonal()
+
+    def defect(phi):
+        mu, rho = _projected_target(grid, params, phi, n_cap)
+        phi_rho = _bare_potential(grid, params.z, rho)
+        g = phi - phi_rho
+        res = _residual_norm(grid, params, rho, phi_rho - mu)
+        return g, float(np.linalg.norm(sqrt_q * g)), res, (mu, rho, phi_rho)
+
+    def linearize(phi, state):
+        mu = state[0]
+        drho = 1.5 * coeff * np.sqrt(np.clip(phi - mu, 0.0, None))
+        qd = q * drho
+        band = a_band.copy()
+        band[1] += 4.0 * np.pi * drho
+
+        def jac(d):
+            shift = (qd @ d) / qd.sum() if mu > 0.0 else 0.0
+            dv = coulomb_potential(RadialField(grid, drho * (d - shift)))
+            return d + dv.values
+
+        def precond(y):
+            return scipy.linalg.solve_banded((1, 1), band, a @ (sr * y)) / sr
+
+        return jac, precond, precond
+
+    case = f"Z={params.z:g}, N={params.n_electrons:g}"
+    # The residual norm is extensive and scales like Z^(1/3) under the
+    # natural rescaling; keep the stopping rule equally strict at all Z.
+    tol = opts.residual_tol * max(1.0, params.z) ** (1.0 / 3.0)
+    return newton_krylov(phi, defect, linearize, tol, opts.max_iter, stage, case)
 
 
 def solve_tf(
@@ -260,59 +250,32 @@ def solve_tf(
 ) -> TFSolution:
     """Solve the relaxed minimization over {rho >= 0, int rho <= N}.
 
-    mu = 0 first; if the unconstrained mass (which equals Z) exceeds N,
-    a second stage pins the update's mass to N each iteration, with the
-    multiplier found by Newton's method inside the step.
+    mu = 0 first; only if that mass (which equals Z) exceeds N beyond a
+    quadrature-noise slack does a second solve, started from the first
+    one's potential, pin the mass to N.
     """
     grid = grid if grid is not None else default_tf_grid()
     opts = opts or TFSolverOptions()
-    # The residual norm is extensive and scales like Z^(1/3) under the
-    # natural rescaling; keep the stopping rule equally strict at all Z.
-    tol = opts.residual_tol * max(1.0, params.z) ** (1.0 / 3.0)
-    work = replace(opts, residual_tol=tol)
-    n_cap = params.n_electrons
-
-    # Coarse unconstrained (mu = 0) probe first: it is stable and its
-    # mass approaches the maximum the model binds, which decides the
-    # branch.  Only the branch that will be reported must converge to
-    # the tight tolerance.
-    rho0 = _initial_density(grid, params)
-    coarse_tol = max(tol, 1e-4 * max(1.0, params.z) ** (1.0 / 3.0))
-    coarse = replace(opts, residual_tol=coarse_tol)
-    rho, mu, _, total_iters = _constrained_fixed_point(grid, params, rho0, coarse, np.inf)
-    mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
-
-    if mass > n_cap * 1.01:
-        # Clearly supercritical: the iteration that projects the
-        # multiplier every step (update always carries mass N) converges
-        # hard, and never chops the tail on and off the way a marginal
-        # N ~ Z run on this branch would.
-        rho, mu, iters = _converged("constrained", grid, params, rho, work, n_cap)
-        total_iters += iters
-    else:
-        # Neutral or marginal: finish the mu = 0 branch tight, then make
-        # the final call with a noise-level slack.
-        rho, mu, iters = _converged("unconstrained", grid, params, rho, work, np.inf)
-        total_iters += iters
-        mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
-        if mass > n_cap * (1.0 + _NEUTRAL_SLACK):
-            rho, mu, iters = _converged(
-                "marginal constrained", grid, params, rho, work, n_cap
-            )
-            total_iters += iters
-    mass = integrate_3d(RadialField(grid, np.clip(rho, 0.0, None)))
-
-    phi = _bare_potential(grid, params.z, rho) - mu
-    res = _residual_norm(grid, params, rho, phi)
-    rho_field = RadialField(grid, np.clip(rho, 0.0, None), nonnegative=True)
+    phi = _bare_potential(grid, params.z, _initial_density(grid, params))
+    phi, (mu, rho, phi_rho), res, steps = _newton(
+        "unconstrained stage", grid, params, phi, opts, np.inf
+    )
+    mass = integrate_3d(RadialField(grid, rho))
+    if mass > params.n_electrons * (1.0 + _NEUTRAL_SLACK):
+        phi, (mu, rho, phi_rho), res, more = _newton(
+            "constrained stage", grid, params, phi, opts, params.n_electrons
+        )
+        steps += more
+        mass = integrate_3d(RadialField(grid, rho))
+    rho_field = RadialField(grid, rho, nonnegative=True)
     return TFSolution(
         rho=rho_field,
-        phi=RadialField(grid, phi),
+        phi=RadialField(grid, phi_rho - mu),
         mu=mu,
         energy=tf_energy(rho_field, params),
         mass=mass,
         residual=res,
-        iterations=total_iters,
+        iterations=steps,
         params=params,
     )
 
@@ -368,13 +331,11 @@ def neutral_tail_solution(
 
     The solve commutes with the natural rescaling, so working on the
     scaled box converges exactly like the Z = 1 problem; the residual is
-    an extensive quantity and its tolerance is scaled by Z^(1/3).
+    an extensive quantity, and solve_tf scales base_residual_tol by Z^(1/3).
     """
     s = z ** (-1.0 / 3.0)
     grid = make_log_grid(1e-4 * s, r_max_base * s, n)
-    opts = TFSolverOptions(
-        residual_tol=base_residual_tol * z ** (1.0 / 3.0), max_iter=60_000
-    )
+    opts = TFSolverOptions(residual_tol=base_residual_tol)
     return solve_tf(TFParams(z=z, n_electrons=z, c_tf=c_tf), grid, opts)
 
 

@@ -25,7 +25,7 @@ bordered by the mass row; that solve starts from the uncapped minimizer
 rescaled onto the cap.  Eigenvalue-replacement SCF is useless here: at the
 minimizer the local potential cancels against the bulk term, so the
 linearized operator is nearly flat and its ground state is a box mode, not
-the solution.
+the solution.  The Newton loop is ``krylov.newton_krylov``, shared with ``tf``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
+from .krylov import newton_krylov
 from .radial import (
     RadialField,
     RadialGrid,
@@ -46,7 +46,7 @@ from .radial import (
     newton_potential,
     reduced_laplacian,
 )
-from .tf import C_TF_DEFAULT, TFParams, TFSolverOptions, solve_tf
+from .tf import C_TF_DEFAULT, TFParams, solve_tf
 
 __all__ = [
     "TFWParams",
@@ -165,32 +165,15 @@ class _TFWModel:
         if p.c_tf == 0.0:
             b = p.z / p.c_w
             return np.sqrt(p.c_w) * b * b * np.exp(-0.5 * b * self.grid.r)
-        tf0 = solve_tf(
-            TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf),
-            self.grid,
-            TFSolverOptions(residual_tol=1e-6, max_iter=6000),
-        )
+        tf0 = solve_tf(TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf), self.grid)
         return np.sqrt(np.clip(tf0.rho.values, 0.0, None)) + 1e-30
 
-    def _defect(self, psi: np.ndarray, lam: float, cap: float | None):
-        """(F, with the mass row sum (w/m) psi^2 - cap appended under a cap;
-        its Hartree potential; the relative defect, under a cap the larger
-        of the stationarity and the relative mass defects)."""
-        u = psi / self.sr
-        vh = self.coulomb(u)
-        f, rel = self.stationarity(u, lam, vh)
-        if cap is not None:
-            dm = float(self.wm @ (psi * psi)) - cap
-            f = np.append(f, dm)
-            rel = max(rel, abs(dm) / cap)
-        return f, vh, rel
-
-    def newton(self, u: np.ndarray, cap: float | None = None):
+    def newton(self, u: np.ndarray, cap: float | None, opts: TFWOptions, stage: str):
         """Newton-GMRES on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
 
         Without a cap lambda = 0.  Under a cap lambda is a second unknown,
-        bordered by the quadrature mass row and started at the Rayleigh
-        quotient of u.  The Jacobian-vector product
+        bordered by the quadrature mass row sum (w/m) psi^2 - cap and
+        started at the Rayleigh quotient of u.  The Jacobian-vector product
 
             c_w A d + (vloc + (20/9) c_tf |u|^(4/3) - lambda) d
                     + psi (2 u d/(s r)) * 1/|x|
@@ -203,38 +186,48 @@ class _TFWModel:
         J. Sci. Comput. 37, 2015): Newton on F/|psi|^2, whose step is F's
         divided by 1 + 2 <psi, d>/|psi|^2, backtracking on |F|/|psi|^2.
 
-        Yields (u, lambda, relative defect) for the start and after each
-        step; ends when backtracking cannot reduce the merit.
+        The residual is the relative stationarity defect, under a cap the
+        larger of it and the relative mass defect.  Returns (u, lambda,
+        residual, Newton steps).
         """
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
-        psi = self.to_psi(u)
-        lam = 0.0
-        if cap is not None:
-            lam = float(psi @ self.stationarity(u)[0]) / float(psi @ psi)
-        f, vh, rel = self._defect(psi, lam, cap)
-        yield u, lam, rel
-
         deflate = cap is None and c_tf == 0.0
+        x = self.to_psi(u)
+        if cap is not None:
+            x = np.append(x, float(x @ self.stationarity(u)[0]) / float(x @ x))
 
-        def merit(f, psi):
-            return np.linalg.norm(f) / (psi @ psi if deflate else 1.0)
-
-        while True:
+        def defect(x):
+            psi = x[:n]
+            lam = x[n] if cap is not None else 0.0
             u = psi / self.sr
+            vh = self.coulomb(u)
+            f, rel = self.stationarity(u, lam, vh)
+            if cap is not None:
+                dm = float(self.wm @ (psi * psi)) - cap
+                f = np.append(f, dm)
+                rel = max(rel, abs(dm) / cap)
+            merit = np.linalg.norm(f) / (psi @ psi if deflate else 1.0)
+            return f, merit, rel, (psi, lam, u, vh)
+
+        def linearize(x, state):
+            psi, lam, u, vh = state
             bulk = (20.0 / 9.0) * c_tf * np.abs(u) ** (4.0 / 3.0)
             diag = self.local_potential(u, vh) + bulk - lam
             t_band = c_w * self.a_band
             t_band[1] += diag
             g = 2.0 * u / self.sr
+            if cap is not None:
+                c = 2.0 * self.wm * psi
+                t_psi = scipy.linalg.solve_banded((1, 1), t_band, psi)
 
-            def jac(x):
-                d = x[:n]
+            def jac(y):
+                d = y[:n]
                 dvh = coulomb_potential(RadialField(self.grid, g * d)).values
                 out = c_w * (self.a @ d) + diag * d + psi * dvh
                 if cap is None:
                     return out
-                return np.append(out - x[n] * psi, 2.0 * self.wm @ (psi * d))
+                return np.append(out - y[n] * psi, 2.0 * self.wm @ (psi * d))
 
             def precond(y):
                 # Block elimination of the bordered T under a cap.
@@ -244,61 +237,41 @@ class _TFWModel:
                 t = (y[n] - c @ z) / (c @ t_psi)
                 return np.append(z + t * t_psi, t)
 
-            if cap is not None:
-                c = 2.0 * self.wm * psi
-                t_psi = scipy.linalg.solve_banded((1, 1), t_band, psi)
-            op = scipy.sparse.linalg.LinearOperator(
-                (f.size, f.size), matvec=lambda y: jac(precond(y)), dtype=float
-            )
-            y, _ = scipy.sparse.linalg.gmres(op, -f, rtol=1e-4, restart=40, maxiter=1)
-            dx = precond(y)
-            if deflate:
-                dx /= 1.0 + 2.0 * (psi @ dx) / (psi @ psi)
-            m0 = merit(f, psi)
-            step = 1.0
-            while True:
-                psi_t = psi + step * dx[:n]
-                lam_t = lam + step * float(dx[n]) if cap is not None else 0.0
-                f_t, vh_t, rel_t = self._defect(psi_t, lam_t, cap)
-                if merit(f_t, psi_t) <= (1.0 - 1e-4 * step) * m0:
-                    break
-                step *= 0.5
-                if step < 1e-10:
-                    return
-            psi, lam, f, vh, rel = psi_t, lam_t, f_t, vh_t, rel_t
-            yield psi / self.sr, lam, rel
+            def step(y):
+                dx = precond(y)
+                if deflate:
+                    dx /= 1.0 + 2.0 * (psi @ dx) / (psi @ psi)
+                return dx
+
+            return jac, precond, step
+
+        case = f"Z={self.params.z:g}" + ("" if cap is None else f", N={cap:g}")
+        x, _, rel, steps = newton_krylov(
+            x, defect, linearize, opts.rel_residual_tol, opts.max_iter, stage, case
+        )
+        return x[:n] / self.sr, (float(x[n]) if cap is not None else 0.0), rel, steps
 
 
-def _minimize(params: TFWParams, grid: RadialGrid, opts: TFWOptions, cap: float | None = None):
+def _minimize(params: TFWParams, grid: RadialGrid, opts: TFWOptions, cap=None, free=None):
     """The minimizer at charge params.z under an optional mass cap: the one
     driver of the gradient-corrected and product-state solves.
 
     Newton runs from the model's seed without the cap; only if that
     minimizer carries more than cap does a bordered Newton solve follow,
-    started from it rescaled onto the cap.  Each solve stops at the first
-    relative defect below opts.rel_residual_tol and raises
-    ConvergenceError, naming Z, when it has none within opts.max_iter
-    Newton steps.  Returns (model, u, rel, Newton steps, lambda).
+    started from it rescaled onto the cap.  ``free``, the result of an
+    uncapped call with the same arguments, stands in for the first solve.
+    Returns (model, u, rel, Newton steps, lambda).
     """
-    model = _TFWModel(params, grid)
-
-    def solve(u, cap):
-        for it, (u, lam, rel) in enumerate(model.newton(u, cap)):
-            if rel < opts.rel_residual_tol:
-                return u, rel, it, lam
-            if it == opts.max_iter:
-                break
-        raise ConvergenceError(
-            f"Newton stalled at relative residual {rel:.3e} for Z={params.z:g}"
-            + ("" if cap is None else f" under mass cap {cap:g}"),
-            residual=rel,
-            iterations=it,
-        )
-
-    u, rel, steps, lam = solve(model.seed(), None)
+    if free is None:
+        model = _TFWModel(params, grid)
+        u, lam, rel, steps = model.newton(model.seed(), None, opts, "unconstrained stage")
+        free = (model, u, rel, steps, lam)
+    model, u, rel, steps, lam = free
     mass = model.mass(u)
     if cap is not None and mass > cap:
-        u, rel, more, lam = solve(np.sqrt(cap / mass) * u, cap)
+        u, lam, rel, more = model.newton(
+            np.sqrt(cap / mass) * u, cap, opts, "constrained stage"
+        )
         steps += more
     return model, u, rel, steps, lam
 

@@ -97,9 +97,32 @@ class TestCriticalMass:
         import ionlab.hartree as hartree
 
         unbound = SimpleNamespace(mu=0.0)
-        monkeypatch.setattr(hartree, "minimize_e", lambda t, grid=None: unbound)
+        monkeypatch.setattr(hartree, "_state", lambda t, free: unbound)
         with pytest.raises(ConvergenceError):
             compute_tc(grid)
+
+    def test_one_uncapped_solve_per_call(self, monkeypatch, grid):
+        """compute_tc and e_curve reuse their one uncapped solve for every
+        capped one, and their answers equal minimize_e's bit for bit."""
+        import ionlab.tfw
+
+        caps = []
+        newton = ionlab.tfw._TFWModel.newton
+
+        def counted(self, u, cap, opts, stage):
+            caps.append(cap)
+            return newton(self, u, cap, opts, stage)
+
+        monkeypatch.setattr(ionlab.tfw._TFWModel, "newton", counted)
+        tc = compute_tc(grid)
+        assert caps.count(None) == 1
+        caps.clear()
+        rows = e_curve([0.6, 1.8], grid)
+        assert caps.count(None) == 1
+        assert tc == minimize_e(2.0, grid).bound_mass
+        for t, energy, mu, bound in rows:
+            st = minimize_e(t, grid)
+            assert (energy, mu, bound) == (st.energy, st.mu, st.bound_mass)
 
 
 class TestECurve:

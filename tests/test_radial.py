@@ -134,6 +134,19 @@ class TestNewtonPotential:
         assert np.allclose(signed, 2.0 * plus - 3.0 * minus, rtol=0, atol=1e-13 * np.max(minus))
 
 
+    def test_outer_shells_keep_far_field_accuracy(self, default_grid):
+        # int_r^R e^(-s) ds = e^(-r) - e^(-R) falls below the rounding of
+        # the full-box integral by r ~ 37; summed inward it stays accurate.
+        from ionlab.radial import _cumulative_integral
+
+        g = default_grid
+        f = np.exp(-g.r)
+        outer = _cumulative_integral(g, f, inward=True)
+        window = (g.r > 1.0) & (g.r < 40.0)
+        exact = np.exp(-g.r[window]) - np.exp(-g.r_max)
+        assert np.max(np.abs(outer[window] / exact - 1.0)) < 1e-3
+
+
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
         a = reduced_laplacian(default_grid)

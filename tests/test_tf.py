@@ -111,6 +111,33 @@ class TestMultiplier:
             )
 
 
+class TestNewtonSolve:
+    """Newton-GMRES in the potential, against the converged answers of the
+    damped fixed-point iteration it replaced (default grid)."""
+
+    @pytest.mark.parametrize(
+        "z, n, field, value, energy",
+        [
+            (1.0, 1.0, "mass", 0.9999838025359257, -0.3826749062984858),
+            (5.0, 3.0, "mu", 0.5042324449214588, -15.986270916172021),
+            (1.0, 0.5, "mu", 0.09566195276236858, -0.36685666835522995),
+            (100.0, 90.0, "mu", 2.389178317569037, -17661.864836450102),
+        ],
+    )
+    def test_matches_fixed_point_reference(self, z, n, field, value, energy):
+        sol = solve_tf(TFParams(z=z, n_electrons=n))
+        rel = {"mass": 1e-10, "mu": 1e-8}[field]
+        assert getattr(sol, field) == pytest.approx(value, rel=rel, abs=0.0)
+        assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+
+    def test_reaches_tight_tolerance(self):
+        # The far-field Coulomb shells are summed from the box edge inward;
+        # as a difference of running totals they drowned in rounding and
+        # the defect floored near 1e-8.
+        sol = solve_tf(TFParams(z=1.0, n_electrons=1.0), opts=TFSolverOptions(1e-9))
+        assert sol.residual < 1e-9
+
+
 class TestEnergyFunctional:
     def test_zero_density(self, small_grid):
         rho = RadialField(small_grid, np.zeros(small_grid.n))
@@ -170,6 +197,10 @@ class TestTail:
         fit = tf_tail_exponent(sol, window)
         assert fit.amplitude == pytest.approx(sommerfeld_amplitude(), rel=0.05)
 
+    def test_tail_tolerance_scaled_once(self):
+        # 5e-7 Z^(1/3), not 5e-7 Z^(2/3)
+        assert neutral_tail_solution(100.0).residual < 5e-7 * 100.0 ** (1.0 / 3.0)
+
     def test_ionized_solution_flagged_compact(self, small_grid):
         sol = solve_tf(TFParams(z=1.0, n_electrons=0.5), small_grid)
         fit = tf_tail_exponent(sol, (5.0, 50.0))
@@ -193,12 +224,12 @@ class TestUniquenessAndPositivity:
         opts = TFSolverOptions(residual_tol=1e-9)
         sol_a = solve_tf(params, small_grid, opts)
 
-        # second run, uncapped, from a very different initial profile
-        from ionlab.tf import _constrained_fixed_point
+        # second run, uncapped, from the potential of a flat density
+        from ionlab.tf import _bare_potential, _newton
 
-        rho0 = np.full(small_grid.n, 1e-3)
-        rho_b, _, res_b, _ = _constrained_fixed_point(
-            small_grid, params, rho0, opts, np.inf
+        phi0 = _bare_potential(small_grid, params.z, np.full(small_grid.n, 1e-3))
+        _, (_, rho_b, _), res_b, _ = _newton(
+            "flat start", small_grid, params, phi0, opts, np.inf
         )
         assert res_b < 2e-9
         diff = integrate_3d(

