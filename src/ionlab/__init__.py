@@ -25,7 +25,9 @@ from .errors import (  # noqa: F401
 # Submodules load on first attribute access (PEP 562), so ``import ionlab``
 # and a CLI command pay only for the solvers they use: ``classical`` and
 # ``drop`` alone pull in scipy.optimize.
-_SUBMODULES = ("classical", "drop", "hartree", "hf", "opchecks", "radial", "tf", "tfw")
+_SUBMODULES = (
+    "classical", "drop", "hartree", "hf", "krylov", "opchecks", "radial", "tf", "tfw",
+)
 
 
 def __getattr__(name):

@@ -33,9 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_CAPACITY = 4
 
-COMMANDS = ("tf", "hartree", "tfw", "hf", "beta", "pairinf", "sigal", "drop", "opcheck")
-
-# Per-command parameter schema: name -> converter.
+# Per-command parameter schema: name -> converter.  Each key is also the
+# command's flag, "--" plus the key with "_" written "-".
 _SCHEMAS = {
     "tf": {"Z": float, "N": float, "ctf": float, "grid_n": int, "rmin": float,
            "rmax": float, "tol": float},
@@ -50,6 +49,29 @@ _SCHEMAS = {
              "mc_pairs": int},
     "opcheck": {"check": str, "grid_n": int, "tol": float},
 }
+
+COMMANDS = tuple(_SCHEMAS)
+
+
+def _convert(key: str, conv, value):
+    """Apply key's schema converter.  Only bool keys take booleans, and int
+    keys take only integral values; anything the converter cannot take
+    exactly raises ParameterError naming the key."""
+    bad = ParameterError(f"invalid value {value!r} for parameter {key!r}")
+    if isinstance(value, bool) != (conv is bool):
+        raise bad
+    if conv is bool:
+        return value
+    if conv is int and isinstance(value, float) and not value.is_integer():
+        raise bad
+    try:
+        if conv != "float_list":
+            return conv(value)
+        if isinstance(value, str):
+            return [float(x) for x in value.split(",") if x]
+        return [float(x) for x in value]
+    except (TypeError, ValueError):
+        raise bad from None
 
 
 @dataclass(frozen=True)
@@ -72,17 +94,7 @@ class RunConfig:
                 raise ParameterError(
                     f"unknown parameter {key!r} for command {self.command!r}"
                 )
-            conv = schema[key]
-            if conv == "float_list":
-                if isinstance(value, str):
-                    value = [float(x) for x in value.split(",") if x]
-                else:
-                    value = [float(x) for x in value]
-            elif conv is bool:
-                value = bool(value)
-            else:
-                value = conv(value)
-            clean[key] = value
+            clean[key] = _convert(key, schema[key], value)
         object.__setattr__(self, "parameters", clean)
 
 
@@ -419,37 +431,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ionlab {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    def add(cmd, flags):
+    for cmd, schema in _SCHEMAS.items():
         p = sub.add_parser(cmd)
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
+        for key, conv in schema.items():
+            flag = "--" + key.replace("_", "-")
+            if conv is bool:
+                p.add_argument(flag, dest=key, action="store_true")
+            else:
+                p.add_argument(flag, dest=key, type=str if conv == "float_list" else conv)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--config", default=None, help="JSON file merged under flags")
-        return p
-
-    add("tf", [("--Z", {"type": float}), ("--N", {"type": float}),
-               ("--ctf", {"type": float}), ("--grid-n", {"type": int, "dest": "grid_n"}),
-               ("--rmin", {"type": float}), ("--rmax", {"type": float}),
-               ("--tol", {"type": float})])
-    add("hartree", [("--t", {"type": float}), ("--tc", {"action": "store_true"}),
-                    ("--tol", {"type": float}), ("--grid-n", {"type": int, "dest": "grid_n"}),
-                    ("--ts", {"type": str})])
-    add("tfw", [("--Z", {"type": float}), ("--sweep", {"type": str}),
-                ("--ctf", {"type": float}), ("--cw", {"type": float})])
-    add("hf", [("--z", {"type": float}), ("--exponents", {"type": str}),
-               ("--n", {"type": int}), ("--scan", {"action": "store_true"})])
-    add("beta", [("--n", {"type": int}), ("--restarts", {"type": int})])
-    add("pairinf", [("--samples", {"type": int})])
-    add("sigal", [("--n", {"type": int}), ("--eps", {"type": float}),
-                  ("--trials", {"type": int})])
-    add("drop", [("--m", {"type": float}), ("--split", {"type": float}),
-                 ("--check-identities", {"action": "store_true", "dest": "check_identities"}),
-                 ("--mc-pairs", {"type": int, "dest": "mc_pairs"})])
-    add("opcheck", [("--check", {"type": str}), ("--grid-n", {"type": int, "dest": "grid_n"}),
-                    ("--tol", {"type": float})])
     return parser
 
 
@@ -458,7 +451,10 @@ def _config_from_args(args) -> RunConfig:
     params = {}
     if args.config:
         with open(args.config) as fh:
-            params.update(json.load(fh))
+            try:
+                params.update(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"config {args.config} is not a JSON object: {exc}") from None
     for key, value in vars(args).items():
         if key in reserved or value is None or value is False:
             continue

@@ -30,7 +30,6 @@ __all__ = [
     "minimize_f",
     "binding_gap_lower_bound",
     "half_space_average",
-    "slice_area",
     "cavalieri_volume",
     "cutting_identities_check",
     "CuttingReport",
@@ -216,17 +215,6 @@ def half_space_average(z: np.ndarray, n_polar: int = 16, n_azimuth: int = 8) -> 
             vals = np.clip(nu @ z, 0.0, None)
             total += np.dot(wz, vals) * (2.0 * np.pi / n_azimuth)
     return float(total / (4.0 * np.pi))
-
-
-def slice_area(config: BallConfiguration, nu: np.ndarray, ell: float) -> float:
-    """Area of the cross-section {x . nu = ell} through the configuration."""
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    area = 0.0
-    for b in config.balls:
-        h = ell - float(np.dot(b.center, nu))
-        area += np.pi * max(b.radius**2 - h * h, 0.0)
-    return float(area)
 
 
 def cavalieri_volume(config: BallConfiguration, nu: np.ndarray, n_gauss: int = 12) -> float:

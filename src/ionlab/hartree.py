@@ -29,7 +29,7 @@ from .radial import (
     newton_potential,
     reduced_laplacian,
 )
-from .tfw import TFWOptions, TFWParams, _minimize
+from .tfw import TFWParams, _minimize
 
 __all__ = [
     "HartreeState",
@@ -76,7 +76,7 @@ def normalize_mass(field: RadialField, mass: float) -> RadialField:
 
 def kinetic_energy(u: RadialField) -> float:
     """int |grad u|^2 over R^3 via the reduced quadratic form."""
-    a = reduced_laplacian(u.grid).matrix
+    a = reduced_laplacian(u.grid)
     psi = _weight(u.grid) * u.grid.r * u.values
     return float(psi @ (a @ psi))
 
@@ -85,13 +85,13 @@ def _solve(grid: RadialGrid | None, z: float, cap: float | None):
     """Minimizer of the c_tf = 0 functional at charge z under the mass
     cap: (model, v, rel, Newton steps, lambda)."""
     grid = grid if grid is not None else default_hartree_grid()
-    return _minimize(TFWParams(z=z, c_tf=0.0), grid, TFWOptions(), cap)
+    return _minimize(TFWParams(z=z, c_tf=0.0), grid, cap)
 
 
 def _state(t: float, free) -> HartreeState:
     """The minimizer at cap t, from the uncapped ``_solve`` result free."""
     model = free[0]
-    _, v, rel, iters, lam = _minimize(model.params, model.grid, TFWOptions(), t, free)
+    _, v, rel, iters, lam = _minimize(model.params, model.grid, t, free)
     return HartreeState(
         v=RadialField(model.grid, v, nonnegative=True),
         t=float(t),

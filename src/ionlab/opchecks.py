@@ -21,14 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ParameterError
-from .radial import (
-    RadialGrid,
-    RadialField,
-    ReducedOperator,
-    extremal_eigs,
-    multiplication_operator,
-    reduced_laplacian,
-)
+from .radial import RadialGrid, extremal_eigs, reduced_laplacian
 
 __all__ = [
     "InequalityReport",
@@ -110,18 +103,17 @@ def _filtered_extremal(matrix, grid: RadialGrid, which: str, k: int = 8):
     return float(vals[0]), skipped
 
 
-def symmetrized_product(a: ReducedOperator, b: ReducedOperator) -> ReducedOperator:
-    """a b + b a, the symmetrized operator product."""
-    m = a.matrix @ b.matrix + b.matrix @ a.matrix
-    return ReducedOperator(a.grid, m.tocsr())
+def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
+    """a b + b a, the symmetrized operator product, as CSR."""
+    return (a @ b + b @ a).tocsr()
 
 
 def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     """-Laplace >= 1/(4 |x|^2): smallest eigenvalue of A - 1/(4 r^2)."""
     tol = _check_tol(tol)
     a = reduced_laplacian(grid)
-    v = multiplication_operator(RadialField(grid, 1.0 / (4.0 * grid.r**2)))
-    val, skipped = _filtered_extremal((a - v).matrix, grid, "smallest")
+    v = scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
+    val, skipped = _filtered_extremal(a - v, grid, "smallest")
     return InequalityReport(
         name="hardy",
         extremal_eigenvalue=val,
@@ -138,10 +130,8 @@ def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     """(-Laplace)|x| + |x|(-Laplace) >= 0 via the symmetrized product."""
     tol = _check_tol(tol)
     a = reduced_laplacian(grid)
-    r_op = multiplication_operator(RadialField(grid, grid.r.copy()))
-    val, skipped = _filtered_extremal(
-        symmetrized_product(a, r_op).matrix, grid, "smallest"
-    )
+    r_op = scipy.sparse.diags(grid.r, format="csr")
+    val, skipped = _filtered_extremal(symmetrized_product(a, r_op), grid, "smallest")
     return InequalityReport(
         name="lieb_symmetrization",
         extremal_eigenvalue=val,
@@ -174,16 +164,16 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     """
     tol = _check_tol(tol)
     a = reduced_laplacian(grid)
-    r_op = multiplication_operator(RadialField(grid, grid.r.copy()))
-    r2_op = multiplication_operator(RadialField(grid, grid.r**2))
+    r_op = scipy.sparse.diags(grid.r, format="csr")
+    r2_op = scipy.sparse.diags(grid.r**2, format="csr")
     s_op = 0.5 * symmetrized_product(a, r2_op)
 
     ident = scipy.sparse.identity(grid.n, format="csr")
-    rar = (r_op.matrix @ a.matrix @ r_op.matrix).tocsr()
-    dev = s_op.matrix - (rar - ident)
-    rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.matrix.multiply(a.matrix)).sum())
+    rar = (r_op @ a @ r_op).tocsr()
+    dev = s_op - (rar - ident)
+    rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.multiply(a)).sum())
 
-    val, skipped = _filtered_extremal(s_op.matrix, grid, "smallest")
+    val, skipped = _filtered_extremal(s_op, grid, "smallest")
     passed = bool(rel_dev < 1e-8 and val >= bound - tol)
     return InequalityReport(
         name="ims_x2",
@@ -209,17 +199,17 @@ def commutator_with_diagonal(op: scipy.sparse.spmatrix, diag_values: np.ndarray)
     return scipy.sparse.csr_matrix((data, (coo.row, coo.col)), shape=op.shape)
 
 
-def double_commutator_matrix(grid: RadialGrid, power: int = 3) -> ReducedOperator:
+def double_commutator_matrix(grid: RadialGrid, power: int = 3) -> scipy.sparse.csr_matrix:
     """[Laplace, [Laplace, r^power]] restricted to the radial sector.
 
     Equal to [A, [A, r^power]] with A the reduced -Laplace; the double
     commutator is even in the sign of A.
     """
-    a = reduced_laplacian(grid).matrix
+    a = reduced_laplacian(grid)
     c1 = commutator_with_diagonal(a, grid.r ** float(power))
     m = a @ c1 - c1 @ a
     m = 0.5 * (m + m.T)
-    return ReducedOperator(grid, m.tocsr())
+    return m.tocsr()
 
 
 def _smooth_bump(t: np.ndarray) -> np.ndarray:
@@ -275,7 +265,7 @@ def check_double_commutator_cube(
     matches the continuum one to discretization accuracy.
     """
     tol = _check_tol(tol)
-    m = double_commutator_matrix(grid, power=power).matrix
+    m = double_commutator_matrix(grid, power=power)
     q = bump_dictionary(grid)
     mred = q.T @ (m @ q)
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))

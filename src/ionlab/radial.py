@@ -23,14 +23,12 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "RadialGrid",
     "RadialField",
-    "ReducedOperator",
     "make_log_grid",
     "field_from_function",
     "integrate_3d",
     "coulomb_potential",
     "newton_potential",
     "reduced_laplacian",
-    "multiplication_operator",
     "extremal_eigs",
 ]
 
@@ -130,9 +128,6 @@ class RadialField:
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.grid.n
-
 
 def field_from_function(grid: RadialGrid, fn, nonnegative: bool = False) -> RadialField:
     return RadialField(grid, np.asarray(fn(grid.r), dtype=float), nonnegative=nonnegative)
@@ -198,64 +193,16 @@ def newton_potential(rho: RadialField) -> RadialField:
     return coulomb_potential(RadialField(rho.grid, np.clip(rho.values, 0.0, None)))
 
 
-@dataclass(frozen=True)
-class ReducedOperator:
-    """Symmetric operator on reduced radial functions phi = r*f.
-
-    The matrix acts in the weighted representation psi_i =
-    sqrt(4 pi m_i) phi_i, in which the Euclidean inner product equals the
-    L2(R3) product of the underlying radial functions.  Multiplication
-    operators are diagonal and identical in both representations.
-    """
-
-    grid: RadialGrid
-    matrix: scipy.sparse.csr_matrix
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (self.grid.n, self.grid.n):
-            raise ParameterError("operator shape does not match grid")
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def apply_reduced(self, phi: np.ndarray) -> np.ndarray:
-        """Apply the operator to raw samples of phi = r*f."""
-        s = np.sqrt(4.0 * np.pi * self.grid.mass)
-        return (self.matrix @ (s * phi)) / s
-
-    def __add__(self, other: "ReducedOperator") -> "ReducedOperator":
-        return ReducedOperator(self.grid, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other: "ReducedOperator") -> "ReducedOperator":
-        return ReducedOperator(self.grid, (self.matrix - other.matrix).tocsr())
-
-    def __matmul__(self, other: "ReducedOperator") -> "ReducedOperator":
-        return ReducedOperator(self.grid, (self.matrix @ other.matrix).tocsr())
-
-    def __mul__(self, scalar: float) -> "ReducedOperator":
-        return ReducedOperator(self.grid, (self.matrix * float(scalar)).tocsr())
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ReducedOperator":
-        return self * (-1.0)
-
-
-def reduced_laplacian(grid: RadialGrid) -> ReducedOperator:
+def reduced_laplacian(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     """-d^2/dr^2 on phi = r*f with Dirichlet at both grid ends.
 
     Assembled as the piecewise-linear stiffness matrix, with ghost nodes
     extending the log spacing one step past each end where phi = 0, then
-    symmetrized against the lumped mass:  A = M^(-1/2) K M^(-1/2).
+    symmetrized against the lumped mass:  A = M^(-1/2) K M^(-1/2).  The
+    matrix acts in the weighted representation psi_i = sqrt(4 pi m_i) phi_i,
+    in which the Euclidean inner product equals the L2(R3) product of the
+    underlying radial functions.  Multiplication operators are diagonal and
+    identical in both representations.
     """
     r = grid.r
     n = grid.n
@@ -273,14 +220,7 @@ def reduced_laplacian(grid: RadialGrid) -> ReducedOperator:
     s = 1.0 / np.sqrt(grid.mass)
     main = diag * s * s
     off = -inv * s[:-1] * s[1:]
-    mat = scipy.sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-    return ReducedOperator(grid, mat)
-
-
-def multiplication_operator(g: RadialField) -> ReducedOperator:
-    """Diagonal operator g(r_i); commutes with any other multiplication."""
-    mat = scipy.sparse.diags([g.values], offsets=[0], format="csr")
-    return ReducedOperator(g.grid, mat)
+    return scipy.sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
 
 
 def _bandwidth(mat: scipy.sparse.spmatrix) -> int:
@@ -290,11 +230,7 @@ def _bandwidth(mat: scipy.sparse.spmatrix) -> int:
     return int(np.max(np.abs(coo.row - coo.col)))
 
 
-def extremal_eigs(
-    mat: scipy.sparse.spmatrix | np.ndarray,
-    k: int = 1,
-    which: str = "smallest",
-):
+def extremal_eigs(mat: scipy.sparse.spmatrix, k: int = 1, which: str = "smallest"):
     """k extremal eigenpairs of a symmetric tridiagonal (or diagonal)
     matrix, ascending order, by bisection plus inverse iteration (LAPACK
     stebz/stein), O(n k) in time and memory.  Wider bands are rejected.
@@ -302,19 +238,15 @@ def extremal_eigs(
     """
     if which not in ("smallest", "largest"):
         raise ParameterError(f"which must be 'smallest' or 'largest', got {which!r}")
-    if isinstance(mat, np.ndarray):
-        sp = scipy.sparse.csr_matrix(mat)
-    else:
-        sp = mat.tocsr()
-    bw = _bandwidth(sp)
+    bw = _bandwidth(mat)
     if bw > 1:
         raise ParameterError(f"extremal_eigs needs a tridiagonal matrix, got bandwidth {bw}")
-    n = sp.shape[0]
+    n = mat.shape[0]
     k = min(k, n)
     idx = (0, k - 1) if which == "smallest" else (n - k, n - 1)
     # stebz's default tolerance is eps * ||T||_1, far too loose on graded
     # matrices whose spectrum spans many decades; ask for full accuracy.
     return scipy.linalg.eigh_tridiagonal(
-        sp.diagonal(0), sp.diagonal(1), select="i", select_range=idx,
+        mat.diagonal(0), mat.diagonal(1), select="i", select_range=idx,
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
     )

@@ -77,9 +77,8 @@ class TFParams:
 @dataclass(frozen=True)
 class TFSolverOptions:
     # residual_tol bounds the L1 Euler-Lagrange defect, scaled by
-    # Z^(1/3) in solve_tf.  max_iter caps the Newton steps of each stage.
+    # Z^(1/3) in solve_tf.
     residual_tol: float = 1e-8
-    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def _newton(stage: str, grid: RadialGrid, params: TFParams, phi, opts, n_cap: fl
     q = 4.0 * np.pi * grid.w * grid.r**2
     sqrt_q = np.sqrt(q)
     sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
-    a = reduced_laplacian(grid).matrix
+    a = reduced_laplacian(grid)
     a_band = np.zeros((3, grid.n))
     a_band[0, 1:] = a_band[2, :-1] = a.diagonal(1)
     a_band[1] = a.diagonal()
@@ -240,7 +239,7 @@ def _newton(stage: str, grid: RadialGrid, params: TFParams, phi, opts, n_cap: fl
     # The residual norm is extensive and scales like Z^(1/3) under the
     # natural rescaling; keep the stopping rule equally strict at all Z.
     tol = opts.residual_tol * max(1.0, params.z) ** (1.0 / 3.0)
-    return newton_krylov(phi, defect, linearize, tol, opts.max_iter, stage, case)
+    return newton_krylov(phi, defect, linearize, tol, stage, case)
 
 
 def solve_tf(

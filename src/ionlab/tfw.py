@@ -50,7 +50,6 @@ from .tf import C_TF_DEFAULT, TFParams, solve_tf
 
 __all__ = [
     "TFWParams",
-    "TFWOptions",
     "TFWSolution",
     "MajorantCheck",
     "default_tfw_grid",
@@ -58,6 +57,10 @@ __all__ = [
     "excess_charge_sweep",
     "subharmonic_majorant_check",
 ]
+
+# Newton stops below this relative stationarity residual, which floors near
+# 2e-10 on the default grid.
+_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,6 @@ class TFWParams:
     def __post_init__(self):
         if self.z <= 0 or self.c_tf < 0 or self.c_w <= 0:
             raise ParameterError("Z and c_w must be positive and c_tf nonnegative")
-
-
-@dataclass(frozen=True)
-class TFWOptions:
-    # The relative stationarity residual floors near 2e-10 on the default
-    # grid.  max_iter caps the Newton steps of each solve; 6 to 21 were
-    # measured on the default grid for Z = 0.5 to 4096 and c_w = 0.1 to 1.
-    rel_residual_tol: float = 1e-9
-    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class _TFWModel:
     def __init__(self, params: TFWParams, grid: RadialGrid):
         self.params = params
         self.grid = grid
-        self.a = reduced_laplacian(grid).matrix
+        self.a = reduced_laplacian(grid)
         self.sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
         self.wm = grid.w / grid.mass  # mass = sum wm psi^2
         # A in LAPACK band storage: superdiagonal, diagonal, subdiagonal.
@@ -168,7 +162,7 @@ class _TFWModel:
         tf0 = solve_tf(TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf), self.grid)
         return np.sqrt(np.clip(tf0.rho.values, 0.0, None)) + 1e-30
 
-    def newton(self, u: np.ndarray, cap: float | None, opts: TFWOptions, stage: str):
+    def newton(self, u: np.ndarray, cap: float | None, stage: str):
         """Newton-GMRES on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
 
         Without a cap lambda = 0.  Under a cap lambda is a second unknown,
@@ -246,13 +240,11 @@ class _TFWModel:
             return jac, precond, step
 
         case = f"Z={self.params.z:g}" + ("" if cap is None else f", N={cap:g}")
-        x, _, rel, steps = newton_krylov(
-            x, defect, linearize, opts.rel_residual_tol, opts.max_iter, stage, case
-        )
+        x, _, rel, steps = newton_krylov(x, defect, linearize, _RESIDUAL_TOL, stage, case)
         return x[:n] / self.sr, (float(x[n]) if cap is not None else 0.0), rel, steps
 
 
-def _minimize(params: TFWParams, grid: RadialGrid, opts: TFWOptions, cap=None, free=None):
+def _minimize(params: TFWParams, grid: RadialGrid, cap=None, free=None):
     """The minimizer at charge params.z under an optional mass cap: the one
     driver of the gradient-corrected and product-state solves.
 
@@ -264,23 +256,17 @@ def _minimize(params: TFWParams, grid: RadialGrid, opts: TFWOptions, cap=None, f
     """
     if free is None:
         model = _TFWModel(params, grid)
-        u, lam, rel, steps = model.newton(model.seed(), None, opts, "unconstrained stage")
+        u, lam, rel, steps = model.newton(model.seed(), None, "unconstrained stage")
         free = (model, u, rel, steps, lam)
     model, u, rel, steps, lam = free
     mass = model.mass(u)
     if cap is not None and mass > cap:
-        u, lam, rel, more = model.newton(
-            np.sqrt(cap / mass) * u, cap, opts, "constrained stage"
-        )
+        u, lam, rel, more = model.newton(np.sqrt(cap / mass) * u, cap, "constrained stage")
         steps += more
     return model, u, rel, steps, lam
 
 
-def solve_tfw(
-    params: TFWParams,
-    grid: RadialGrid | None = None,
-    opts: TFWOptions | None = None,
-) -> TFWSolution:
+def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
     """Fully unconstrained minimizer; its mass is the critical particle
     number n_c and q = n_c - Z > 0 is the excess charge.
 
@@ -288,7 +274,7 @@ def solve_tfw(
     not depend on any other charge.
     """
     grid = grid if grid is not None else default_tfw_grid()
-    model, u, rel, steps, _ = _minimize(params, grid, opts or TFWOptions())
+    model, u, rel, steps, _ = _minimize(params, grid)
     n_c = model.mass(u)
     vh = model.coulomb(u)
     return TFWSolution(
@@ -308,7 +294,6 @@ def excess_charge_sweep(
     c_tf: float = C_TF_DEFAULT,
     c_w: float = 1.0,
     grid: RadialGrid | None = None,
-    opts: TFWOptions | None = None,
 ):
     """Rows (z, q, u(1), phi(1)) over increasing charges, each row the
     ``solve_tfw`` answer at its charge.
@@ -322,11 +307,10 @@ def excess_charge_sweep(
     if any(z <= 0 for z in zs) or sorted(zs) != zs or len(set(zs)) != len(zs):
         raise ParameterError("charges must be positive and strictly increasing")
     grid = grid if grid is not None else default_tfw_grid()
-    opts = opts or TFWOptions()
 
     rows = []
     for z in zs:
-        model, u, _, _, _ = _minimize(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid, opts)
+        model, u, _, _, _ = _minimize(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid)
         u1 = float(np.interp(1.0, grid.r, u))
         phi1 = float(np.interp(1.0, grid.r, model.phi_of(u)))
         rows.append((z, model.mass(u) - z, u1, phi1))

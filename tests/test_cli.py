@@ -28,6 +28,19 @@ class TestRunConfig:
         with pytest.raises(ParameterError):
             cli.RunConfig(command="drop", format="yaml")
 
+    @pytest.mark.parametrize(
+        "command, key", [(c, k) for c, schema in cli._SCHEMAS.items() for k in schema]
+    )
+    def test_every_schema_key_has_its_flag(self, command, key):
+        conv = cli._SCHEMAS[command][key]
+        arg, expected = {
+            bool: ([], True), int: (["3"], 3), float: (["0.5"], 0.5),
+            str: (["hardy"], "hardy"), "float_list": (["1,2"], [1.0, 2.0]),
+        }[conv]
+        flag = "--" + key.replace("_", "-")
+        args = cli._build_parser().parse_args([command, flag, *arg])
+        assert cli._config_from_args(args).parameters == {key: expected}
+
 
 class TestRunAndEmit:
     def test_drop_dispatch(self):
@@ -122,6 +135,26 @@ class TestMainExitCodes:
         assert cli.main(["drop", "--m", "3", "--split", "0.5"]) == 0
         parsed = json.loads(capsysbinary.readouterr().out.decode())
         assert parsed["payload"]["binding_gap_bound"] > 0
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("tf", '{"Z": "abc"}'),
+            ("tfw", '{"sweep": 4}'),
+            ("hf", '{"scan": "no"}'),
+            ("beta", '{"n": 2.7}'),
+            ("beta", '{"n": true}'),
+            ("tf", "[1, 2]"),
+            ("tf", '{"Z": 1'),
+        ],
+    )
+    def test_malformed_config_file_exit_2(self, tmp_path, capsysbinary, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert b"ionlab: " in captured.err
 
     def test_convergence_error_exit_3(self):
         # unreachable residual tolerance on a tiny grid
@@ -234,6 +267,24 @@ class TestLazyImports:
             "solve_tfw ConvergenceError",
             "solve_tf False",
         ]
+
+    def test_every_module_resolves_as_attribute(self):
+        """Every module but the entry point loads lazily, the Newton driver
+        included: a fresh ``import ionlab`` resolves ``ionlab.krylov``."""
+        import pkgutil
+
+        import ionlab
+
+        names = {m.name for m in pkgutil.iter_modules(ionlab.__path__)}
+        assert names - {"cli", "errors"} == set(ionlab._SUBMODULES)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import ionlab; print(ionlab.krylov.__name__)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "ionlab.krylov\n"
 
     def test_unknown_attribute_raises(self):
         import ionlab

@@ -109,9 +109,9 @@ class TestCriticalMass:
         caps = []
         newton = ionlab.tfw._TFWModel.newton
 
-        def counted(self, u, cap, opts, stage):
+        def counted(self, u, cap, stage):
             caps.append(cap)
-            return newton(self, u, cap, opts, stage)
+            return newton(self, u, cap, stage)
 
         monkeypatch.setattr(ionlab.tfw._TFWModel, "newton", counted)
         tc = compute_tc(grid)

@@ -13,7 +13,6 @@ from ionlab.radial import (
     field_from_function,
     integrate_3d,
     make_log_grid,
-    multiplication_operator,
     newton_potential,
     reduced_laplacian,
 )
@@ -150,29 +149,27 @@ class TestNewtonPotential:
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
         a = reduced_laplacian(default_grid)
-        v = multiplication_operator(
-            field_from_function(default_grid, lambda r: -1.0 / r)
-        )
-        vals, _ = extremal_eigs((a + v).matrix, k=1, which="smallest")
+        v = scipy.sparse.diags(-1.0 / default_grid.r, format="csr")
+        vals, _ = extremal_eigs(a + v, k=1, which="smallest")
         assert vals[0] == pytest.approx(-0.25, abs=1e-3)
 
     def test_symmetry_exact(self, default_grid):
-        assert reduced_laplacian(default_grid).symmetry_defect() == 0.0
+        a = reduced_laplacian(default_grid)
+        assert (a != a.T).nnz == 0
 
     def test_annihilates_linear_reduced_functions(self, default_grid):
         a = reduced_laplacian(default_grid)
-        out = a.apply_reduced(3.7 * default_grid.r)
-        scale = np.max(np.abs(a.matrix.diagonal()))
+        s = np.sqrt(4.0 * np.pi * default_grid.mass)
+        out = (a @ (s * 3.7 * default_grid.r)) / s
+        scale = np.max(np.abs(a.diagonal()))
         assert np.max(np.abs(out[1:-1])) < 1e-12 * scale
 
     def test_doubling_n_halves_hydrogen_error(self):
         errors = []
         for n in (32, 64, 128, 256):
             g = make_log_grid(1e-4, 1e2, n)
-            h = reduced_laplacian(g) + multiplication_operator(
-                field_from_function(g, lambda r: -1.0 / r)
-            )
-            vals, _ = extremal_eigs(h.matrix, k=1, which="smallest")
+            h = reduced_laplacian(g) + scipy.sparse.diags(-1.0 / g.r, format="csr")
+            vals, _ = extremal_eigs(h, k=1, which="smallest")
             errors.append(abs(vals[0] + 0.25))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
@@ -183,9 +180,7 @@ class TestExtremalEigs:
 
     @staticmethod
     def _hardy(grid):
-        a = reduced_laplacian(grid)
-        v = multiplication_operator(RadialField(grid, 1.0 / (4.0 * grid.r**2)))
-        return (a - v).matrix
+        return reduced_laplacian(grid) - scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
 
     @pytest.mark.parametrize("which", ["smallest", "largest"])
     @pytest.mark.parametrize("kind", ["hardy", "diagonal"])
@@ -196,7 +191,7 @@ class TestExtremalEigs:
         g = make_log_grid(1.0, 10.0, 400)
         mat = self._hardy(g)
         if kind == "diagonal":
-            mat = multiplication_operator(RadialField(g, np.log(g.r) ** 2)).matrix
+            mat = scipy.sparse.diags(np.log(g.r) ** 2, format="csr")
         vals, vecs = extremal_eigs(mat, k=8, which=which)
         idx = (0, 7) if which == "smallest" else (392, 399)
         ref_vals, ref_vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=idx)
@@ -218,26 +213,6 @@ class TestExtremalEigs:
         band = np.vstack([np.concatenate(([0.0], mat.diagonal(1))), mat.diagonal(0)])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
-
-
-class TestMultiplicationOperator:
-    def test_identity(self, coarse_grid):
-        op = multiplication_operator(RadialField(coarse_grid, np.ones(coarse_grid.n)))
-        dense = op.to_dense()
-        assert np.array_equal(dense, np.eye(coarse_grid.n))
-
-    def test_acts_pointwise(self, coarse_grid):
-        g = coarse_grid
-        op = multiplication_operator(RadialField(g, g.r.copy()))
-        phi = np.exp(-g.r)
-        assert np.allclose(op.apply_reduced(phi), g.r * np.exp(-g.r), rtol=1e-14)
-
-    def test_products_commute(self, coarse_grid):
-        g = coarse_grid
-        op1 = multiplication_operator(field_from_function(g, lambda r: r))
-        op2 = multiplication_operator(field_from_function(g, lambda r: np.exp(-r)))
-        d = (op1 @ op2 - op2 @ op1).matrix
-        assert d.nnz == 0 or np.max(np.abs(d.data)) == 0.0
 
 
 def test_field_length_mismatch_rejected(coarse_grid):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ionlab.krylov
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, field_from_function, integrate_3d, make_log_grid
 from ionlab.tf import (
@@ -40,10 +41,11 @@ class TestMaximumIonization:
         assert ionized.mu * (0.7 - ionized.mass) == pytest.approx(0.0, abs=1e-9)
         assert ionized.mass <= 0.7 * (1 + 1e-9)
 
-    def test_stall_names_stage_and_charges(self, small_grid):
+    def test_stall_names_stage_and_charges(self, monkeypatch, small_grid):
         params = TFParams(z=1.0, n_electrons=1.0)
+        monkeypatch.setattr(ionlab.krylov, "MAX_NEWTON_STEPS", 3)
         with pytest.raises(ConvergenceError, match=r"stage stalled .*\(Z=1, N=1\)"):
-            solve_tf(params, small_grid, TFSolverOptions(max_iter=3))
+            solve_tf(params, small_grid)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import ionlab.krylov
 import ionlab.tfw
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log_grid
 from ionlab.tfw import (
-    TFWOptions,
     TFWParams,
     TFWSolution,
     _minimize,
@@ -91,9 +91,10 @@ class TestExcessCharge:
                 float(np.interp(1.0, r, sol.phi.values)),
             )
 
-    def test_rung_that_misses_tolerance_names_its_charge(self):
+    def test_rung_that_misses_tolerance_names_its_charge(self, monkeypatch):
+        monkeypatch.setattr(ionlab.krylov, "MAX_NEWTON_STEPS", 5)
         with pytest.raises(ConvergenceError, match=r"Z=1\b"):
-            excess_charge_sweep([1.0, 4.0], opts=TFWOptions(max_iter=5))
+            excess_charge_sweep([1.0, 4.0])
 
 
 class TestStationarity:
@@ -132,8 +133,8 @@ class TestStationarity:
         monkeypatch.setattr(
             ionlab.tfw, "coulomb_potential", counted("signed", ionlab.tfw.coulomb_potential)
         )
-        _, _, rel, steps, _ = _minimize(params, default_tfw_grid(), TFWOptions(), cap)
-        assert rel < TFWOptions().rel_residual_tol
+        _, _, rel, steps, _ = _minimize(params, default_tfw_grid(), cap)
+        assert rel < ionlab.tfw._RESIDUAL_TOL
         assert counts["density"] > steps
         assert counts["signed"] >= steps
         assert counts["density"] + counts["signed"] <= 10 * steps
@@ -190,7 +191,7 @@ class TestDenseOracle:
     )
     def test_agrees_with_dense_newton(self, params, cap):
         grid = make_log_grid(1e-4, 100.0, 300)
-        model, u, _, _, lam = _minimize(params, grid, TFWOptions(), cap)
+        model, u, _, _, lam = _minimize(params, grid, cap)
         # The dense iteration starts from the seed (rescaled onto the cap),
         # not from the solver's answer.
         u_ref, lam_ref = self._dense_newton(model, model.seed(), cap)
