@@ -23,8 +23,8 @@ from .errors import (  # noqa: F401
 )
 
 # Submodules load on first attribute access (PEP 562), so ``import ionlab``
-# and a CLI command pay only for the solvers they use: ``classical`` and
-# ``drop`` alone pull in scipy.optimize.
+# and a CLI command pay only for the solvers they use.  ``classical``,
+# ``drop`` and ``hf`` import scipy inside the few functions that call it.
 _SUBMODULES = (
     "classical", "drop", "hartree", "hf", "krylov", "opchecks", "radial", "tf", "tfw",
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, ParameterError
 
@@ -114,6 +113,8 @@ def beta_optimize(n: int, restarts: int = 10, seed: int = 0):
     value never exceeds the sphere's (which tends to 1 from below).
     Returns (best_value, best_config).
     """
+    import scipy.optimize
+
     if n < 2:
         raise ParameterError("beta_optimize needs n >= 2")
     if restarts < 1:
@@ -167,6 +168,8 @@ def pair_infimum_scan(samples: int, seed: int = 0):
     Returns (min_found, argmin) with argmin a (2, 3) array.  The
     functional is bounded below by 1/2, attained on antipodal pairs.
     """
+    import scipy.optimize
+
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     rng = np.random.default_rng(seed)

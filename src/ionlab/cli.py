@@ -5,8 +5,9 @@ produces a RunReport whose payload serializes deterministically: same
 config and seed give byte-identical output.  Floats are printed with 17
 significant digits, which round-trips 64-bit values exactly.
 
-Exit codes: 0 success, 2 validation error, 3 convergence failure,
-4 capacity overrun.
+Exit codes: 0 success, 2 validation error (an unreadable --config file
+or an unwritable --out path included), 3 convergence failure, 4 capacity
+overrun.
 """
 
 from __future__ import annotations
@@ -450,11 +451,13 @@ def _config_from_args(args) -> RunConfig:
     reserved = {"command", "seed", "out", "format", "config"}
     params = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 params.update(json.load(fh))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"config {args.config} is not a JSON object: {exc}") from None
+        except OSError as exc:
+            raise ParameterError(f"cannot read config {args.config}: {exc.strerror}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"config {args.config} is not a JSON object: {exc}") from None
     for key, value in vars(args).items():
         if key in reserved or value is None or value is False:
             continue
@@ -487,15 +490,19 @@ def main(argv=None) -> int:
             return EXIT_CAPACITY
         print(f"ionlab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if config.output_path:
+        try:
+            with open(config.output_path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            print(f"ionlab: cannot write {config.output_path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_VALIDATION
+    else:
+        sys.stdout.buffer.write(data)
     print(
         f"ionlab: {config.command} finished in {report.timings['elapsed_s']}s",
         file=sys.stderr,
     )
-    if config.output_path:
-        with open(config.output_path, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
     return EXIT_OK
 
 

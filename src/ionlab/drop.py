@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, ParameterError
 
@@ -128,6 +127,8 @@ def mstar() -> float:
 def mstar_from_splitting() -> float:
     """Root of E(m) = 2 E(m/2): where one ball ties two half-volume balls
     at infinite separation.  Independent numerical route to mstar()."""
+    import scipy.optimize
+
     gap = lambda m: ball_energy(m).total - 2.0 * ball_energy(0.5 * m).total
     return float(scipy.optimize.brentq(gap, 1.0, 8.0, xtol=1e-13, rtol=1e-15))
 
@@ -149,6 +150,8 @@ def minimize_f():
     Bracketing alone stalls at the sqrt(eps) floor of the flat quadratic
     minimum; one parabolic vertex step recovers full precision.
     """
+    import scipy.optimize
+
     res = scipy.optimize.minimize_scalar(
         f_of_s, bounds=(1e-9, 1.0 - 1e-9), method="bounded",
         options={"xatol": 1e-12},

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import BasisError, CapacityError, ConvergenceError, ParameterError
 
@@ -48,6 +46,8 @@ SECTOR_CAP = 1_000_000
 
 def boys_f0(t):
     """F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), continuously 1 at t = 0."""
+    import scipy.special
+
     t = np.asarray(t, dtype=float)
     out = np.ones_like(t)
     m = t > 1e-13
@@ -96,9 +96,10 @@ def build_sgauss_basis(z: float, exponents) -> OneBodyBasis:
     """s-type Gaussian shells exp(-a r^2) on a single center.
 
     All integrals are closed forms; the two-body ones reduce to the
-    F0 Boys integral at zero argument for concentric shells.  The basis
-    is symmetrically (Loewdin) orthonormalized; near-linear dependence
-    (overlap condition number above 1e10) is rejected.
+    F0 Boys integral at zero argument for concentric shells, where
+    F0(0) = 1, so that factor drops out.  The basis is symmetrically
+    (Loewdin) orthonormalized; near-linear dependence (overlap condition
+    number above 1e10) is rejected.
     """
     if z <= 0:
         raise ParameterError(f"charge must be positive, got {z}")
@@ -118,11 +119,7 @@ def build_sgauss_basis(z: float, exponents) -> OneBodyBasis:
         raise BasisError(f"overlap condition number {cond:.2e} exceeds 1e10")
 
     pq = p[:, :, None, None] + p[None, None, :, :]
-    eri = (
-        2.0 * np.pi**2.5
-        / (p[:, :, None, None] * p[None, None, :, :] * np.sqrt(pq))
-        * boys_f0(np.zeros_like(pq))
-    )
+    eri = 2.0 * np.pi**2.5 / (p[:, :, None, None] * p[None, None, :, :] * np.sqrt(pq))
     eri = (
         eri
         * norms[:, None, None, None]
@@ -403,7 +400,7 @@ def exact_diagonalization(basis: OneBodyBasis, n: int) -> float:
     if n == 0:
         return 0.0
     h = _sector_hamiltonian(basis, n)
-    return float(scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0])
+    return float(np.linalg.eigvalsh(h)[0])
 
 
 def spectrum_scan(basis: OneBodyBasis, tol: float = 1e-10) -> FockSpectrum:

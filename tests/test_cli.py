@@ -174,6 +174,22 @@ class TestMainExitCodes:
         assert cli.main(["drop", "--m", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["payload"]["m"] == 2
 
+    def test_missing_config_file_exit_2(self, tmp_path, capsysbinary):
+        missing = tmp_path / "absent.json"
+        assert cli.main(["drop", "--config", str(missing)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ionlab: cannot read config ")
+
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsysbinary):
+        out = tmp_path / "no_such_dir" / "report.json"
+        assert cli.main(["drop", "--m", "2", "--out", str(out)]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ionlab: cannot write ")
+        assert b"finished" not in captured.err
+        assert not out.parent.exists()
+
     def test_seed_changes_payload(self):
         a = cli.emit(cli.run(cli.RunConfig(command="pairinf", parameters={"samples": 50}, seed=1)))
         b = cli.emit(cli.run(cli.RunConfig(command="pairinf", parameters={"samples": 50}, seed=2)))
@@ -244,6 +260,17 @@ class TestHelpers:
             assert float(cli._fmt(x)) == x
 
 
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this ionlab."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+
+
 class TestLazyImports:
     def test_import_leaves_solvers_unloaded(self):
         """A fresh ``import ionlab`` loads no solver module and no
@@ -255,13 +282,7 @@ class TestLazyImports:
             "from ionlab import tf\n"
             "print(tf.solve_tf.__name__, 'scipy.optimize' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True,
-        ).stdout.split("\n")
+        out = _fresh_python(code).split("\n")
         assert out[:3] == [
             "False False",
             "solve_tfw ConvergenceError",
@@ -277,14 +298,27 @@ class TestLazyImports:
 
         names = {m.name for m in pkgutil.iter_modules(ionlab.__path__)}
         assert names - {"cli", "errors"} == set(ionlab._SUBMODULES)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", "import ionlab; print(ionlab.krylov.__name__)"],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
+        out = _fresh_python("import ionlab; print(ionlab.krylov.__name__)")
         assert out == "ionlab.krylov\n"
+
+    def test_numpy_only_commands_load_no_scipy(self):
+        """The point-charge, liquid-drop and finite-basis commands run on
+        numpy alone; the commands that optimize still find scipy.optimize
+        where they import it."""
+        code = (
+            "import json, sys\n"
+            "from ionlab import cli\n"
+            "argvs = ['drop --check-identities', 'sigal', 'hf --n 2', 'hf --scan']\n"
+            "codes = [cli.main(a.split()) for a in argvs]\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "later = [cli.main(a.split()) for a in\n"
+            "         ['beta --n 4 --restarts 1', 'pairinf --samples 10']]\n"
+            "print(json.dumps([codes, scipy, later]))\n"
+        )
+        codes, scipy_modules, later = json.loads(_fresh_python(code).splitlines()[-1])
+        assert codes == [0, 0, 0, 0]
+        assert scipy_modules == []
+        assert later == [0, 0]
 
     def test_unknown_attribute_raises(self):
         import ionlab

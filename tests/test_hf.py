@@ -65,6 +65,31 @@ class TestBasisConstruction:
         # series check near zero: F0(t) ~ 1 - t/3
         assert boys_f0(1e-4) == pytest.approx(1 - 1e-4 / 3, abs=1e-9)
 
+    def test_eri_equal_the_formula_with_its_boys_factor(self, rng):
+        """Leaving out the F0(0) = 1 factor changes no bit of the ERIs."""
+        for d in range(1, 7):
+            a = np.sort(0.08 * 3.1 ** np.arange(d) * np.exp(rng.uniform(-0.25, 0.25, d)))
+            norms = (2.0 * a / np.pi) ** 0.75
+            p = a[:, None] + a[None, :]
+            pq = p[:, :, None, None] + p[None, None, :, :]
+            eri = (
+                2.0 * np.pi**2.5
+                / (p[:, :, None, None] * p[None, None, :, :] * np.sqrt(pq))
+                * boys_f0(np.zeros_like(pq))
+            )
+            eri = (
+                eri
+                * norms[:, None, None, None]
+                * norms[None, :, None, None]
+                * norms[None, None, :, None]
+                * norms[None, None, None, :]
+            )
+            s = (np.pi / p) ** 1.5 * norms[:, None] * norms[None, :]
+            evals, evecs = np.linalg.eigh(s)
+            x = evecs @ np.diag(evals**-0.5) @ evecs.T
+            eri = np.einsum("pi,qj,rk,sl,pqrs->ijkl", x, x, x, x, eri, optimize=True)
+            assert np.array_equal(build_sgauss_basis(1.0, a).eri, eri)
+
     def test_interaction_positive_semidefinite(self, helium_like, rng):
         for _ in range(10):
             m = rng.normal(size=(3, 3))
@@ -248,6 +273,19 @@ class TestExactDiagonalization:
 
     def test_empty_sector(self, helium_like):
         assert exact_diagonalization(helium_like, 0) == 0.0
+
+    def test_matches_subset_eigensolver(self, rng):
+        """The full symmetric eigensolve gives the lowest eigenvalue that
+        LAPACK's subset solver (evr, index 0 only) gives, in every sector."""
+        import scipy.linalg
+
+        for d in range(2, 7):
+            for _ in range(3):
+                basis = random_basis(rng, d)
+                for n in range(1, d + 1):
+                    h = ionlab.hf._sector_hamiltonian(basis, n)
+                    ref = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0]
+                    assert exact_diagonalization(basis, n) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSpectrumScan:
