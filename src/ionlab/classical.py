@@ -5,10 +5,18 @@ symmetrization ratio.
 All functionals here are homogeneous of degree zero, so values are
 invariant under uniform rescaling of a configuration; optimizers exploit
 this by renormalizing the scale freely.
+
+beta_optimize and pair_infimum_scan descend with the in-module L-BFGS
+``_lbfgs`` (memory 10, Armijo backtracking that also rejects non-finite
+trial values), on analytic gradients and NumPy alone.  It stops when the
+max-abs gradient is <= 1e-10, when one step lowers the value by
+<= 2.22e-9 * max(|f|, 1) (the default factr * eps of L-BFGS-B), or after
+500 iterations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,22 +87,73 @@ def beta_value(config: PointConfig) -> float:
 
 
 def _beta_value_grad(flat: np.ndarray, n: int):
-    p = flat.reshape(n, 3)
-    r = np.linalg.norm(p, axis=1)
-    diff = p[:, None, :] - p[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
-    np.fill_diagonal(d, np.inf)
-    rsq = r[:, None] ** 2 + r[None, :] ** 2
-    num = 0.5 * np.sum(rsq / d)
-    den = n * np.sum(r)
-    val = num / den
+    """beta_value and its gradient in the flattened coordinates.
 
-    inv_d = 1.0 / d
-    grad_num = 2.0 * p * np.sum(inv_d, axis=1)[:, None]
-    grad_num -= np.einsum("ij,ijk->ik", rsq * inv_d**3, diff)
-    grad_den = n * p / r[:, None]
-    grad = (grad_num - val * grad_den) / den
+    Distances come from the Gram matrix p p^T and the pair-force sum is
+    w @ p, so no (n, n, 3) difference tensor is formed.
+    """
+    p = flat.reshape(n, 3)
+    gram = p @ p.T
+    r2 = gram.diagonal().copy()
+    rsq = r2[:, None] + r2[None, :]
+    d2 = rsq - 2.0 * gram
+    np.fill_diagonal(d2, np.inf)
+    inv_d = 1.0 / np.sqrt(d2)
+    r = np.sqrt(r2)
+    den = n * np.sum(r)
+    val = 0.5 * np.sum(rsq * inv_d) / den
+
+    w = rsq * inv_d**3
+    grad_num = p * (2.0 * np.sum(inv_d, axis=1) - np.sum(w, axis=1))[:, None] + w @ p
+    grad = (grad_num - val * n * p / r[:, None]) / den
     return val, grad.ravel()
+
+
+def _lbfgs(fun_grad, x0: np.ndarray):
+    """Minimize a smooth function by L-BFGS; returns (x, value).
+
+    fun_grad(x) returns (value, gradient).  Each step backtracks by
+    halving from the full quasi-Newton step (from min(1, 1/|g|) while the
+    memory is empty) until the Armijo condition holds, and gives up after
+    60 halvings.  The stopping rule is the one in the module docstring.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun_grad(x)
+    memory = deque(maxlen=10)  # (s, y, 1 / s.y), oldest first
+    for _ in range(500):
+        if np.max(np.abs(g)) <= 1e-10:
+            break
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(memory):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if memory:
+            s, y, rho = memory[-1]
+            q /= rho * (y @ y)
+            t = 1.0
+        else:
+            t = min(1.0, 1.0 / np.linalg.norm(g))
+        for (s, y, rho), a in zip(memory, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        slope = -(g @ q)
+        for _ in range(60):
+            x_new = x - t * q
+            f_new, g_new = fun_grad(x_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > np.finfo(float).eps * (y @ y):
+            memory.append((s, y, 1.0 / sy))
+        small_step = f - f_new <= 2.22e-9 * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if small_step:
+            break
+    return x, float(f)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -106,6 +165,17 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
+def _beta_starts(n: int, restarts: int, seed: int) -> list[np.ndarray]:
+    """The Fibonacci sphere, then restarts - 1 random (n, 3) starts."""
+    rng = np.random.default_rng(seed)
+    starts = [fibonacci_sphere(n)]
+    for _ in range(restarts - 1):
+        pts = rng.normal(size=(n, 3))
+        pts /= np.maximum(np.linalg.norm(pts, axis=1)[:, None], 0.3)
+        starts.append(pts)
+    return starts
+
+
 def beta_optimize(n: int, restarts: int = 10, seed: int = 0):
     """Local minimization of beta_value with random restarts.
 
@@ -113,31 +183,15 @@ def beta_optimize(n: int, restarts: int = 10, seed: int = 0):
     value never exceeds the sphere's (which tends to 1 from below).
     Returns (best_value, best_config).
     """
-    import scipy.optimize
-
     if n < 2:
         raise ParameterError("beta_optimize needs n >= 2")
     if restarts < 1:
         raise ParameterError("need at least one restart")
-    rng = np.random.default_rng(seed)
-    starts = [fibonacci_sphere(n)]
-    for _ in range(restarts - 1):
-        pts = rng.normal(size=(n, 3))
-        pts /= np.maximum(np.linalg.norm(pts, axis=1)[:, None], 0.3)
-        starts.append(pts)
-
     best_val, best_pts = np.inf, None
-    for pts in starts:
-        res = scipy.optimize.minimize(
-            _beta_value_grad,
-            pts.ravel(),
-            args=(n,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "gtol": 1e-10},
-        )
-        if res.fun < best_val:
-            best_val, best_pts = float(res.fun), res.x.reshape(n, 3)
+    for pts in _beta_starts(n, restarts, seed):
+        x, val = _lbfgs(lambda flat: _beta_value_grad(flat, n), pts.ravel())
+        if val < best_val:
+            best_val, best_pts = val, x.reshape(n, 3)
     scale = np.mean(np.linalg.norm(best_pts, axis=1))
     return best_val, PointConfig(best_pts / scale)
 
@@ -154,12 +208,19 @@ def pair_infimum(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(u, d) / dist**3)
 
 
-def _pair_objective(flat: np.ndarray) -> float:
+def _pair_value_grad(flat: np.ndarray):
+    """pair_infimum at (x, y) = flat[:3], flat[3:] and its gradient."""
     x, y = flat[:3], flat[3:]
-    d = np.linalg.norm(x - y)
-    if d < 1e-8:
-        return 1e6
-    return pair_infimum(x, y)
+    d = x - y
+    rx, ry = np.linalg.norm(x), np.linalg.norm(y)
+    u = rx * x - ry * y
+    ud = u @ d
+    dist2 = d @ d
+    inv_d3 = dist2**-1.5
+    force = 3.0 * ud * inv_d3 / dist2 * d
+    gx = (rx * d + (x @ d) / rx * x + u) * inv_d3 - force
+    gy = force - (ry * d + (y @ d) / ry * y + u) * inv_d3
+    return ud * inv_d3, np.concatenate([gx, gy])
 
 
 def pair_infimum_scan(samples: int, seed: int = 0):
@@ -168,8 +229,6 @@ def pair_infimum_scan(samples: int, seed: int = 0):
     Returns (min_found, argmin) with argmin a (2, 3) array.  The
     functional is bounded below by 1/2, attained on antipodal pairs.
     """
-    import scipy.optimize
-
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -186,12 +245,9 @@ def pair_infimum_scan(samples: int, seed: int = 0):
     best_val = float(vals[order[0]])
     best_arg = np.concatenate([x[order[0]], y[order[0]]])
     for idx in order[: min(8, samples)]:
-        res = scipy.optimize.minimize(
-            _pair_objective, np.concatenate([x[idx], y[idx]]), method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        if res.fun < best_val:
-            best_val, best_arg = float(res.fun), res.x
+        arg, val = _lbfgs(_pair_value_grad, np.concatenate([x[idx], y[idx]]))
+        if val < best_val:
+            best_val, best_arg = val, arg
     return best_val, best_arg.reshape(2, 3)
 
 

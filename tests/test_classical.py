@@ -5,6 +5,10 @@ from hypothesis import strategies as st
 
 from ionlab.classical import (
     PointConfig,
+    _beta_starts,
+    _beta_value_grad,
+    _lbfgs,
+    _pair_value_grad,
     beta_optimize,
     beta_value,
     fibonacci_sphere,
@@ -57,6 +61,71 @@ class TestBetaValue:
             PointConfig(np.array([[1.0, 0, 0], [1.0, 0, 0]]))
 
 
+def _central_difference(fun, x, h=1e-6):
+    grad = np.empty_like(x)
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        grad[k] = (fun(x + e) - fun(x - e)) / (2 * h)
+    return grad
+
+
+class TestGradients:
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    def test_beta_gradient_matches_central_differences(self, rng, n):
+        pts = rng.normal(size=(n, 3))
+        val, grad = _beta_value_grad(pts.ravel(), n)
+        assert val == pytest.approx(beta_value(PointConfig(pts)), rel=1e-12)
+        fd = _central_difference(lambda v: _beta_value_grad(v, n)[0], pts.ravel())
+        assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
+
+    def test_pair_gradient_matches_central_differences(self, rng):
+        for _ in range(5):
+            flat = rng.normal(size=6)
+            val, grad = _pair_value_grad(flat)
+            assert val == pytest.approx(pair_infimum(flat[:3], flat[3:]), rel=1e-12)
+            fd = _central_difference(lambda v: _pair_value_grad(v)[0], flat)
+            assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
+
+
+class TestLbfgs:
+    def test_quadratic_reaches_gradient_stop(self):
+        b = np.arange(5.0)
+        x, val = _lbfgs(lambda v: (1.5 * v @ v - b @ v, 3.0 * v - b), np.zeros(5))
+        assert np.max(np.abs(3.0 * x - b)) <= 1e-10
+        assert val == pytest.approx(-b @ b / 6.0, rel=1e-14)
+
+    def test_rosenbrock_minimizer(self):
+        # From the classic start the relative-decrease rule ends the descent
+        # at a max-abs gradient of about 3e-7, before the 1e-10 gradient stop.
+        def rosen(v):
+            a, b = v
+            return (1 - a) ** 2 + 100 * (b - a * a) ** 2, np.array(
+                [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]
+            )
+
+        x, val = _lbfgs(rosen, np.array([-1.2, 1.0]))
+        assert np.max(np.abs(x - 1.0)) < 1e-6
+        assert val < 1e-12
+        assert np.max(np.abs(rosen(x)[1])) < 1e-5
+
+    def test_backtracks_from_non_finite_trial(self):
+        # The secant step from x = 10 overshoots into x < 0, where the
+        # objective is infinite; backtracking must recover the minimum x = 1.
+        trials = []
+
+        def fun_grad(v):
+            trials.append(v[0])
+            if v[0] <= 0:
+                return np.inf, np.array([np.nan])
+            return v[0] + 1 / v[0], np.array([1 - v[0] ** -2])
+
+        x, val = _lbfgs(fun_grad, np.array([10.0]))
+        assert min(trials) < 0
+        assert x[0] == pytest.approx(1.0, abs=1e-6)
+        assert val == pytest.approx(2.0, abs=1e-12)
+
+
 class TestBetaOptimize:
     FLOOR = staticmethod(lambda n: 0.82 - 1.55 * n ** (-2.0 / 3.0))
 
@@ -72,6 +141,23 @@ class TestBetaOptimize:
         v50, _ = beta_optimize(50, restarts=4, seed=3)
         v200, _ = beta_optimize(200, restarts=4, seed=3)
         assert v200 >= v50 - 0.05
+
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_lbfgsb_from_same_starts(self, n, seed):
+        import scipy.optimize
+
+        best, cfg = beta_optimize(n, restarts=10, seed=seed)
+        reference = min(
+            scipy.optimize.minimize(
+                _beta_value_grad, pts.ravel(), args=(n,), jac=True,
+                method="L-BFGS-B", options={"maxiter": 500, "gtol": 1e-10},
+            ).fun
+            for pts in _beta_starts(n, 10, seed)
+        )
+        assert abs(best - reference) < 1e-7
+        assert best <= beta_value(PointConfig(fibonacci_sphere(n)))
+        assert beta_value(cfg) == pytest.approx(best, rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
@@ -99,6 +185,13 @@ class TestPairInfimum:
         x, y = arg
         # the minimizer is an antipodal pair
         assert np.linalg.norm(x / np.linalg.norm(x) + y / np.linalg.norm(y)) < 1e-3
+
+    @pytest.mark.parametrize("samples", [50, 10_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scan_descends_to_half(self, samples, seed):
+        best, (x, y) = pair_infimum_scan(samples, seed=seed)
+        assert abs(best - 0.5) <= 1e-12
+        assert np.linalg.norm(x / np.linalg.norm(x) + y / np.linalg.norm(y)) < 1e-6
 
     def test_scan_needs_samples(self):
         with pytest.raises(ParameterError):

@@ -303,22 +303,19 @@ class TestLazyImports:
 
     def test_numpy_only_commands_load_no_scipy(self):
         """The point-charge, liquid-drop and finite-basis commands run on
-        numpy alone; the commands that optimize still find scipy.optimize
-        where they import it."""
+        numpy alone: after all six, no scipy module is loaded."""
         code = (
             "import json, sys\n"
             "from ionlab import cli\n"
-            "argvs = ['drop --check-identities', 'sigal', 'hf --n 2', 'hf --scan']\n"
+            "argvs = ['drop --check-identities', 'sigal', 'hf --n 2', 'hf --scan',\n"
+            "         'beta --n 4 --restarts 1', 'pairinf --samples 10']\n"
             "codes = [cli.main(a.split()) for a in argvs]\n"
             "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "later = [cli.main(a.split()) for a in\n"
-            "         ['beta --n 4 --restarts 1', 'pairinf --samples 10']]\n"
-            "print(json.dumps([codes, scipy, later]))\n"
+            "print(json.dumps([codes, scipy]))\n"
         )
-        codes, scipy_modules, later = json.loads(_fresh_python(code).splitlines()[-1])
-        assert codes == [0, 0, 0, 0]
+        codes, scipy_modules = json.loads(_fresh_python(code).splitlines()[-1])
+        assert codes == [0] * 6
         assert scipy_modules == []
-        assert later == [0, 0]
 
     def test_unknown_attribute_raises(self):
         import ionlab
