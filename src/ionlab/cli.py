@@ -175,11 +175,11 @@ def emit(report: RunReport, fmt: str | None = None) -> bytes:
 
 def _run_tf(params: dict, seed: int):
     from .radial import make_log_grid
-    from .tf import TFParams, TFSolverOptions, default_tf_grid, solve_tf
+    from .tf import C_TF_DEFAULT, TFParams, default_tf_grid, solve_tf
 
     z = params.get("Z", 1.0)
     n = params.get("N", z)
-    tfp = TFParams(z=z, n_electrons=n, c_tf=params.get("ctf", TFParams(1, 1).c_tf))
+    tfp = TFParams(z=z, n_electrons=n, c_tf=params.get("ctf", C_TF_DEFAULT))
     if {"grid_n", "rmin", "rmax"} & params.keys():
         grid = make_log_grid(
             params.get("rmin", 1e-4), params.get("rmax", 400.0),
@@ -187,8 +187,7 @@ def _run_tf(params: dict, seed: int):
         )
     else:
         grid = default_tf_grid()
-    opts = TFSolverOptions(residual_tol=params.get("tol", 1e-8))
-    sol = solve_tf(tfp, grid, opts)
+    sol = solve_tf(tfp, grid, tol=params.get("tol", 1e-8))
     payload = {
         "Z": tfp.z, "N": tfp.n_electrons, "mu": sol.mu, "mass": sol.mass,
         "energy": sol.energy, "residual": sol.residual,

@@ -19,7 +19,7 @@ chemists' index order eri[i,j,k,l] = (ij|kl).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "OneBodyBasis",
     "DensityMatrixState",
     "FockSpectrum",
-    "boys_f0",
     "build_sgauss_basis",
     "hf_energy",
     "fock_matrix",
@@ -44,17 +43,6 @@ __all__ = [
 SECTOR_CAP = 1_000_000
 
 
-def boys_f0(t):
-    """F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), continuously 1 at t = 0."""
-    import scipy.special
-
-    t = np.asarray(t, dtype=float)
-    out = np.ones_like(t)
-    m = t > 1e-13
-    out[m] = 0.5 * np.sqrt(np.pi / t[m]) * scipy.special.erf(np.sqrt(t[m]))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class OneBodyBasis:
     """Orthonormalized one-body space with Coulomb tensors."""
@@ -64,7 +52,6 @@ class OneBodyBasis:
     eri: np.ndarray          # (ij|kl), 8-fold symmetric
     z: float
     exponents: np.ndarray
-    orthonormalized: bool = True
 
     def __post_init__(self):
         for arr in (self.h0, self.eri, self.exponents):

@@ -9,13 +9,14 @@ The unknown is the bare potential V = Phi + mu = Z/r - rho * 1/|x|.
 Newton-GMRES, the driver the gradient-corrected and product-state models
 share (``krylov``), solves G(V) = V - Z/r + rho(V) * 1/|x| = 0, where
 rho(V) = ((3/(5 c_tf)) [V - mu]_+)^(3/2) and each evaluation picks
-mu >= 0 so that rho carries mass min(N_cap, mass at mu = 0).  The mu = 0
-stage runs first; its mass is the maximum the model binds, which equals
-Z.  Only if that exceeds N does a second solve pin the mass to N.  The
-mass stays a projection inside each evaluation rather than a bordered
-row: Newton bordered by the mass row and started from the neutral state
-took damped steps of 2e-4 to 4e-3 at Z = 5, N = 3, and after 58 steps
-had shed only 0.17 of the 2 units of mass.
+mu >= 0 so that rho carries mass min(N_cap, mass at mu = 0).  The model
+binds exactly Z (Lieb & Simon, Adv. Math. 23, 1977), so the cap binds
+exactly when N < Z: one solve runs with N_cap = N below Z and with no
+cap (mu = 0) from Z on.  The mass stays a projection inside each
+evaluation rather than a bordered row: Newton bordered by the mass row
+and started from the neutral state took damped steps of 2e-4 to 4e-3 at
+Z = 5, N = 3, and after 58 steps had shed only 0.17 of the 2 units of
+mass.
 
 The default grid reaches r_max = 400: the neutral potential has the
 universal r^-4 tail, and the density mass beyond r ~ 100 is ~3e-3, too
@@ -44,11 +45,9 @@ from .radial import (
 __all__ = [
     "C_TF_DEFAULT",
     "TFParams",
-    "TFSolverOptions",
     "TFSolution",
     "TailFit",
     "default_tf_grid",
-    "tail_study_grid",
     "default_tail_window",
     "neutral_tail_solution",
     "solve_tf",
@@ -75,13 +74,6 @@ class TFParams:
 
 
 @dataclass(frozen=True)
-class TFSolverOptions:
-    # residual_tol bounds the L1 Euler-Lagrange defect, scaled by
-    # Z^(1/3) in solve_tf.
-    residual_tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class TFSolution:
     rho: RadialField
     phi: RadialField  # Z/r - rho * 1/|x| - mu
@@ -103,12 +95,6 @@ class TailFit:
 
 def default_tf_grid() -> RadialGrid:
     return make_log_grid(1e-4, 400.0, 2200)
-
-
-def tail_study_grid() -> RadialGrid:
-    """Extended box for far-tail work; the r^-4 asymptote emerges slowly
-    (corrections decay like r^-0.772), so fits need r ~ 10^3."""
-    return make_log_grid(1e-4, 2000.0, 2800)
 
 
 def _bare_potential(grid: RadialGrid, z: float, rho_values: np.ndarray) -> np.ndarray:
@@ -171,7 +157,8 @@ def _projected_target(
 
 def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
     """Screened-core profile plus the universal r^-4 potential tail,
-    scaled to the neutral mass Z that the mu = 0 stage converges to."""
+    scaled to the neutral mass Z; under a cap N < Z the first evaluation
+    projects it onto mass N."""
     scale = params.z ** (1.0 / 3.0)
     amp = sommerfeld_amplitude(params.c_tf)
     phi_guess = params.z / grid.r * np.exp(-scale * grid.r) + amp / (
@@ -181,13 +168,9 @@ def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
     return params.z / integrate_3d(RadialField(grid, rho)) * rho
 
 
-# The discrete neutral mass carries a small positive quadrature bias
-# (measured +2.6e-6 relative at Z=100); the slack must sit above it so
-# N = Z stays on the mu = 0 branch.
-_NEUTRAL_SLACK = 1e-5
-
-
-def _newton(stage: str, grid: RadialGrid, params: TFParams, phi, opts, n_cap: float):
+def _newton(
+    stage: str, grid: RadialGrid, params: TFParams, phi, n_cap: float, *, tol: float
+):
     """Newton-GMRES on G(V) from the bare potential phi, with rho(V) of
     mass at most n_cap (n_cap = inf is the mu = 0 problem).
 
@@ -238,34 +221,27 @@ def _newton(stage: str, grid: RadialGrid, params: TFParams, phi, opts, n_cap: fl
     case = f"Z={params.z:g}, N={params.n_electrons:g}"
     # The residual norm is extensive and scales like Z^(1/3) under the
     # natural rescaling; keep the stopping rule equally strict at all Z.
-    tol = opts.residual_tol * max(1.0, params.z) ** (1.0 / 3.0)
-    return newton_krylov(phi, defect, linearize, tol, stage, case)
+    scaled_tol = tol * max(1.0, params.z) ** (1.0 / 3.0)
+    return newton_krylov(phi, defect, linearize, scaled_tol, stage, case)
 
 
 def solve_tf(
-    params: TFParams,
-    grid: RadialGrid | None = None,
-    opts: TFSolverOptions | None = None,
+    params: TFParams, grid: RadialGrid | None = None, tol: float = 1e-8
 ) -> TFSolution:
     """Solve the relaxed minimization over {rho >= 0, int rho <= N}.
 
-    mu = 0 first; only if that mass (which equals Z) exceeds N beyond a
-    quadrature-noise slack does a second solve, started from the first
-    one's potential, pin the mass to N.
+    The model binds exactly Z, so the mass cap N is imposed when N < Z
+    and dropped (mu = 0) otherwise.  tol bounds the L1 Euler-Lagrange
+    defect, scaled by Z^(1/3).
     """
     grid = grid if grid is not None else default_tf_grid()
-    opts = opts or TFSolverOptions()
+    capped = params.n_electrons < params.z
     phi = _bare_potential(grid, params.z, _initial_density(grid, params))
-    phi, (mu, rho, phi_rho), res, steps = _newton(
-        "unconstrained stage", grid, params, phi, opts, np.inf
+    _, (mu, rho, phi_rho), res, steps = _newton(
+        "constrained stage" if capped else "unconstrained stage",
+        grid, params, phi, params.n_electrons if capped else np.inf, tol=tol,
     )
     mass = integrate_3d(RadialField(grid, rho))
-    if mass > params.n_electrons * (1.0 + _NEUTRAL_SLACK):
-        phi, (mu, rho, phi_rho), res, more = _newton(
-            "constrained stage", grid, params, phi, opts, params.n_electrons
-        )
-        steps += more
-        mass = integrate_3d(RadialField(grid, rho))
     rho_field = RadialField(grid, rho, nonnegative=True)
     return TFSolution(
         rho=rho_field,
@@ -294,11 +270,7 @@ def tf_energy(rho: RadialField, params: TFParams) -> float:
     return float(kinetic - attraction + hartree)
 
 
-def tf_scaling_check(
-    params: TFParams,
-    grid: RadialGrid | None = None,
-    opts: TFSolverOptions | None = None,
-) -> float:
+def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:
     """Relative defect of E(N, Z) = Z^(7/3) E(N/Z, 1).
 
     The (N, Z) problem is solved on the base grid shrunk by Z^(-1/3), the
@@ -307,9 +279,9 @@ def tf_scaling_check(
     grid = grid if grid is not None else default_tf_grid()
     scale = params.z ** (-1.0 / 3.0)
     scaled_grid = make_log_grid(grid.r_min * scale, grid.r_max * scale, grid.n)
-    e_z = solve_tf(params, scaled_grid, opts).energy
+    e_z = solve_tf(params, scaled_grid).energy
     ref = TFParams(z=1.0, n_electrons=params.n_electrons / params.z, c_tf=params.c_tf)
-    e_1 = solve_tf(ref, grid, opts).energy
+    e_1 = solve_tf(ref, grid).energy
     return float(abs(e_z - params.z ** (7.0 / 3.0) * e_1) / abs(e_z))
 
 
@@ -319,23 +291,23 @@ def sommerfeld_amplitude(c_tf: float = C_TF_DEFAULT) -> float:
     return 9.0 * (5.0 * c_tf / 3.0) ** 3 / np.pi**2
 
 
-def neutral_tail_solution(
-    z: float,
-    c_tf: float = C_TF_DEFAULT,
-    r_max_base: float = 12000.0,
-    n: int = 3400,
-    base_residual_tol: float = 5e-7,
-) -> TFSolution:
+# Far-tail box at Z = 1 and its stopping tolerance, both carried to other
+# Z by neutral_tail_solution.
+_TAIL_R_MAX = 12000.0
+_TAIL_GRID_N = 3400
+_TAIL_TOL = 5e-7
+
+
+def neutral_tail_solution(z: float, c_tf: float = C_TF_DEFAULT) -> TFSolution:
     """Neutral solution on a box rescaled by Z^(-1/3) for far-tail work.
 
     The solve commutes with the natural rescaling, so working on the
     scaled box converges exactly like the Z = 1 problem; the residual is
-    an extensive quantity, and solve_tf scales base_residual_tol by Z^(1/3).
+    an extensive quantity, and solve_tf scales _TAIL_TOL by Z^(1/3).
     """
     s = z ** (-1.0 / 3.0)
-    grid = make_log_grid(1e-4 * s, r_max_base * s, n)
-    opts = TFSolverOptions(residual_tol=base_residual_tol)
-    return solve_tf(TFParams(z=z, n_electrons=z, c_tf=c_tf), grid, opts)
+    grid = make_log_grid(1e-4 * s, _TAIL_R_MAX * s, _TAIL_GRID_N)
+    return solve_tf(TFParams(z=z, n_electrons=z, c_tf=c_tf), grid, _TAIL_TOL)
 
 
 def default_tail_window(z: float) -> tuple:

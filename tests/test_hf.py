@@ -1,3 +1,5 @@
+from math import erf, pi, sqrt
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ionlab.hf import (
     OneBodyBasis,
     _project_box_trace,
     _projected_gradient,
-    boys_f0,
     build_sgauss_basis,
     exact_diagonalization,
     fock_matrix,
@@ -56,17 +57,13 @@ class TestBasisConstruction:
         with pytest.raises(ParameterError):
             build_sgauss_basis(1.0, [])
 
-    def test_boys_function_limits(self):
-        from math import erf
-
-        assert boys_f0(0.0) == 1.0
-        t = 7.3
-        assert boys_f0(t) == pytest.approx(0.5 * np.sqrt(np.pi / t) * erf(np.sqrt(t)))
-        # series check near zero: F0(t) ~ 1 - t/3
-        assert boys_f0(1e-4) == pytest.approx(1 - 1e-4 / 3, abs=1e-9)
-
     def test_eri_equal_the_formula_with_its_boys_factor(self, rng):
         """Leaving out the F0(0) = 1 factor changes no bit of the ERIs."""
+
+        def boys_f0(t):
+            """F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), continuously 1 at t = 0."""
+            return 1.0 if t == 0.0 else 0.5 * sqrt(pi / t) * erf(sqrt(t))
+
         for d in range(1, 7):
             a = np.sort(0.08 * 3.1 ** np.arange(d) * np.exp(rng.uniform(-0.25, 0.25, d)))
             norms = (2.0 * a / np.pi) ** 0.75
@@ -75,7 +72,7 @@ class TestBasisConstruction:
             eri = (
                 2.0 * np.pi**2.5
                 / (p[:, :, None, None] * p[None, None, :, :] * np.sqrt(pq))
-                * boys_f0(np.zeros_like(pq))
+                * np.vectorize(boys_f0)(np.zeros_like(pq))
             )
             eri = (
                 eri

@@ -6,7 +6,6 @@ from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, field_from_function, integrate_3d, make_log_grid
 from ionlab.tf import (
     TFParams,
-    TFSolverOptions,
     default_tail_window,
     neutral_tail_solution,
     solve_tf,
@@ -124,6 +123,7 @@ class TestNewtonSolve:
             (5.0, 3.0, "mu", 0.5042324449214588, -15.986270916172021),
             (1.0, 0.5, "mu", 0.09566195276236858, -0.36685666835522995),
             (100.0, 90.0, "mu", 2.389178317569037, -17661.864836450102),
+            (5.0, 10.0, "mass", 4.999985555488218, -16.336794070006547),
         ],
     )
     def test_matches_fixed_point_reference(self, z, n, field, value, energy):
@@ -136,8 +136,31 @@ class TestNewtonSolve:
         # The far-field Coulomb shells are summed from the box edge inward;
         # as a difference of running totals they drowned in rounding and
         # the defect floored near 1e-8.
-        sol = solve_tf(TFParams(z=1.0, n_electrons=1.0), opts=TFSolverOptions(1e-9))
+        sol = solve_tf(TFParams(z=1.0, n_electrons=1.0), tol=1e-9)
         assert sol.residual < 1e-9
+
+    @pytest.mark.parametrize("z, n", [(10.0, 9.9999), (100.0, 99.9995)])
+    def test_cap_just_below_z_binds(self, z, n):
+        # The discrete neutral mass lies within 1e-5 of Z; any N < Z is
+        # solved under the cap, so the mass never exceeds N.
+        sol = solve_tf(TFParams(z=z, n_electrons=n))
+        assert sol.mass == pytest.approx(n, rel=1e-12, abs=0.0)
+        assert sol.mu > 0
+
+    def test_ionized_case_is_one_newton_solve(self, monkeypatch):
+        import ionlab.tf
+
+        calls = []
+        newton = ionlab.tf._newton
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(ionlab.tf, "_newton", counted)
+        sol = solve_tf(TFParams(z=5.0, n_electrons=3.0))
+        assert calls == ["constrained stage"]
+        assert sol.iterations <= 6
 
 
 class TestEnergyFunctional:
@@ -223,15 +246,14 @@ class TestTail:
 class TestUniquenessAndPositivity:
     def test_two_starts_converge_to_same_density(self, small_grid):
         params = TFParams(z=2.0, n_electrons=2.0)
-        opts = TFSolverOptions(residual_tol=1e-9)
-        sol_a = solve_tf(params, small_grid, opts)
+        sol_a = solve_tf(params, small_grid, tol=1e-9)
 
         # second run, uncapped, from the potential of a flat density
         from ionlab.tf import _bare_potential, _newton
 
         phi0 = _bare_potential(small_grid, params.z, np.full(small_grid.n, 1e-3))
         _, (_, rho_b, _), res_b, _ = _newton(
-            "flat start", small_grid, params, phi0, opts, np.inf
+            "flat start", small_grid, params, phi0, np.inf, tol=1e-9
         )
         assert res_b < 2e-9
         diff = integrate_3d(
