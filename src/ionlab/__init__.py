@@ -23,9 +23,9 @@ from .errors import (  # noqa: F401
 )
 
 # Submodules load on first attribute access (PEP 562), so ``import ionlab``
-# and a CLI command pay only for the solvers they use.  ``drop`` and ``hf``
-# import scipy inside the few functions that call it; ``classical`` never
-# imports it.
+# and a CLI command pay only for the solvers they use.  ``drop`` imports
+# scipy inside the two functions that call it; ``classical`` and ``hf``
+# never import it.
 _SUBMODULES = (
     "classical", "drop", "hartree", "hf", "krylov", "opchecks", "radial", "tf", "tfw",
 )

@@ -319,6 +319,8 @@ def _run_sigal(params: dict, seed: int):
     n = params.get("n", 10)
     eps = params.get("eps", 0.1)
     trials = params.get("trials", 100)
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     basic_all = True
     improved_failures = 0

@@ -263,6 +263,8 @@ def cutting_identities_check(
     zn = float(np.linalg.norm(z))
     if zn == 0.0:
         raise ParameterError("cutting identity needs z != 0")
+    if mc_nodes < 0:
+        raise ParameterError(f"Monte Carlo node count must be >= 0, got {mc_nodes}")
     quad = half_space_average(z)
     exact = zn / 4.0
 

@@ -4,6 +4,8 @@ A single-center basis of s-type Gaussians gives analytic one- and
 two-body Coulomb integrals.  On top of it:
 
   * aufbau self-consistent field over orthogonal-projection states,
+    started from the relaxed minimizer and stopped when the projection
+    commutes with its own Fock matrix, ||[F(P), P]|| small,
   * relaxed minimization over density matrices 0 <= gamma <= 1 with
     fixed trace (projected gradient on the convex set),
   * exact diagonalization of the second-quantized Hamiltonian in each
@@ -140,13 +142,11 @@ def fock_matrix(gamma: np.ndarray, basis: OneBodyBasis) -> np.ndarray:
     return 0.5 * (f + f.T)
 
 
-def _aufbau(fock: np.ndarray, n: int, degeneracy_tol: float = 1e-9):
+def _aufbau(fock: np.ndarray, n: int):
     evals, evecs = np.linalg.eigh(fock)
     c = evecs[:, :n]
     gamma = c @ c.T
-    degenerate = bool(
-        n < evals.size and n >= 1 and (evals[n] - evals[n - 1]) < degeneracy_tol
-    )
+    degenerate = bool(n < evals.size and n >= 1 and (evals[n] - evals[n - 1]) < 1e-9)
     return gamma, degenerate
 
 
@@ -155,57 +155,27 @@ def solve_hf_scf(
     n: int,
     max_iter: int = 300,
     tol: float = 1e-11,
-    n_starts: int = 4,
     seed: int = 0,
 ) -> DensityMatrixState:
-    """Aufbau SCF over projections, best of several starts.
+    """Aufbau SCF over projections, started from the relaxed minimizer.
 
-    Iterates occupation of the n lowest orbitals of the current mean
-    field with damping 0.5 on the density matrix, restarting with
-    stronger damping if the commutator stalls.  The returned gamma is
-    the final aufbau projection, idempotent by construction.
+    The relaxed minimum over 0 <= gamma <= 1 is the projection minimum
+    (Lieb's variational principle), so the aufbau projection of the Fock
+    matrix at a quick relaxed solve lies in the global basin.  From
+    there P <- aufbau(F(P)), undamped, until the commutator
+    ||F(P) P - P F(P)|| falls below tol * (1 + |Tr h0|).  The returned
+    gamma is that projection, idempotent by construction.  ``seed`` is
+    ignored: the seeding relaxed solve draws no random start.
     """
     d = basis.dim
     if not (1 <= n <= d):
         raise ParameterError(f"need 1 <= n <= dim, got n={n}, dim={d}")
-    rng = np.random.default_rng(seed)
-
-    starts = [_aufbau(basis.h0, n)[0]]
-    # Aufbau iterations can settle on excited stationary points; seeding
-    # from a quick relaxed solve reliably lands in the global basin.
-    relaxed = solve_hf_relaxed(basis, n, max_iter=200, n_starts=2, seed=seed)
-    starts.append(_aufbau(fock_matrix(relaxed.gamma, basis), n)[0])
-    for _ in range(n_starts - 1):
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        starts.append(q[:, :n] @ q[:, :n].T)
-
-    best = None
-    for gamma0 in starts:
-        for damping in (0.5, 0.25, 0.1):
-            state = _scf_single(basis, n, gamma0, damping, max_iter, tol)
-            if state is not None:
-                break
-        if state is None:
-            continue
-        if best is None or state.energy < best.energy:
-            best = state
-    if best is None:
-        raise ConvergenceError(
-            f"scf stage: aufbau iteration failed from every start within "
-            f"{max_iter} iterations (n={n}, dim={d})",
-            iterations=max_iter,
-        )
-    return best
-
-
-def _scf_single(basis, n, gamma0, damping, max_iter, tol):
-    gamma = gamma0
+    relaxed = solve_hf_relaxed(basis, n, max_iter=200, n_starts=2)
+    proj, degenerate = _aufbau(fock_matrix(relaxed.gamma, basis), n)
     scale = 1.0 + abs(float(np.trace(basis.h0)))
     for it in range(1, max_iter + 1):
-        f = fock_matrix(gamma, basis)
-        proj, degenerate = _aufbau(f, n)
-        comm = f @ proj - proj @ f
-        if np.linalg.norm(comm) < tol * scale:
+        f = fock_matrix(proj, basis)
+        if np.linalg.norm(f @ proj - proj @ f) < tol * scale:
             return DensityMatrixState(
                 gamma=proj,
                 trace_n=float(np.trace(proj)),
@@ -214,8 +184,12 @@ def _scf_single(basis, n, gamma0, damping, max_iter, tol):
                 iterations=it,
                 fermi_degenerate=degenerate,
             )
-        gamma = (1.0 - damping) * gamma + damping * proj
-    return None
+        proj, degenerate = _aufbau(f, n)
+    raise ConvergenceError(
+        f"scf stage: aufbau iteration did not reach self-consistency within "
+        f"{max_iter} iterations (n={n}, dim={d})",
+        iterations=max_iter,
+    )
 
 
 def _project_box_trace(sym: np.ndarray, n: float) -> np.ndarray:

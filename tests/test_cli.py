@@ -111,6 +111,18 @@ class TestMainExitCodes:
     def test_validation_error_exit_2(self):
         assert cli.main(["drop", "--m", "-3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigal", "--trials", "0"],
+            ["sigal", "--trials", "-3"],
+            ["drop", "--check-identities", "--mc-pairs", "-5"],
+        ],
+    )
+    def test_count_below_range_exit_2(self, argv, capsysbinary):
+        assert cli.main(argv) == 2
+        assert capsysbinary.readouterr().out == b""
+
     def test_unknown_parameter_via_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_key": 1}))

@@ -135,6 +135,10 @@ class TestCuttingIdentities:
         with pytest.raises(ParameterError):
             cutting_identities_check(np.zeros(3))
 
+    def test_negative_monte_carlo_count_rejected(self):
+        with pytest.raises(ParameterError):
+            cutting_identities_check(np.array([0.0, 0.0, 1.0]), mc_nodes=-5)
+
     def test_cavalieri_unit_ball(self):
         rep = cutting_identities_check(np.array([0.0, 0.0, 1.0]))
         assert rep.cavalieri_error < 1e-6

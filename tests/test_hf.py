@@ -315,6 +315,11 @@ class TestLiebPrinciple:
             for n in range(1, d + 1):
                 scf = solve_hf_scf(basis, n, seed=trial)
                 rel = solve_hf_relaxed(basis, n, seed=trial)
+                p = scf.gamma
+                f = fock_matrix(p, basis)
+                scale = 1.0 + abs(float(np.trace(basis.h0)))
+                assert np.linalg.norm(f @ p - p @ f) < 1e-11 * scale
+                assert np.linalg.norm(p @ p - p) < 1e-12
                 gap = abs(scf.energy - rel.energy) / (1.0 + abs(scf.energy))
                 worst = max(worst, gap)
                 assert gap <= 1e-6
