@@ -273,9 +273,13 @@ def sigal_check(
     Basic mode uses the nuclear-charge threshold z, defaulting to
     (n-1)/2, the largest value for which the triangle-inequality proof
     makes the statement hold for every configuration.  Improved mode
-    replaces z by (1-epsilon)*n, which is only guaranteed for large n.
+    replaces z by (1-epsilon)*n, which is only guaranteed for large n and
+    needs 0 < epsilon < 1: epsilon >= 1 makes it vacuous, and epsilon <= 0
+    asks for more than any theorem gives.
     """
     if improved:
+        if not 0.0 < epsilon < 1.0:
+            raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
         threshold = (1.0 - epsilon) * config.n
     else:
         threshold = float(z) if z is not None else 0.5 * (config.n - 1)

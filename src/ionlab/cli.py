@@ -269,8 +269,8 @@ def _run_hf(params: dict, seed: int):
         }
         return payload, None, None, {}
     n = params.get("n", 1)
-    scf = solve_hf_scf(basis, n, seed=seed)
-    rel = solve_hf_relaxed(basis, n, seed=seed)
+    scf = solve_hf_scf(basis, n)
+    rel = solve_hf_relaxed(basis, n)
     exact = exact_diagonalization(basis, n)
     payload = {
         "z": z, "n": n, "E_scf": scf.energy, "E_relaxed": rel.energy,

@@ -3,11 +3,12 @@
 A single-center basis of s-type Gaussians gives analytic one- and
 two-body Coulomb integrals.  On top of it:
 
-  * aufbau self-consistent field over orthogonal-projection states,
-    started from the relaxed minimizer and stopped when the projection
-    commutes with its own Fock matrix, ||[F(P), P]|| small,
   * relaxed minimization over density matrices 0 <= gamma <= 1 with
-    fixed trace (projected gradient on the convex set),
+    fixed trace: one projected-gradient descent on the convex set,
+    started from the aufbau projection of h0,
+  * aufbau self-consistent field over orthogonal-projection states,
+    seeded from that relaxed minimizer and stopped when the projection
+    commutes with its own Fock matrix, ||[F(P), P]|| small,
   * exact diagonalization of the second-quantized Hamiltonian in each
     fermion-number sector, an upper-bound oracle for everything else.
 
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 SECTOR_CAP = 1_000_000
+_RELAXED_MAX_ITER = 600  # projected-gradient steps of solve_hf_relaxed
+_RELAXED_TOL = 1e-9      # its stopping aufbau gap, relative to 1 + |E|
+_SCAN_TOL = 1e-10        # spectrum_scan's violation threshold, relative
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def solve_hf_scf(
 
     The relaxed minimum over 0 <= gamma <= 1 is the projection minimum
     (Lieb's variational principle), so the aufbau projection of the Fock
-    matrix at a quick relaxed solve lies in the global basin.  From
-    there P <- aufbau(F(P)), undamped, until the commutator
+    matrix at ``solve_hf_relaxed(basis, n)`` lies in the global basin.
+    From there P <- aufbau(F(P)), undamped, until the commutator
     ||F(P) P - P F(P)|| falls below tol * (1 + |Tr h0|).  The returned
     gamma is that projection, idempotent by construction.  ``seed`` is
     ignored: the seeding relaxed solve draws no random start.
@@ -170,7 +174,7 @@ def solve_hf_scf(
     d = basis.dim
     if not (1 <= n <= d):
         raise ParameterError(f"need 1 <= n <= dim, got n={n}, dim={d}")
-    relaxed = solve_hf_relaxed(basis, n, max_iter=200, n_starts=2)
+    relaxed = solve_hf_relaxed(basis, n)
     proj, degenerate = _aufbau(fock_matrix(relaxed.gamma, basis), n)
     scale = 1.0 + abs(float(np.trace(basis.h0)))
     for it in range(1, max_iter + 1):
@@ -216,59 +220,40 @@ def _project_box_trace(sym: np.ndarray, n: float) -> np.ndarray:
 def solve_hf_relaxed(
     basis: OneBodyBasis,
     n: int,
-    max_iter: int = 600,
-    tol: float = 1e-9,
-    n_starts: int = 4,
     seed: int = 0,
 ) -> DensityMatrixState:
     """Projected-gradient minimization over {0 <= gamma <= 1, Tr = n}.
 
+    One descent, started from the aufbau projection of h0.  The relaxed
+    minimum is the projection minimum (Lieb's variational principle), and
+    further starts only land on copies of the same minimum to within the
+    stopping tolerance, so none are drawn; ``seed`` is ignored.
+
     First-order optimality is measured by the aufbau gap
     Tr(F gamma) - sum of the n lowest eigenvalues of F, which is
     nonnegative on the feasible set and zero exactly at a stationary
-    point of the relaxed problem.
+    point of the relaxed problem.  The descent stops once the gap falls
+    below _RELAXED_TOL * (1 + |E|); a failed line search or
+    _RELAXED_MAX_ITER steps end it with converged=False.
     """
     d = basis.dim
     if not (0 <= n <= d):
         raise ParameterError(f"need 0 <= n <= dim, got n={n}, dim={d}")
     if n == 0:
         return DensityMatrixState(gamma=np.zeros((d, d)), trace_n=0.0, energy=0.0)
-    rng = np.random.default_rng(seed)
-
-    starts = [_aufbau(basis.h0, n)[0], np.eye(d) * (n / d)]
-    for _ in range(max(0, n_starts - 2)):
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        starts.append(q[:, :n] @ q[:, :n].T)
-
-    best = None
-    for gamma0 in starts:
-        state = _projected_gradient(basis, n, gamma0, max_iter, tol)
-        if best is None or state.energy < best.energy:
-            best = state
-    return best
-
-
-def _projected_gradient(basis, n, gamma0, max_iter, tol):
-    gamma = _project_box_trace(gamma0, n)
+    gamma = _aufbau(basis.h0, n)[0]
     energy = hf_energy(gamma, basis)
     step = 0.5 / (1.0 + np.linalg.norm(basis.h0))
     gap = np.inf
     scale = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _RELAXED_MAX_ITER + 1):
         f = fock_matrix(gamma, basis)
         evals = np.linalg.eigvalsh(f)
         gap = float(np.sum(f * gamma) - np.sum(evals[:n]))
         scale = 1.0 + abs(energy)
-        if gap < tol * scale:
-            return DensityMatrixState(
-                gamma=gamma,
-                trace_n=float(np.trace(gamma)),
-                energy=energy,
-                converged=True,
-                iterations=it,
-                stationarity_gap=gap,
-            )
+        if gap < _RELAXED_TOL * scale:
+            break
         accepted = False
         for _ in range(40):
             cand = _project_box_trace(gamma - step * f, n)
@@ -285,9 +270,9 @@ def _projected_gradient(basis, n, gamma0, max_iter, tol):
         gamma=gamma,
         trace_n=float(np.trace(gamma)),
         energy=energy,
-        converged=bool(gap < tol * scale),
+        converged=bool(gap < _RELAXED_TOL * scale),
         iterations=it,
-        stationarity_gap=float(gap),
+        stationarity_gap=gap,
     )
 
 
@@ -364,7 +349,7 @@ def exact_diagonalization(basis: OneBodyBasis, n: int) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def spectrum_scan(basis: OneBodyBasis, tol: float = 1e-10) -> FockSpectrum:
+def spectrum_scan(basis: OneBodyBasis) -> FockSpectrum:
     """E_N for every sector, with monotonicity/convexity flags.
 
     In a finite basis nothing can escape to infinity, so E_N <= E_{N-1}
@@ -376,12 +361,12 @@ def spectrum_scan(basis: OneBodyBasis, tol: float = 1e-10) -> FockSpectrum:
     mono = tuple(
         (n, float(energies[n] - energies[n - 1]))
         for n in range(1, d + 1)
-        if energies[n] > energies[n - 1] + tol * scale
+        if energies[n] > energies[n - 1] + _SCAN_TOL * scale
     )
     convex = tuple(
         (n, float(energies[n + 1] + energies[n - 1] - 2.0 * energies[n]))
         for n in range(1, d)
-        if energies[n + 1] + energies[n - 1] - 2.0 * energies[n] < -tol * scale
+        if energies[n + 1] + energies[n - 1] - 2.0 * energies[n] < -_SCAN_TOL * scale
     )
     return FockSpectrum(
         energies=energies, monotonicity_violations=mono, convexity_violations=convex

@@ -37,6 +37,11 @@ __all__ = [
 
 EDGE_NODES = 5          # boundary-artifact window at each grid end
 EDGE_MASS_FRACTION = 0.5
+FILTER_CANDIDATES = 8   # lowest eigenpairs screened for edge concentration
+
+BUMP_HALF_WIDTHS = (1.0, 2.0, 4.0)  # in log r
+BUMP_PER_WIDTH = 40
+BUMP_WALL_CLEARANCE_NODES = 10
 
 # Sharp lower bound of the |x|^2 check: the Hardy constant 1/4 minus |grad|x||^2 = 1.
 IMS_BOUND = 0.25 - 1.0
@@ -82,17 +87,15 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-def _filtered_extremal(matrix, grid: RadialGrid, which: str, k: int = 8):
-    """Extremal eigenvalue skipping edge-concentrated eigenvectors.
+def _filtered_extremal(matrix, grid: RadialGrid):
+    """Smallest eigenvalue skipping edge-concentrated eigenvectors.
 
-    Returns (eigenvalue, skipped).  If every candidate looks like a
-    boundary artifact the most extremal one is reported anyway, with the
-    skip count equal to k as a warning sign.
+    Returns (eigenvalue, skipped).  If all FILTER_CANDIDATES candidates
+    look like boundary artifacts the smallest is reported anyway, with
+    the skip count equal to their number as a warning sign.
     """
-    k = min(k, grid.n)
-    vals, vecs = extremal_eigs(matrix, k=k, which=which)
-    if which == "largest":
-        vals, vecs = vals[::-1], vecs[:, ::-1]
+    k = min(FILTER_CANDIDATES, grid.n)
+    vals, vecs = extremal_eigs(matrix, k=k, which="smallest")
     skipped = 0
     for j in range(len(vals)):
         v2 = vecs[:, j] ** 2
@@ -113,7 +116,7 @@ def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     tol = _check_tol(tol)
     a = reduced_laplacian(grid)
     v = scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
-    val, skipped = _filtered_extremal(a - v, grid, "smallest")
+    val, skipped = _filtered_extremal(a - v, grid)
     return InequalityReport(
         name="hardy",
         extremal_eigenvalue=val,
@@ -131,7 +134,7 @@ def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     tol = _check_tol(tol)
     a = reduced_laplacian(grid)
     r_op = scipy.sparse.diags(grid.r, format="csr")
-    val, skipped = _filtered_extremal(symmetrized_product(a, r_op), grid, "smallest")
+    val, skipped = _filtered_extremal(symmetrized_product(a, r_op), grid)
     return InequalityReport(
         name="lieb_symmetrization",
         extremal_eigenvalue=val,
@@ -173,7 +176,7 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     dev = s_op - (rar - ident)
     rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.multiply(a)).sum())
 
-    val, skipped = _filtered_extremal(s_op, grid, "smallest")
+    val, skipped = _filtered_extremal(s_op, grid)
     passed = bool(rel_dev < 1e-8 and val >= bound - tol)
     return InequalityReport(
         name="ims_x2",
@@ -220,29 +223,25 @@ def _smooth_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_dictionary(
-    grid: RadialGrid,
-    half_widths: tuple = (1.0, 2.0, 4.0),
-    per_width: int = 40,
-    wall_clearance_nodes: int = 10,
-) -> np.ndarray:
+def bump_dictionary(grid: RadialGrid) -> np.ndarray:
     """Orthonormal basis of smooth compactly supported bumps in log r.
 
-    Columns live in the weighted (psi) representation and vanish
-    identically within ``wall_clearance_nodes`` of both ends, so wall
-    layers cannot couple in.  Near-dependent combinations are pruned.
+    BUMP_PER_WIDTH bumps of each of the BUMP_HALF_WIDTHS.  Columns live
+    in the weighted (psi) representation and vanish identically within
+    BUMP_WALL_CLEARANCE_NODES of both ends, so wall layers cannot couple
+    in.  Near-dependent combinations are pruned.
     """
     x = np.log(grid.r)
     s = np.sqrt(4.0 * np.pi * grid.mass)
     lo, hi = x[0], x[-1]
-    clear = wall_clearance_nodes * grid.log_step
+    clear = BUMP_WALL_CLEARANCE_NODES * grid.log_step
     cols = []
-    for half in half_widths:
+    for half in BUMP_HALF_WIDTHS:
         cmin = lo + clear + half
         cmax = hi - clear - half
         if cmin >= cmax:
             continue
-        for c in np.linspace(cmin, cmax, per_width):
+        for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH):
             cols.append(s * _smooth_bump((x - c) / half))
     if not cols:
         raise ParameterError("grid too small for the bump dictionary")

@@ -61,6 +61,10 @@ __all__ = [
 # Newton stops below this relative stationarity residual, which floors near
 # 2e-10 on the default grid.
 _RESIDUAL_TOL = 1e-9
+# subharmonic_majorant_check scores q <= bound + _MAJORANT_TOL, and only on
+# states within _MAJORANT_RESIDUAL_CAP of stationarity.
+_MAJORANT_TOL = 1e-6
+_MAJORANT_RESIDUAL_CAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -330,20 +334,18 @@ class MajorantCheck:
     bulk_radius: float
 
 
-def subharmonic_majorant_check(
-    sol: TFWSolution, tol: float = 1e-6, residual_cap: float = 1e-8
-) -> MajorantCheck:
+def subharmonic_majorant_check(sol: TFWSolution) -> MajorantCheck:
     """Excess-charge bound from the subharmonic majorant
     p = (4 pi c_w u^2 + Phi^2)^(1/2).
 
     r p(r) decreases to q at infinity, so q <= min over r >= 1 of r p(r);
     the check also verifies the decrease beyond the bulk of the density.
     Inputs that do not satisfy the stationarity equation (relative
-    residual above residual_cap) are rejected rather than scored.
+    residual above _MAJORANT_RESIDUAL_CAP) are rejected rather than scored.
     """
     grid = sol.u.grid
     _, res = _TFWModel(sol.params, grid).stationarity(sol.u.values)
-    if res > residual_cap:
+    if res > _MAJORANT_RESIDUAL_CAP:
         raise DomainError(
             f"input does not solve the stationarity equation (residual {res:.2e})"
         )
@@ -361,7 +363,7 @@ def subharmonic_majorant_check(
     monotone = bool(np.all(np.diff(tail) <= 1e-9 * np.max(np.abs(tail))))
     return MajorantCheck(
         q_bound=q_bound,
-        passed=bool(sol.q <= q_bound + tol),
+        passed=bool(sol.q <= q_bound + _MAJORANT_TOL),
         monotone_beyond_bulk=monotone,
         bulk_radius=float(grid.r[bulk_idx]),
     )

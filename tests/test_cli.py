@@ -116,6 +116,10 @@ class TestMainExitCodes:
         [
             ["sigal", "--trials", "0"],
             ["sigal", "--trials", "-3"],
+            ["sigal", "--eps", "1.5"],
+            ["sigal", "--eps", "-1"],
+            ["sigal", "--eps", "0"],
+            ["sigal", "--eps", "1"],
             ["drop", "--check-identities", "--mc-pairs", "-5"],
         ],
     )

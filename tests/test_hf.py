@@ -8,7 +8,6 @@ from ionlab.errors import BasisError, CapacityError, ConvergenceError, Parameter
 from ionlab.hf import (
     OneBodyBasis,
     _project_box_trace,
-    _projected_gradient,
     build_sgauss_basis,
     exact_diagonalization,
     fock_matrix,
@@ -186,10 +185,22 @@ class TestSolvers:
         assert np.all(evals < 1 + 1e-10)
         assert np.trace(st.gamma) == pytest.approx(2.0, abs=1e-9)
 
+    def test_relaxed_is_one_descent(self, rng, monkeypatch):
+        basis = random_basis(rng, 5)
+        calls = []
+        fock = ionlab.hf.fock_matrix
+        monkeypatch.setattr(
+            ionlab.hf, "fock_matrix", lambda g, b: calls.append(1) or fock(g, b)
+        )
+        st = solve_hf_relaxed(basis, 2, seed=0)
+        assert st.converged
+        assert len(calls) == st.iterations  # one Fock build per step, one start
+        assert np.array_equal(st.gamma, solve_hf_relaxed(basis, 2, seed=1).gamma)
+
     def test_line_search_failure_reports_iteration_reached(self, helium_like, monkeypatch):
         rising = iter(range(10**6))
         monkeypatch.setattr(ionlab.hf, "hf_energy", lambda g, b: float(next(rising)))
-        st = _projected_gradient(helium_like, 2, np.eye(3) * (2 / 3), max_iter=50, tol=1e-9)
+        st = solve_hf_relaxed(helium_like, 2)
         assert st.iterations == 1  # every trial step rises, so the first line search fails
         assert st.converged is False
 
