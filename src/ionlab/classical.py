@@ -262,19 +262,14 @@ def sigal_margin(config: PointConfig, threshold: float) -> float:
     return float(np.max(repulsion - threshold / r))
 
 
-def sigal_check(
-    config: PointConfig,
-    z: float | None = None,
-    epsilon: float = 0.1,
-    improved: bool = False,
-) -> bool:
+def sigal_check(config: PointConfig, epsilon: float = 0.1, improved: bool = False) -> bool:
     """Configuration inequality: some particle's repulsion beats z/|x_j|.
 
-    Basic mode uses the nuclear-charge threshold z, defaulting to
-    (n-1)/2, the largest value for which the triangle-inequality proof
-    makes the statement hold for every configuration.  Improved mode
-    replaces z by (1-epsilon)*n, which is only guaranteed for large n and
-    needs 0 < epsilon < 1: epsilon >= 1 makes it vacuous, and epsilon <= 0
+    Basic mode uses the nuclear-charge threshold z = (n-1)/2, the largest
+    value for which the triangle-inequality proof makes the statement
+    hold for every configuration.  Improved mode replaces z by
+    (1-epsilon)*n, which is only guaranteed for large n and needs
+    0 < epsilon < 1: epsilon >= 1 makes it vacuous, and epsilon <= 0
     asks for more than any theorem gives.
     """
     if improved:
@@ -282,7 +277,7 @@ def sigal_check(
             raise ParameterError(f"need 0 < epsilon < 1, got {epsilon}")
         threshold = (1.0 - epsilon) * config.n
     else:
-        threshold = float(z) if z is not None else 0.5 * (config.n - 1)
+        threshold = 0.5 * (config.n - 1)
     return sigal_margin(config, threshold) >= 0.0
 
 

@@ -251,7 +251,6 @@ def _run_hf(params: dict, seed: int):
     from .hf import (
         build_sgauss_basis,
         exact_diagonalization,
-        solve_hf_relaxed,
         solve_hf_scf,
         spectrum_scan,
     )
@@ -270,7 +269,7 @@ def _run_hf(params: dict, seed: int):
         return payload, None, None, {}
     n = params.get("n", 1)
     scf = solve_hf_scf(basis, n)
-    rel = solve_hf_relaxed(basis, n)
+    rel = scf.relaxed
     exact = exact_diagonalization(basis, n)
     payload = {
         "z": z, "n": n, "E_scf": scf.energy, "E_relaxed": rel.energy,
@@ -377,6 +376,8 @@ def _run_opcheck(params: dict, seed: int):
 
     grid = make_log_grid(1e-4, 100.0, params.get("grid_n", 2000))
     tol = params.get("tol", 1e-2)
+    if tol < 0:
+        raise ParameterError(f"tolerance must be nonnegative, got {tol}")
     which = params.get("check", "all")
     checks = {
         "hardy": lambda: check_hardy(grid, tol),

@@ -39,6 +39,9 @@ __all__ = [
 # Unit-volume ball B_1: Per(B_1) = (36 pi)^(1/3), D(B_1) = (3/5)(4 pi/3)^(1/3).
 PERIMETER_UNIT_BALL = (36.0 * np.pi) ** (1.0 / 3.0)
 COULOMB_UNIT_BALL = 0.6 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0)
+_HALF_SPACE_POLAR = 16    # Gauss-Legendre nodes per half of half_space_average
+_HALF_SPACE_AZIMUTH = 8   # its uniform azimuthal nodes
+_CAVALIERI_NODES = 12     # Gauss-Legendre nodes per ball in cavalieri_volume
 
 
 @dataclass(frozen=True)
@@ -192,23 +195,23 @@ def _orthonormal_frame(z: np.ndarray):
     return e1, e2, e3
 
 
-def half_space_average(z: np.ndarray, n_polar: int = 16, n_azimuth: int = 8) -> float:
+def half_space_average(z: np.ndarray) -> float:
     """Spherical quadrature of int [nu . z]_+ dnu / (4 pi).
 
-    Gauss-Legendre in cos(theta), split at the kink circle nu.z = 0 so
-    each half is polynomial, times a uniform azimuthal rule; exact to
-    roundoff.  Equals |z|/4.
+    Gauss-Legendre in cos(theta) (_HALF_SPACE_POLAR nodes), split at the
+    kink circle nu.z = 0 so each half is polynomial, times a uniform
+    _HALF_SPACE_AZIMUTH-node azimuthal rule; exact to roundoff.  Equals |z|/4.
     """
     z = np.asarray(z, dtype=float).reshape(3)
     if np.linalg.norm(z) == 0.0:
         raise ParameterError("direction-averaging needs z != 0")
     e1, e2, e3 = _orthonormal_frame(z)
-    nodes, weights = np.polynomial.legendre.leggauss(n_polar)
+    nodes, weights = np.polynomial.legendre.leggauss(_HALF_SPACE_POLAR)
     total = 0.0
     for lo, hi in ((-1.0, 0.0), (0.0, 1.0)):
         zeta = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         wz = 0.5 * (hi - lo) * weights
-        for phi in (2.0 * np.pi / n_azimuth) * np.arange(n_azimuth):
+        for phi in (2.0 * np.pi / _HALF_SPACE_AZIMUTH) * np.arange(_HALF_SPACE_AZIMUTH):
             sin_t = np.sqrt(np.clip(1.0 - zeta**2, 0.0, None))
             nu = (
                 np.outer(sin_t * np.cos(phi), e1)
@@ -216,15 +219,15 @@ def half_space_average(z: np.ndarray, n_polar: int = 16, n_azimuth: int = 8) -> 
                 + np.outer(zeta, e3)
             )
             vals = np.clip(nu @ z, 0.0, None)
-            total += np.dot(wz, vals) * (2.0 * np.pi / n_azimuth)
+            total += np.dot(wz, vals) * (2.0 * np.pi / _HALF_SPACE_AZIMUTH)
     return float(total / (4.0 * np.pi))
 
 
-def cavalieri_volume(config: BallConfiguration, nu: np.ndarray, n_gauss: int = 12) -> float:
-    """int over ell of the slice areas; recovers the total volume."""
+def cavalieri_volume(config: BallConfiguration, nu: np.ndarray) -> float:
+    """Total volume as int over ell of the slice areas, _CAVALIERI_NODES Gauss nodes a ball."""
     nu = np.asarray(nu, dtype=float)
     nu = nu / np.linalg.norm(nu)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, weights = np.polynomial.legendre.leggauss(_CAVALIERI_NODES)
     total = 0.0
     for b in config.balls:
         c = float(np.dot(b.center, nu))

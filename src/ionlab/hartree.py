@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 LIEB_OXFORD_CONSTANT = 1.68
+_NORM_TOL = 1e-6  # how far from 1 an orbital's L2 mass may be in the product checks
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def lieb_oxford_product_check(u: RadialField, n_particles: int) -> float:
     return float(LIEB_OXFORD_CONSTANT * rho43 - 0.5 * n * pair)
 
 
-def _require_normalized(u: RadialField, tol: float = 1e-6):
+def _require_normalized(u: RadialField):
     mass = integrate_3d(RadialField(u.grid, u.values**2))
-    if abs(mass - 1.0) > tol:
+    if abs(mass - 1.0) > _NORM_TOL:
         raise ParameterError(f"orbital must be L2-normalized, has mass {mass:.6g}")

@@ -47,6 +47,8 @@ SECTOR_CAP = 1_000_000
 _RELAXED_MAX_ITER = 600  # projected-gradient steps of solve_hf_relaxed
 _RELAXED_TOL = 1e-9      # its stopping aufbau gap, relative to 1 + |E|
 _SCAN_TOL = 1e-10        # spectrum_scan's violation threshold, relative
+_SCF_MAX_ITER = 300      # aufbau iterations of solve_hf_scf
+_SCF_TOL = 1e-11         # its stopping commutator norm, relative to 1 + |tr h0|
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,12 @@ class OneBodyBasis:
 @dataclass(frozen=True)
 class DensityMatrixState:
     gamma: np.ndarray
-    trace_n: float
     energy: float
     converged: bool = True
     iterations: int = 0
     stationarity_gap: float = 0.0
     fermi_degenerate: bool = False
+    relaxed: DensityMatrixState | None = None  # SCF states: the relaxed seed
 
     def __post_init__(self):
         np.asarray(self.gamma).setflags(write=False)
@@ -154,21 +156,17 @@ def _aufbau(fock: np.ndarray, n: int):
     return gamma, degenerate
 
 
-def solve_hf_scf(
-    basis: OneBodyBasis,
-    n: int,
-    max_iter: int = 300,
-    tol: float = 1e-11,
-    seed: int = 0,
-) -> DensityMatrixState:
+def solve_hf_scf(basis: OneBodyBasis, n: int, seed: int = 0) -> DensityMatrixState:
     """Aufbau SCF over projections, started from the relaxed minimizer.
 
     The relaxed minimum over 0 <= gamma <= 1 is the projection minimum
     (Lieb's variational principle), so the aufbau projection of the Fock
     matrix at ``solve_hf_relaxed(basis, n)`` lies in the global basin.
     From there P <- aufbau(F(P)), undamped, until the commutator
-    ||F(P) P - P F(P)|| falls below tol * (1 + |Tr h0|).  The returned
-    gamma is that projection, idempotent by construction.  ``seed`` is
+    ||F(P) P - P F(P)|| falls below _SCF_TOL * (1 + |Tr h0|); after
+    _SCF_MAX_ITER iterations it raises ConvergenceError.  The returned
+    gamma is that projection, idempotent by construction, and the
+    state's ``relaxed`` is the seeding relaxed minimizer.  ``seed`` is
     ignored: the seeding relaxed solve draws no random start.
     """
     d = basis.dim
@@ -177,22 +175,22 @@ def solve_hf_scf(
     relaxed = solve_hf_relaxed(basis, n)
     proj, degenerate = _aufbau(fock_matrix(relaxed.gamma, basis), n)
     scale = 1.0 + abs(float(np.trace(basis.h0)))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SCF_MAX_ITER + 1):
         f = fock_matrix(proj, basis)
-        if np.linalg.norm(f @ proj - proj @ f) < tol * scale:
+        if np.linalg.norm(f @ proj - proj @ f) < _SCF_TOL * scale:
             return DensityMatrixState(
                 gamma=proj,
-                trace_n=float(np.trace(proj)),
                 energy=hf_energy(proj, basis),
                 converged=True,
                 iterations=it,
                 fermi_degenerate=degenerate,
+                relaxed=relaxed,
             )
         proj, degenerate = _aufbau(f, n)
     raise ConvergenceError(
         f"scf stage: aufbau iteration did not reach self-consistency within "
-        f"{max_iter} iterations (n={n}, dim={d})",
-        iterations=max_iter,
+        f"{_SCF_MAX_ITER} iterations (n={n}, dim={d})",
+        iterations=_SCF_MAX_ITER,
     )
 
 
@@ -240,7 +238,7 @@ def solve_hf_relaxed(
     if not (0 <= n <= d):
         raise ParameterError(f"need 0 <= n <= dim, got n={n}, dim={d}")
     if n == 0:
-        return DensityMatrixState(gamma=np.zeros((d, d)), trace_n=0.0, energy=0.0)
+        return DensityMatrixState(gamma=np.zeros((d, d)), energy=0.0)
     gamma = _aufbau(basis.h0, n)[0]
     energy = hf_energy(gamma, basis)
     step = 0.5 / (1.0 + np.linalg.norm(basis.h0))
@@ -268,7 +266,6 @@ def solve_hf_relaxed(
             break
     return DensityMatrixState(
         gamma=gamma,
-        trace_n=float(np.trace(gamma)),
         energy=energy,
         converged=bool(gap < _RELAXED_TOL * scale),
         iterations=it,

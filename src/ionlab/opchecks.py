@@ -94,8 +94,7 @@ def _filtered_extremal(matrix, grid: RadialGrid):
     look like boundary artifacts the smallest is reported anyway, with
     the skip count equal to their number as a warning sign.
     """
-    k = min(FILTER_CANDIDATES, grid.n)
-    vals, vecs = extremal_eigs(matrix, k=k, which="smallest")
+    vals, vecs = extremal_eigs(matrix, k=min(FILTER_CANDIDATES, grid.n))
     skipped = 0
     for j in range(len(vals)):
         v2 = vecs[:, j] ** 2
@@ -106,6 +105,35 @@ def _filtered_extremal(matrix, grid: RadialGrid):
     return float(vals[0]), skipped
 
 
+def _lower_report(
+    name: str,
+    matrix,
+    grid: RadialGrid,
+    tol: float,
+    bound: float = 0.0,
+    identity_ok: bool = True,
+    details: dict | None = None,
+) -> InequalityReport:
+    """Report the claim: smallest resolved eigenvalue of matrix >= bound - tol.
+
+    ``identity_ok`` is an extra condition the check computed beside the
+    eigenvalue; the report passes only if it holds too.
+    """
+    tol = _check_tol(tol)
+    val, skipped = _filtered_extremal(matrix, grid)
+    return InequalityReport(
+        name=name,
+        extremal_eigenvalue=val,
+        tolerance=tol,
+        passed=bool(identity_ok and val >= bound - tol),
+        grid_descriptor=grid.descriptor(),
+        bound=bound,
+        side="lower",
+        boundary_skipped=skipped,
+        details=details or {},
+    )
+
+
 def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
     """a b + b a, the symmetrized operator product, as CSR."""
     return (a @ b + b @ a).tocsr()
@@ -113,37 +141,15 @@ def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
 
 def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     """-Laplace >= 1/(4 |x|^2): smallest eigenvalue of A - 1/(4 r^2)."""
-    tol = _check_tol(tol)
-    a = reduced_laplacian(grid)
     v = scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
-    val, skipped = _filtered_extremal(a - v, grid)
-    return InequalityReport(
-        name="hardy",
-        extremal_eigenvalue=val,
-        tolerance=tol,
-        passed=bool(val >= -tol),
-        grid_descriptor=grid.descriptor(),
-        bound=0.0,
-        side="lower",
-        boundary_skipped=skipped,
-    )
+    return _lower_report("hardy", reduced_laplacian(grid) - v, grid, tol)
 
 
 def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     """(-Laplace)|x| + |x|(-Laplace) >= 0 via the symmetrized product."""
-    tol = _check_tol(tol)
-    a = reduced_laplacian(grid)
     r_op = scipy.sparse.diags(grid.r, format="csr")
-    val, skipped = _filtered_extremal(symmetrized_product(a, r_op), grid)
-    return InequalityReport(
-        name="lieb_symmetrization",
-        extremal_eigenvalue=val,
-        tolerance=tol,
-        passed=bool(val >= -tol),
-        grid_descriptor=grid.descriptor(),
-        bound=0.0,
-        side="lower",
-        boundary_skipped=skipped,
+    return _lower_report(
+        "lieb_symmetrization", symmetrized_product(reduced_laplacian(grid), r_op), grid, tol
     )
 
 
@@ -165,7 +171,6 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     with it to O(h^2), from above.  The bound -3/8 holds only for the
     kinetic operator -Laplace/2, and fails here once L > pi/sqrt(3/8).
     """
-    tol = _check_tol(tol)
     a = reduced_laplacian(grid)
     r_op = scipy.sparse.diags(grid.r, format="csr")
     r2_op = scipy.sparse.diags(grid.r**2, format="csr")
@@ -175,18 +180,8 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     rar = (r_op @ a @ r_op).tocsr()
     dev = s_op - (rar - ident)
     rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.multiply(a)).sum())
-
-    val, skipped = _filtered_extremal(s_op, grid)
-    passed = bool(rel_dev < 1e-8 and val >= bound - tol)
-    return InequalityReport(
-        name="ims_x2",
-        extremal_eigenvalue=val,
-        tolerance=tol,
-        passed=passed,
-        grid_descriptor=grid.descriptor(),
-        bound=bound,
-        side="lower",
-        boundary_skipped=skipped,
+    return _lower_report(
+        "ims_x2", s_op, grid, tol, bound=bound, identity_ok=rel_dev < 1e-8,
         details={"identity_rel_deviation": float(rel_dev)},
     )
 
@@ -202,14 +197,14 @@ def commutator_with_diagonal(op: scipy.sparse.spmatrix, diag_values: np.ndarray)
     return scipy.sparse.csr_matrix((data, (coo.row, coo.col)), shape=op.shape)
 
 
-def double_commutator_matrix(grid: RadialGrid, power: int = 3) -> scipy.sparse.csr_matrix:
-    """[Laplace, [Laplace, r^power]] restricted to the radial sector.
+def double_commutator_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
+    """[Laplace, [Laplace, r^3]] restricted to the radial sector.
 
-    Equal to [A, [A, r^power]] with A the reduced -Laplace; the double
+    Equal to [A, [A, r^3]] with A the reduced -Laplace; the double
     commutator is even in the sign of A.
     """
     a = reduced_laplacian(grid)
-    c1 = commutator_with_diagonal(a, grid.r ** float(power))
+    c1 = commutator_with_diagonal(a, grid.r ** 3.0)
     m = a @ c1 - c1 @ a
     m = 0.5 * (m + m.T)
     return m.tocsr()
@@ -250,9 +245,7 @@ def bump_dictionary(grid: RadialGrid) -> np.ndarray:
     return q[:, sv > 1e-6 * sv[0]]
 
 
-def check_double_commutator_cube(
-    grid: RadialGrid, tol: float, power: int = 3
-) -> InequalityReport:
+def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityReport:
     """[Laplace, [Laplace, |x|^3]] <= 0, certified on resolved functions.
 
     The matrix is exact, but its raw extremal eigenvalue on a log grid is
@@ -264,13 +257,13 @@ def check_double_commutator_cube(
     matches the continuum one to discretization accuracy.
     """
     tol = _check_tol(tol)
-    m = double_commutator_matrix(grid, power=power)
+    m = double_commutator_matrix(grid)
     q = bump_dictionary(grid)
     mred = q.T @ (m @ q)
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))
     val = float(vals[-1])
     return InequalityReport(
-        name=f"double_commutator_r{power}",
+        name="double_commutator_r3",
         extremal_eigenvalue=val,
         tolerance=tol,
         passed=bool(val <= tol),

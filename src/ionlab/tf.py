@@ -298,8 +298,9 @@ _TAIL_GRID_N = 3400
 _TAIL_TOL = 5e-7
 
 
-def neutral_tail_solution(z: float, c_tf: float = C_TF_DEFAULT) -> TFSolution:
-    """Neutral solution on a box rescaled by Z^(-1/3) for far-tail work.
+def neutral_tail_solution(z: float) -> TFSolution:
+    """Neutral solution at C_TF_DEFAULT on a box rescaled by Z^(-1/3),
+    for far-tail work.
 
     The solve commutes with the natural rescaling, so working on the
     scaled box converges exactly like the Z = 1 problem; the residual is
@@ -307,7 +308,7 @@ def neutral_tail_solution(z: float, c_tf: float = C_TF_DEFAULT) -> TFSolution:
     """
     s = z ** (-1.0 / 3.0)
     grid = make_log_grid(1e-4 * s, _TAIL_R_MAX * s, _TAIL_GRID_N)
-    return solve_tf(TFParams(z=z, n_electrons=z, c_tf=c_tf), grid, _TAIL_TOL)
+    return solve_tf(TFParams(z=z, n_electrons=z), grid, _TAIL_TOL)
 
 
 def default_tail_window(z: float) -> tuple:

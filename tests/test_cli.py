@@ -121,6 +121,7 @@ class TestMainExitCodes:
             ["sigal", "--eps", "0"],
             ["sigal", "--eps", "1"],
             ["drop", "--check-identities", "--mc-pairs", "-5"],
+            ["opcheck", "--check", "double_commutator", "--tol", "-1"],
         ],
     )
     def test_count_below_range_exit_2(self, argv, capsysbinary):

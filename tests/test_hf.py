@@ -184,6 +184,7 @@ class TestSolvers:
         assert np.all(evals > -1e-10)
         assert np.all(evals < 1 + 1e-10)
         assert np.trace(st.gamma) == pytest.approx(2.0, abs=1e-9)
+        assert st.relaxed is None
 
     def test_relaxed_is_one_descent(self, rng, monkeypatch):
         basis = random_basis(rng, 5)
@@ -204,9 +205,25 @@ class TestSolvers:
         assert st.iterations == 1  # every trial step rises, so the first line search fails
         assert st.converged is False
 
-    def test_scf_failure_names_stage_and_size(self, helium_like):
+    def test_scf_failure_names_stage_and_size(self, helium_like, monkeypatch):
+        monkeypatch.setattr(ionlab.hf, "_SCF_MAX_ITER", 1)
+        monkeypatch.setattr(ionlab.hf, "_SCF_TOL", 1e-30)
         with pytest.raises(ConvergenceError, match=r"scf stage.*n=2, dim=3"):
-            solve_hf_scf(helium_like, 2, max_iter=1, tol=1e-30)
+            solve_hf_scf(helium_like, 2)
+
+    def test_cli_hf_runs_one_relaxed_descent(self, monkeypatch):
+        from ionlab import cli
+
+        calls = []
+        fock = ionlab.hf.fock_matrix
+        monkeypatch.setattr(
+            ionlab.hf, "fock_matrix", lambda g, b: calls.append(1) or fock(g, b)
+        )
+        report = cli.run(cli.RunConfig("hf", {"n": 2}))
+        diags = report.diagnostics
+        # the relaxed steps, the Fock matrix at the relaxed seed, then the SCF
+        assert len(calls) == diags["relaxed_iterations"] + 1 + diags["scf_iterations"]
+        assert report.payload["relaxed_converged"]
 
     def test_invalid_n(self, helium_like):
         with pytest.raises(ParameterError):

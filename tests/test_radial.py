@@ -150,7 +150,7 @@ class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
         a = reduced_laplacian(default_grid)
         v = scipy.sparse.diags(-1.0 / default_grid.r, format="csr")
-        vals, _ = extremal_eigs(a + v, k=1, which="smallest")
+        vals, _ = extremal_eigs(a + v, k=1)
         assert vals[0] == pytest.approx(-0.25, abs=1e-3)
 
     def test_symmetry_exact(self, default_grid):
@@ -169,7 +169,7 @@ class TestReducedLaplacian:
         for n in (32, 64, 128, 256):
             g = make_log_grid(1e-4, 1e2, n)
             h = reduced_laplacian(g) + scipy.sparse.diags(-1.0 / g.r, format="csr")
-            vals, _ = extremal_eigs(h, k=1, which="smallest")
+            vals, _ = extremal_eigs(h, k=1)
             errors.append(abs(vals[0] + 0.25))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
@@ -182,9 +182,8 @@ class TestExtremalEigs:
     def _hardy(grid):
         return reduced_laplacian(grid) - scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
 
-    @pytest.mark.parametrize("which", ["smallest", "largest"])
-    @pytest.mark.parametrize("kind", ["hardy", "diagonal"])
-    def test_matches_dense_eigh(self, which, kind):
+    @pytest.mark.parametrize("kind", ["hardy", "diagonal"], ids=lambda kind: f"{kind}-smallest")
+    def test_matches_dense_eigh(self, kind):
         # Dense eigh is accurate only to eps * ||T|| absolute, so the grid is
         # graded mildly enough for that to stay below 1e-10 of every eigenvalue
         # compared; the strongly graded case is checked against eig_banded below.
@@ -192,9 +191,8 @@ class TestExtremalEigs:
         mat = self._hardy(g)
         if kind == "diagonal":
             mat = scipy.sparse.diags(np.log(g.r) ** 2, format="csr")
-        vals, vecs = extremal_eigs(mat, k=8, which=which)
-        idx = (0, 7) if which == "smallest" else (392, 399)
-        ref_vals, ref_vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=idx)
+        vals, vecs = extremal_eigs(mat, k=8)
+        ref_vals, ref_vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, 7))
         assert np.all(np.diff(vals) >= 0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0)
         overlaps = np.abs(np.sum(vecs * ref_vecs, axis=0))
@@ -209,7 +207,7 @@ class TestExtremalEigs:
         # stebz at its default tolerance (eps * ||T||_1) misses these by ~1e-4.
         g = make_log_grid(1e-4, 1e2, 2000)
         mat = self._hardy(g)
-        vals, _ = extremal_eigs(mat, k=8, which="smallest")
+        vals, _ = extremal_eigs(mat, k=8)
         band = np.vstack([np.concatenate(([0.0], mat.diagonal(1))), mat.diagonal(0)])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
