@@ -1,16 +1,23 @@
 """Discrete certificates for one-body operator inequalities.
 
 Each check builds the relevant symmetric matrix from the reduced radial
-operators, reports an extremal eigenvalue, and compares it against the
-inequality's bound at a caller-supplied tolerance.  Eigenvectors whose
-mass concentrates within 5 grid points of either end are flagged as
-Dirichlet-truncation artifacts and skipped.
+operators, reports an extremal eigenvalue, and grades it against the
+inequality's bound at the caller's tolerance.  Before any eigen-solve a
+check refuses, with DomainError, a grid with fewer than 10 points per
+unit of log r (log step > MAX_LOG_STEP = 0.1): coarser grids have
+discrete minima that are grid artifacts (Hardy reads -28489 on
+make_log_grid(1e-6, 1e4, 12)), while lowest modes held at the walls
+appear only at 7.2 points or fewer.
 
 The double-commutator check is special: on a graded (log) mesh the raw
 matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
 checkerboards near r_min and wall layers near r_max, so the inequality
 is certified on a Galerkin dictionary of smooth compactly supported
-bumps in log r instead (see check_double_commutator_cube).
+bumps in log r instead (see check_double_commutator_cube).  It also
+refuses a dictionary whose roughest unit vector has a second difference
+of norm above MAX_BUMP_ROUGHNESS = 2: a wave sampled at k points per
+wavelength has second difference 4 sin^2(pi/k) times its norm, so 2 is
+4 points per wavelength, below which the checkerboards couple in.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .radial import RadialGrid, extremal_eigs, reduced_laplacian
 
 __all__ = [
@@ -35,9 +42,8 @@ __all__ = [
     "bump_dictionary",
 ]
 
-EDGE_NODES = 5          # boundary-artifact window at each grid end
-EDGE_MASS_FRACTION = 0.5
-FILTER_CANDIDATES = 8   # lowest eigenpairs screened for edge concentration
+MAX_LOG_STEP = 0.1        # at least 10 grid points per unit of log r
+MAX_BUMP_ROUGHNESS = 2.0  # at least 4 grid points per wavelength
 
 BUMP_HALF_WIDTHS = (1.0, 2.0, 4.0)  # in log r
 BUMP_PER_WIDTH = 40
@@ -49,11 +55,12 @@ IMS_BOUND = 0.25 - 1.0
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of one operator-inequality check.
+    """Outcome of one operator-inequality check on a grid it resolves.
 
     ``side`` is "lower" when the claim is extremal_eigenvalue >= bound and
-    "upper" when it is <= bound.  ``passed`` applies the tolerance on the
-    claimed side.
+    "upper" when it is <= bound.  ``passed`` applies ``tolerance``, the
+    caller's, on the claimed side (and any side condition the check
+    computed, such as the identity of the |x|^2 check).
     """
 
     name: str
@@ -63,7 +70,6 @@ class InequalityReport:
     grid_descriptor: str
     bound: float = 0.0
     side: str = "lower"
-    boundary_skipped: int = 0
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -75,63 +81,40 @@ class InequalityReport:
             "grid": self.grid_descriptor,
             "bound": self.bound,
             "side": self.side,
-            "boundary_skipped": self.boundary_skipped,
         }
         d.update(self.details)
         return d
 
 
-def _check_tol(tol: float) -> float:
+def _admit(grid: RadialGrid, tol: float) -> float:
+    """The tolerance as a float: ParameterError if negative, DomainError
+    if the grid is coarser than MAX_LOG_STEP."""
     if tol < 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol}")
+    if grid.log_step > MAX_LOG_STEP:
+        raise DomainError(f"grid {grid.descriptor()} has fewer than 10 points per unit of log r")
     return float(tol)
 
 
-def _filtered_extremal(matrix, grid: RadialGrid):
-    """Smallest eigenvalue skipping edge-concentrated eigenvectors.
-
-    Returns (eigenvalue, skipped).  If all FILTER_CANDIDATES candidates
-    look like boundary artifacts the smallest is reported anyway, with
-    the skip count equal to their number as a warning sign.
-    """
-    vals, vecs = extremal_eigs(matrix, k=min(FILTER_CANDIDATES, grid.n))
-    skipped = 0
-    for j in range(len(vals)):
-        v2 = vecs[:, j] ** 2
-        edge = v2[:EDGE_NODES].sum() + v2[-EDGE_NODES:].sum()
-        if edge <= EDGE_MASS_FRACTION * v2.sum():
-            return float(vals[j]), skipped
-        skipped += 1
-    return float(vals[0]), skipped
-
-
-def _lower_report(
-    name: str,
-    matrix,
-    grid: RadialGrid,
-    tol: float,
-    bound: float = 0.0,
-    identity_ok: bool = True,
-    details: dict | None = None,
-) -> InequalityReport:
-    """Report the claim: smallest resolved eigenvalue of matrix >= bound - tol.
-
-    ``identity_ok`` is an extra condition the check computed beside the
-    eigenvalue; the report passes only if it holds too.
-    """
-    tol = _check_tol(tol)
-    val, skipped = _filtered_extremal(matrix, grid)
+def _report(name, value, grid, tol, bound=0.0, side="lower", holds=True, details=None):
+    """Grade value >= bound - tol on side "lower", value <= bound + tol on
+    side "upper"; ``holds`` is a side condition the check computed, which
+    must hold too."""
+    ok = value >= bound - tol if side == "lower" else value <= bound + tol
     return InequalityReport(
         name=name,
-        extremal_eigenvalue=val,
+        extremal_eigenvalue=value,
         tolerance=tol,
-        passed=bool(identity_ok and val >= bound - tol),
+        passed=bool(holds and ok),
         grid_descriptor=grid.descriptor(),
         bound=bound,
-        side="lower",
-        boundary_skipped=skipped,
+        side=side,
         details=details or {},
     )
+
+
+def _smallest(matrix) -> float:
+    return float(extremal_eigs(matrix, k=1)[0][0])
 
 
 def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
@@ -141,16 +124,17 @@ def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
 
 def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     """-Laplace >= 1/(4 |x|^2): smallest eigenvalue of A - 1/(4 r^2)."""
+    tol = _admit(grid, tol)
     v = scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
-    return _lower_report("hardy", reduced_laplacian(grid) - v, grid, tol)
+    return _report("hardy", _smallest(reduced_laplacian(grid) - v), grid, tol)
 
 
 def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     """(-Laplace)|x| + |x|(-Laplace) >= 0 via the symmetrized product."""
+    tol = _admit(grid, tol)
     r_op = scipy.sparse.diags(grid.r, format="csr")
-    return _lower_report(
-        "lieb_symmetrization", symmetrized_product(reduced_laplacian(grid), r_op), grid, tol
-    )
+    s_op = symmetrized_product(reduced_laplacian(grid), r_op)
+    return _report("lieb_symmetrization", _smallest(s_op), grid, tol)
 
 
 def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> InequalityReport:
@@ -171,6 +155,7 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     with it to O(h^2), from above.  The bound -3/8 holds only for the
     kinetic operator -Laplace/2, and fails here once L > pi/sqrt(3/8).
     """
+    tol = _admit(grid, tol)
     a = reduced_laplacian(grid)
     r_op = scipy.sparse.diags(grid.r, format="csr")
     r2_op = scipy.sparse.diags(grid.r**2, format="csr")
@@ -180,8 +165,8 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     rar = (r_op @ a @ r_op).tocsr()
     dev = s_op - (rar - ident)
     rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.multiply(a)).sum())
-    return _lower_report(
-        "ims_x2", s_op, grid, tol, bound=bound, identity_ok=rel_dev < 1e-8,
+    return _report(
+        "ims_x2", _smallest(s_op), grid, tol, bound=bound, holds=rel_dev < 1e-8,
         details={"identity_rel_deviation": float(rel_dev)},
     )
 
@@ -239,7 +224,7 @@ def bump_dictionary(grid: RadialGrid) -> np.ndarray:
         for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH):
             cols.append(s * _smooth_bump((x - c) / half))
     if not cols:
-        raise ParameterError("grid too small for the bump dictionary")
+        raise DomainError(f"no bump of the dictionary fits on grid {grid.descriptor()}")
     b = np.array(cols).T
     q, sv, _ = np.linalg.svd(b, full_matrices=False)
     return q[:, sv > 1e-6 * sv[0]]
@@ -254,22 +239,24 @@ def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityRepo
     Dirichlet truncation.  Neither represents the continuum operator, so
     the largest eigenvalue is taken over the Galerkin restriction to the
     smooth interior bump dictionary, on which the discrete quadratic form
-    matches the continuum one to discretization accuracy.
+    matches the continuum one to discretization accuracy.  A dictionary
+    that the grid does not resolve is refused: DomainError when some
+    unit vector of its span has a second difference of norm above
+    MAX_BUMP_ROUGHNESS.
     """
-    tol = _check_tol(tol)
-    m = double_commutator_matrix(grid)
+    tol = _admit(grid, tol)
     q = bump_dictionary(grid)
+    d = np.diff(q, 2, axis=0)
+    # spectral norm of d from its small Gram matrix, several times cheaper than an SVD
+    roughness = float(np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]))
+    del d  # before m @ q: this check sets the peak memory of a certificates pass
+    if roughness > MAX_BUMP_ROUGHNESS:
+        raise DomainError(f"bump dictionary on grid {grid.descriptor()} has roughness "
+                          f"{roughness:.3g}: fewer than 4 points per wavelength")
+    m = double_commutator_matrix(grid)
     mred = q.T @ (m @ q)
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))
-    val = float(vals[-1])
-    return InequalityReport(
-        name="double_commutator_r3",
-        extremal_eigenvalue=val,
-        tolerance=tol,
-        passed=bool(val <= tol),
-        grid_descriptor=grid.descriptor(),
-        bound=0.0,
-        side="upper",
-        boundary_skipped=0,
+    return _report(
+        "double_commutator_r3", float(vals[-1]), grid, tol, side="upper",
         details={"dictionary_size": int(q.shape[1])},
     )

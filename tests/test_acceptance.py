@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ionlab.cli as cli
+from ionlab.errors import DomainError
 from ionlab.radial import make_log_grid
 
 
@@ -177,11 +178,19 @@ def test_criterion_6_operator_inequalities(name, fn_name, tol, default_grid):
             defects.append(max(0.0, r.extremal_eigenvalue - r.bound))
     shrinking = all(b <= a + 1e-12 for a, b in zip(defects, defects[1:]))
 
+    # 64 points over 13.8 units of log r cannot resolve any of the checks
+    try:
+        fn(make_log_grid(1e-4, 1e2, 64), tol)
+        refused = False
+    except DomainError:
+        refused = True
+
     ok = _line(
         "A6",
-        rep.passed and shrinking,
+        rep.passed and shrinking and refused,
         f"{name}: extremal {rep.extremal_eigenvalue:.6g} vs bound {rep.bound:g} "
-        f"(tol {tol:g}), defect sequence {['%.3g' % d for d in defects]}",
+        f"(tol {tol:g}), defect sequence {['%.3g' % d for d in defects]}, "
+        f"n=64 {'refused' if refused else 'NOT refused'}",
     )
     assert ok
 

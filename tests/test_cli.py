@@ -264,6 +264,16 @@ class TestOtherRunners:
         assert rep["bound"] == -0.75
         assert rep["passed"] is True
 
+    def test_opcheck_coarse_grid_exit_2(self, capsysbinary):
+        assert cli.main(["opcheck", "--check", "all", "--grid-n", "64"]) == 2
+        assert capsysbinary.readouterr().out == b""
+
+    def test_opcheck_double_commutator_at_given_tolerance(self, capsysbinary):
+        assert cli.main(["opcheck", "--check", "double_commutator", "--tol", "0.01"]) == 0
+        out = capsysbinary.readouterr().out
+        assert b'"tolerance":0.01' in out
+        assert json.loads(out.decode())["payload"]["double_commutator"]["passed"] is True
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])

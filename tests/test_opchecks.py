@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from ionlab.errors import ParameterError
+from ionlab.errors import DomainError, ParameterError
 from ionlab.opchecks import (
     IMS_BOUND,
     bump_dictionary,
@@ -24,8 +24,9 @@ class TestHardy:
         assert rep.extremal_eigenvalue >= -1e-2
 
     def test_coarse_16_point_grid(self):
-        rep = check_hardy(make_log_grid(1e-4, 1e2, 16), tol=1.0)
-        assert rep.passed
+        # 16 points over 13.8 units of log r: fewer than 10 per unit
+        with pytest.raises(DomainError):
+            check_hardy(make_log_grid(1e-4, 1e2, 16), tol=1.0)
 
     def test_negative_tolerance_rejected(self, coarse_grid):
         with pytest.raises(ParameterError):
@@ -93,9 +94,8 @@ class TestImsX2:
         assert prod.nnz == 0
 
     def test_coarse_grid_report_recorded(self):
-        rep = check_ims_x2(make_log_grid(1e-4, 1e2, 64), tol=1e-2)
-        assert isinstance(rep.passed, bool)
-        assert np.isfinite(rep.extremal_eigenvalue)
+        with pytest.raises(DomainError):
+            check_ims_x2(make_log_grid(1e-4, 1e2, 64), tol=1e-2)
 
 
 class TestDoubleCommutator:
@@ -140,6 +140,32 @@ class TestDoubleCommutator:
         q = bump_dictionary(default_grid)
         assert np.max(np.abs(q[:10, :])) < 1e-10
         assert np.max(np.abs(q[-10:, :])) < 1e-10
+
+    @pytest.mark.parametrize(
+        "r_min,r_max,n",
+        [
+            # 10+ points per unit of log r, but roughness 3.5, 3.27, 2.71
+            # and 3.43; unrefused, the first reads +2596 with all 120 columns
+            (1e-4, 1e2, 256),
+            (1e-4, 1e2, 278),
+            (1e-3, 1.0, 209),
+            (1e-4, 10.0, 250),
+            (0.5, 2.0, 400),  # no bump fits the box
+        ],
+    )
+    def test_unresolved_dictionary_refused(self, r_min, r_max, n):
+        with pytest.raises(DomainError):
+            check_double_commutator_cube(make_log_grid(r_min, r_max, n), tol=1e-1)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_hardy, check_lieb_symmetrization, check_ims_x2, check_double_commutator_cube],
+)
+def test_coarse_grid_refused(check):
+    # 64 points over 13.8 units of log r: fewer than 10 per unit
+    with pytest.raises(DomainError):
+        check(make_log_grid(1e-4, 1e2, 64), tol=1e-2)
 
 
 @pytest.mark.parametrize("check", [check_hardy, check_lieb_symmetrization])
