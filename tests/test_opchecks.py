@@ -4,7 +4,11 @@ import scipy.sparse
 
 from ionlab.errors import DomainError, ParameterError
 from ionlab.opchecks import (
+    BUMP_HALF_WIDTHS,
+    BUMP_PER_WIDTH,
+    BUMP_WALL_CLEARANCE_NODES,
     IMS_BOUND,
+    _smooth_bump,
     bump_dictionary,
     check_double_commutator_cube,
     check_hardy,
@@ -134,12 +138,39 @@ class TestDoubleCommutator:
         cont = -24.0 * 4 * np.pi * np.trapezoid(g.r * dphi**2, g.r)
         assert quad == pytest.approx(cont, rel=2e-3)
 
+    def test_default_grid_value_pinned(self, default_grid):
+        rep = check_double_commutator_cube(default_grid, tol=1e-1)
+        assert rep.extremal_eigenvalue == pytest.approx(-0.49984851757279103, rel=1e-9)
+
     def test_dictionary_avoids_walls(self, default_grid):
-        # raw bumps vanish identically near the walls; the SVD mixes in
-        # at most machine-level noise there
         q = bump_dictionary(default_grid)
-        assert np.max(np.abs(q[:10, :])) < 1e-10
-        assert np.max(np.abs(q[-10:, :])) < 1e-10
+        assert not q[:10].any() and not q[-10:].any()
+
+    @pytest.mark.parametrize(
+        "n,size",
+        # n = 500 and 8000 each prune one column next to the threshold:
+        # kept sigma/sigma_max 1.30e-6 and 1.26e-6, pruned 8.07e-7 and 9.76e-7
+        [(500, 119), (2000, 120), (8000, 119)],
+    )
+    def test_dictionary_spans_the_thin_svd(self, n, size):
+        g = make_log_grid(1e-4, 100, n)
+        q = bump_dictionary(g)
+        assert q.shape == (n, size)
+        assert np.abs(q.T @ q - np.eye(size)).max() < 1e-13
+        # the raw bumps, orthonormalized by the thin SVD and the same
+        # pruning rule sigma > 1e-6 sigma_max
+        x = np.log(g.r)
+        clear = BUMP_WALL_CLEARANCE_NODES * g.log_step
+        b = np.array([
+            np.sqrt(4.0 * np.pi * g.mass) * _smooth_bump((x - c) / half)
+            for half in BUMP_HALF_WIDTHS
+            for c in np.linspace(x[0] + clear + half, x[-1] - clear - half, BUMP_PER_WIDTH)
+        ]).T
+        u, sv, _ = np.linalg.svd(b, full_matrices=False)
+        u = u[:, sv > 1e-6 * sv[0]]
+        cosines = np.linalg.svd(u.T @ q, compute_uv=False)
+        assert u.shape[1] == size
+        assert cosines.min() >= 1.0 - 1e-10
 
     @pytest.mark.parametrize(
         "r_min,r_max,n",
