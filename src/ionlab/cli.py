@@ -107,7 +107,6 @@ class RunReport:
     columns: tuple | None
     timings: dict
     diagnostics: dict
-    version: str = __version__
 
     def to_jsonable(self) -> dict:
         # Wall time stays off the document: emitted bytes must be a pure
@@ -123,7 +122,7 @@ class RunReport:
             "table_columns": list(self.columns) if self.columns else None,
             "table": self.table,
             "diagnostics": self.diagnostics,
-            "version": self.version,
+            "version": __version__,
         }
 
 
@@ -152,25 +151,23 @@ def _json_value(v) -> str:
     raise FormatError(f"cannot serialize {type(v).__name__}")
 
 
-def emit(report: RunReport, fmt: str | None = None) -> bytes:
-    """Serialize a report: stable-key JSON, or CSV for tabular payloads."""
-    fmt = fmt or report.config.format
-    if fmt == "json":
+def emit(report: RunReport) -> bytes:
+    """Serialize a report in its config's format: stable-key JSON, or CSV
+    for tabular payloads."""
+    if report.config.format == "json":
         return (_json_value(report.to_jsonable()) + "\n").encode()
-    if fmt == "csv":
-        if report.table is None or report.columns is None:
-            raise FormatError("payload has no table; use json format")
-        lines = [",".join(report.columns)]
-        for row in report.table:
-            cells = []
-            for x in row:
-                if isinstance(x, (float, np.floating)):
-                    cells.append(_fmt(x))
-                else:
-                    cells.append(str(x))
-            lines.append(",".join(cells))
-        return ("\n".join(lines) + "\n").encode()
-    raise FormatError(f"unknown format {fmt!r}")
+    if report.table is None or report.columns is None:
+        raise FormatError("payload has no table; use json format")
+    lines = [",".join(report.columns)]
+    for row in report.table:
+        cells = []
+        for x in row:
+            if isinstance(x, (float, np.floating)):
+                cells.append(_fmt(x))
+            else:
+                cells.append(str(x))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _run_tf(params: dict, seed: int):

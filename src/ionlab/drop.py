@@ -101,10 +101,6 @@ class BallConfiguration:
                     return False
         return True
 
-    @property
-    def volume(self) -> float:
-        return sum(b.volume for b in self.balls)
-
 
 def configuration_energy(config: BallConfiguration) -> float:
     """Total liquid-drop energy of disjoint balls.

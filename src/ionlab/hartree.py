@@ -29,7 +29,7 @@ from .radial import (
     newton_potential,
     reduced_laplacian,
 )
-from .tfw import TFWParams, _minimize
+from .tfw import TFWParams, _TFWModel
 
 __all__ = [
     "HartreeState",
@@ -64,10 +64,6 @@ def default_hartree_grid() -> RadialGrid:
     return make_log_grid(1e-4, 100.0, 2000)
 
 
-def _weight(grid: RadialGrid) -> np.ndarray:
-    return np.sqrt(4.0 * np.pi * grid.mass)
-
-
 def normalize_mass(field: RadialField, mass: float) -> RadialField:
     cur = integrate_3d(RadialField(field.grid, field.values**2))
     if cur <= 0:
@@ -78,21 +74,19 @@ def normalize_mass(field: RadialField, mass: float) -> RadialField:
 def kinetic_energy(u: RadialField) -> float:
     """int |grad u|^2 over R^3 via the reduced quadratic form."""
     a = reduced_laplacian(u.grid)
-    psi = _weight(u.grid) * u.grid.r * u.values
+    psi = np.sqrt(4.0 * np.pi * u.grid.mass) * u.grid.r * u.values
     return float(psi @ (a @ psi))
 
 
-def _solve(grid: RadialGrid | None, z: float, cap: float | None):
-    """Minimizer of the c_tf = 0 functional at charge z under the mass
-    cap: (model, v, rel, Newton steps, lambda)."""
+def _model(grid: RadialGrid | None, z: float = 1.0) -> _TFWModel:
+    """The c_tf = 0 functional at charge z."""
     grid = grid if grid is not None else default_hartree_grid()
-    return _minimize(TFWParams(z=z, c_tf=0.0), grid, cap)
+    return _TFWModel(TFWParams(z=z, c_tf=0.0), grid)
 
 
-def _state(t: float, free) -> HartreeState:
-    """The minimizer at cap t, from the uncapped ``_solve`` result free."""
-    model = free[0]
-    _, v, rel, iters, lam = _minimize(model.params, model.grid, t, free)
+def _state(model: _TFWModel, t: float) -> HartreeState:
+    """The minimizer at cap t."""
+    v, lam, rel, iters = model.minimize(t)
     return HartreeState(
         v=RadialField(model.grid, v, nonnegative=True),
         t=float(t),
@@ -112,7 +106,7 @@ def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
     """
     if t <= 0:
         raise ParameterError(f"target mass must be positive, got {t}")
-    return _state(t, _solve(grid, 1.0, None))
+    return _state(_model(grid), t)
 
 
 def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
@@ -123,9 +117,9 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     """
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
-    free = _solve(grid, 1.0, None)
-    tc = free[0].mass(free[1])
-    mu = _state(tc - tol, free).mu
+    model = _model(grid)
+    tc = model.mass(model.minimize()[0])
+    mu = 0.0 - model.minimize(tc - tol)[1]
     if not mu > 0:
         raise ConvergenceError(
             f"t_c = {tc:.6g} not certified: mu(t_c - {tol:g}) = {mu:.3e} "
@@ -142,10 +136,10 @@ def e_curve(ts, grid: RadialGrid | None = None):
         raise ParameterError("need at least one mass value")
     if any(t <= 0 for t in ts):
         raise ParameterError("masses must be positive")
-    free = _solve(grid, 1.0, None)
+    model = _model(grid)
     rows = []
     for t in ts:
-        st = _state(t, free)
+        st = _state(model, t)
         rows.append((float(t), st.energy, st.mu, st.bound_mass))
     return rows
 
@@ -165,7 +159,8 @@ def hartree_energy_direct(
         raise ParameterError("need more than one particle for the pair term")
     if z <= 0:
         raise ParameterError("charge must be positive")
-    model, w, _, _, lam = _solve(grid, z, n_particles - 1.0)
+    model = _model(grid, z)
+    w, lam, _, _ = model.minimize(n_particles - 1.0)
     if not lam < 0:
         raise DomainError(
             f"cap N - 1 = {n_particles - 1.0:g} does not bind at Z = {z:g}: "

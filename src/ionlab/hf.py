@@ -43,7 +43,9 @@ __all__ = [
     "random_basis",
 ]
 
-SECTOR_CAP = 1_000_000
+# Largest n-fermion sector exact_diagonalization builds: its dense float64
+# Hamiltonian takes 8 SECTOR_CAP^2 bytes, 128 MiB at 4096 states.
+SECTOR_CAP = 4096
 _RELAXED_MAX_ITER = 600  # projected-gradient steps of solve_hf_relaxed
 _RELAXED_TOL = 1e-9      # its stopping aufbau gap, relative to 1 + |E|
 _SCAN_TOL = 1e-10        # spectrum_scan's violation threshold, relative

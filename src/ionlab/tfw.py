@@ -30,6 +30,7 @@ the solution.  The Newton loop is ``krylov.newton_krylov``, shared with ``tf``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,6 @@ class _TFWModel:
         self.a_band[0, 1:] = self.a_band[2, :-1] = self.a.diagonal(1)
         self.a_band[1] = self.a.diagonal()
 
-    def to_psi(self, u: np.ndarray) -> np.ndarray:
-        return self.sr * u
-
     def coulomb(self, u: np.ndarray) -> np.ndarray:
         """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
 
@@ -131,7 +129,7 @@ class _TFWModel:
         if vh is None:
             vh = self.coulomb(u)
         u2 = RadialField(grid, u * u)
-        psi = self.to_psi(u)
+        psi = self.sr * u
         kin = p.c_w * float(psi @ (self.a @ psi))
         bulk = p.c_tf * integrate_3d(RadialField(grid, np.abs(u) ** (10.0 / 3.0)))
         attract = p.z * integrate_3d(u2, radial_power=-1)
@@ -144,7 +142,7 @@ class _TFWModel:
     def stationarity(self, u: np.ndarray, lam: float = 0.0, vh: np.ndarray | None = None):
         """F = (c_w A + vloc - lambda) psi, and its norm relative to the
         sizes of its kinetic and potential parts."""
-        psi = self.to_psi(u)
+        psi = self.sr * u
         kin_part = self.params.c_w * (self.a @ psi)
         pot_part = (self.local_potential(u, vh) - lam) * psi
         f = kin_part + pot_part
@@ -196,7 +194,7 @@ class _TFWModel:
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
         deflate = cap is None and c_tf == 0.0
-        x = self.to_psi(u)
+        x = self.sr * u
         if cap is not None:
             x = np.append(x, float(x @ self.stationarity(u)[0]) / float(x @ x))
 
@@ -252,27 +250,29 @@ class _TFWModel:
         x, _, rel, steps = newton_krylov(x, defect, linearize, _RESIDUAL_TOL, stage, case)
         return x[:n] / self.sr, (float(x[n]) if cap is not None else 0.0), rel, steps
 
+    @functools.cached_property
+    def uncapped(self):
+        """(u, lambda = 0, residual, Newton steps) of the uncapped
+        minimizer, solved once per model."""
+        state = self.newton(self.seed(), None, "unconstrained stage")
+        state[0].setflags(write=False)  # every minimize() call shares it
+        return state
 
-def _minimize(params: TFWParams, grid: RadialGrid, cap=None, free=None):
-    """The minimizer at charge params.z under an optional mass cap: the one
-    driver of the gradient-corrected and product-state solves.
+    def minimize(self, cap: float | None = None):
+        """The minimizer under an optional mass cap: the one driver of the
+        gradient-corrected and product-state solves.
 
-    Newton runs from the model's seed without the cap; only if that
-    minimizer carries more than cap does a bordered Newton solve follow,
-    started from it rescaled onto the cap.  ``free``, the result of an
-    uncapped call with the same arguments, stands in for the first solve.
-    Returns (model, u, rel, Newton steps, lambda).
-    """
-    if free is None:
-        model = _TFWModel(params, grid)
-        u, lam, rel, steps = model.newton(model.seed(), None, "unconstrained stage")
-        free = (model, u, rel, steps, lam)
-    model, u, rel, steps, lam = free
-    mass = model.mass(u)
-    if cap is not None and mass > cap:
-        u, lam, rel, more = model.newton(np.sqrt(cap / mass) * u, cap, "constrained stage")
-        steps += more
-    return model, u, rel, steps, lam
+        The uncapped minimizer stands unless it carries more than cap;
+        then a bordered Newton solve follows, started from it rescaled
+        onto the cap.  Returns (u, lambda, residual, Newton steps), the
+        steps of both stages counted.
+        """
+        u, _, _, steps = self.uncapped
+        mass = self.mass(u)
+        if cap is None or mass <= cap:
+            return self.uncapped
+        u, lam, rel, more = self.newton(np.sqrt(cap / mass) * u, cap, "constrained stage")
+        return u, lam, rel, steps + more
 
 
 def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
@@ -283,7 +283,8 @@ def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
     not depend on any other charge.
     """
     grid = grid if grid is not None else default_tfw_grid()
-    model, u, rel, steps, _ = _minimize(params, grid)
+    model = _TFWModel(params, grid)
+    u, _, rel, steps = model.minimize()
     n_c = model.mass(u)
     vh = model.coulomb(u)
     return TFWSolution(
@@ -319,10 +320,10 @@ def excess_charge_sweep(
 
     rows = []
     for z in zs:
-        model, u, _, _, _ = _minimize(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid)
-        u1 = float(np.interp(1.0, grid.r, u))
-        phi1 = float(np.interp(1.0, grid.r, model.phi_of(u)))
-        rows.append((z, model.mass(u) - z, u1, phi1))
+        sol = solve_tfw(TFWParams(z=z, c_tf=c_tf, c_w=c_w), grid)
+        u1 = float(np.interp(1.0, grid.r, sol.u.values))
+        phi1 = float(np.interp(1.0, grid.r, sol.phi.values))
+        rows.append((z, sol.q, u1, phi1))
     return rows
 
 

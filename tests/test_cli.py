@@ -85,9 +85,11 @@ class TestRunAndEmit:
     def test_csv_without_table_rejected(self):
         from ionlab.errors import FormatError
 
-        report = cli.run(cli.RunConfig(command="drop", parameters={"m": 1.0}))
+        report = cli.run(
+            cli.RunConfig(command="drop", parameters={"m": 1.0}, format="csv")
+        )
         with pytest.raises(FormatError):
-            cli.emit(report, fmt="csv")
+            cli.emit(report)
 
     def test_empty_payload_still_valid_json(self):
         report = cli.RunReport(

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -94,10 +92,8 @@ class TestCriticalMass:
         assert abs(0.5 * (lo + hi) - hartree_tc) < 0.01
 
     def test_uncertified_result_raises(self, monkeypatch, grid):
-        import ionlab.hartree as hartree
-
-        unbound = SimpleNamespace(mu=0.0)
-        monkeypatch.setattr(hartree, "_state", lambda t, free: unbound)
+        # Every capped solve answers with the uncapped state: mu = 0.
+        monkeypatch.setattr(_TFWModel, "minimize", lambda self, cap=None: self.uncapped)
         with pytest.raises(ConvergenceError):
             compute_tc(grid)
 

@@ -296,6 +296,17 @@ class TestExactDiagonalization:
         with pytest.raises(CapacityError):
             exact_diagonalization(big, 20)
 
+    def test_capacity_guard_bounds_the_dense_sector(self, monkeypatch):
+        # C(20, 10) = 184 756 states: a 273 GB dense Hamiltonian.
+        basis = build_sgauss_basis(2.0, 0.05 * 3.0 ** np.arange(20))
+
+        def unreachable(basis, n):
+            raise AssertionError("sector Hamiltonian built past the cap")
+
+        monkeypatch.setattr(ionlab.hf, "_sector_hamiltonian", unreachable)
+        with pytest.raises(CapacityError):
+            exact_diagonalization(basis, 10)
+
     def test_empty_sector(self, helium_like):
         assert exact_diagonalization(helium_like, 0) == 0.0
 

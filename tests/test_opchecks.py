@@ -66,6 +66,26 @@ class TestImsX2:
         rep = check_ims_x2(default_grid, tol=1e-2)
         assert rep.details["identity_rel_deviation"] < 1e-8
 
+    @pytest.mark.parametrize(
+        "spec",
+        [(1e-4, 1e2, 2000), (1e-2, 1e2, 1000), (1e-8, 1e4, 600), (0.5, 2.0, 400),
+         (1e-4, 1e2, 140)],
+    )
+    def test_identity_defect_in_closed_form(self, spec):
+        # On a log grid S - (R A R - I) = tridiag(-1/2, 1, -1/2) exactly, so
+        # the reported deviation is sqrt(1.5 n - 0.5) / |A|_F: the grid's,
+        # not the identity's.
+        g = make_log_grid(*spec)
+        a = reduced_laplacian(g)
+        r_op = scipy.sparse.diags(g.r, format="csr")
+        s_op = 0.5 * symmetrized_product(a, scipy.sparse.diags(g.r**2, format="csr"))
+        dev = s_op - (r_op @ a @ r_op - scipy.sparse.identity(g.n))
+        closed = scipy.sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(g.n, g.n))
+        assert abs(dev - closed).max() <= 1e-9
+        rel_dev = check_ims_x2(g, tol=1e-2).details["identity_rel_deviation"]
+        a_norm = np.sqrt(a.multiply(a).sum())
+        assert rel_dev == pytest.approx(np.sqrt(1.5 * g.n - 0.5) / a_norm, rel=1e-10)
+
     def test_eigenvalue_at_sharp_constant(self):
         # -3/4 + (pi/L)^2 is the minimum on a log box of length L; the
         # Dirichlet ghost cells add one log step h at each end

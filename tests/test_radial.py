@@ -30,7 +30,6 @@ class TestLogGrid:
         g = make_log_grid(1e-4, 1e2, 2000)
         val = g.integrate(np.exp(-g.r))
         assert abs(val - 1.0) < 1e-6
-        assert g.quad_check_error < 1e-6
 
     def test_empty_range_rejected(self):
         with pytest.raises(ParameterError):

@@ -8,7 +8,6 @@ from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log
 from ionlab.tfw import (
     TFWParams,
     TFWSolution,
-    _minimize,
     _TFWModel,
     default_tfw_grid,
     excess_charge_sweep,
@@ -133,7 +132,7 @@ class TestStationarity:
         monkeypatch.setattr(
             ionlab.tfw, "coulomb_potential", counted("signed", ionlab.tfw.coulomb_potential)
         )
-        _, _, rel, steps, _ = _minimize(params, default_tfw_grid(), cap)
+        _, _, rel, steps = _TFWModel(params, default_tfw_grid()).minimize(cap)
         assert rel < ionlab.tfw._RESIDUAL_TOL
         assert counts["density"] > steps
         assert counts["signed"] >= steps
@@ -191,7 +190,8 @@ class TestDenseOracle:
     )
     def test_agrees_with_dense_newton(self, params, cap):
         grid = make_log_grid(1e-4, 100.0, 300)
-        model, u, _, _, lam = _minimize(params, grid, cap)
+        model = _TFWModel(params, grid)
+        u, lam, _, _ = model.minimize(cap)
         # The dense iteration starts from the seed (rescaled onto the cap),
         # not from the solver's answer.
         u_ref, lam_ref = self._dense_newton(model, model.seed(), cap)
