@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, ParameterError
 
@@ -29,6 +30,7 @@ __all__ = [
     "coulomb_potential",
     "newton_potential",
     "reduced_laplacian",
+    "tridiagonal_solver",
     "extremal_eigs",
 ]
 
@@ -152,7 +154,11 @@ def _cumulative_integral(grid: RadialGrid, integrand: np.ndarray, inward=False):
     h = grid.log_step
     g = integrand * grid.r
     seg = 0.5 * h * (g[:-1] + g[1:])
-    gp = np.gradient(g, h)
+    # g' by central differences inside and one-sided ones at the ends.
+    gp = np.empty_like(g)
+    gp[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
+    gp[0] = (g[1] - g[0]) / h
+    gp[-1] = (g[-1] - g[-2]) / h
     c = h * h / 12.0
     if inward:
         return np.append(np.cumsum(seg[::-1])[::-1], 0.0) - c * (gp[-1] - gp)
@@ -217,6 +223,30 @@ def reduced_laplacian(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     main = diag * s * s
     off = -inv * s[:-1] * s[1:]
     return scipy.sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+
+
+def tridiagonal_solver(band: np.ndarray):
+    """Solve with the tridiagonal matrix held in LAPACK band storage
+    (superdiagonal, diagonal, subdiagonal rows), factored once.
+
+    LU with partial pivoting (LAPACK gttrf), then one gttrs substitution
+    per right-hand side: the arithmetic of ``scipy.linalg.solve_banded((1,
+    1), band, rhs)``, which refactors on every call.  Raises ValueError on
+    a non-finite band or right-hand side and LinAlgError on a singular
+    matrix.
+    """
+    if not np.all(np.isfinite(band)):
+        raise ValueError("array must not contain infs or NaNs")
+    dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("array must not contain infs or NaNs")
+        return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
 
 
 def _bandwidth(mat: scipy.sparse.spmatrix) -> int:

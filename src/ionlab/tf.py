@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .krylov import newton_krylov
@@ -40,6 +39,7 @@ from .radial import (
     make_log_grid,
     newton_potential,
     reduced_laplacian,
+    tridiagonal_solver,
 )
 
 __all__ = [
@@ -179,10 +179,11 @@ def _newton(
     costs one Coulomb solve; the projection term holds the mass at n_cap
     and enters only while mu > 0.  Poisson's equation makes 1/|x| equal
     4 pi A^(-1) on reduced weighted functions s r f, so the right
-    preconditioner (A + 4 pi rho')^(-1) A, one banded solve, inverts the
-    Jacobian up to the projection term and the box-edge condition.  Steps
-    backtrack on |sqrt(q) G|; the stopping residual is the L1 defect of
-    the Euler-Lagrange equation at rho(V).  Returns (V, (mu, rho,
+    preconditioner (A + 4 pi rho')^(-1) A, at one LU per Newton step and
+    one back-substitution per Krylov step, inverts the Jacobian up to the
+    projection term and the box-edge condition.  Steps backtrack on
+    |sqrt(q) G|; the stopping residual is the L1 defect of the
+    Euler-Lagrange equation at rho(V).  Returns (V, (mu, rho,
     Z/r - rho * 1/|x|), residual, Newton steps).
     """
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
@@ -207,6 +208,7 @@ def _newton(
         qd = q * drho
         band = a_band.copy()
         band[1] += 4.0 * np.pi * drho
+        solve = tridiagonal_solver(band)
 
         def jac(d):
             shift = (qd @ d) / qd.sum() if mu > 0.0 else 0.0
@@ -214,7 +216,7 @@ def _newton(
             return d + dv.values
 
         def precond(y):
-            return scipy.linalg.solve_banded((1, 1), band, a @ (sr * y)) / sr
+            return solve(a @ (sr * y)) / sr
 
         return jac, precond, precond
 

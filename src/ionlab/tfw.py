@@ -34,7 +34,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ParameterError
 from .krylov import newton_krylov
@@ -46,6 +45,7 @@ from .radial import (
     make_log_grid,
     newton_potential,
     reduced_laplacian,
+    tridiagonal_solver,
 )
 from .tf import C_TF_DEFAULT, TFParams, solve_tf
 
@@ -175,12 +175,13 @@ class _TFWModel:
                     + psi (2 u d/(s r)) * 1/|x|
 
         costs one Coulomb solve.  GMRES is right-preconditioned by the
-        tridiagonal part T, bordered under a cap, at one banded solve, and
-        steps backtrack on |F|.  The null state solves F = 0 too, and from
-        the hydrogenic seed (c_tf = 0, no cap) plain Newton can run into
-        it; there the steps are deflated (Farrell, Birkisson & Funke, SIAM
-        J. Sci. Comput. 37, 2015): Newton on F/|psi|^2, whose step is F's
-        divided by 1 + 2 <psi, d>/|psi|^2, backtracking on |F|/|psi|^2.
+        tridiagonal part T, bordered under a cap, at one LU per Newton step
+        and one back-substitution per Krylov step, and steps backtrack on
+        |F|.  The null state solves F = 0 too, and from the hydrogenic
+        seed (c_tf = 0, no cap) plain Newton can run into it; there the
+        steps are deflated (Farrell, Birkisson & Funke, SIAM J. Sci.
+        Comput. 37, 2015): Newton on F/|psi|^2, whose step is F's divided
+        by 1 + 2 <psi, d>/|psi|^2, backtracking on |F|/|psi|^2.
         Undeflated Newton from a seed of 1 to 2 times the hydrogenic
         amplitude lost 61 down to 1 of the 276 uncapped c_tf = 0 solves
         the deflated path converges (Z = 0.1-100, c_w = 0.1-10, 7 grids),
@@ -217,10 +218,11 @@ class _TFWModel:
             diag = self.local_potential(u, vh) + bulk - lam
             t_band = c_w * self.a_band
             t_band[1] += diag
+            t_solve = tridiagonal_solver(t_band)
             g = 2.0 * u / self.sr
             if cap is not None:
                 c = 2.0 * self.wm * psi
-                t_psi = scipy.linalg.solve_banded((1, 1), t_band, psi)
+                t_psi = t_solve(psi)
 
             def jac(y):
                 d = y[:n]
@@ -232,7 +234,7 @@ class _TFWModel:
 
             def precond(y):
                 # Block elimination of the bordered T under a cap.
-                z = scipy.linalg.solve_banded((1, 1), t_band, y[:n])
+                z = t_solve(y[:n])
                 if cap is None:
                     return z
                 t = (y[n] - c @ z) / (c @ t_psi)

@@ -346,6 +346,18 @@ class TestLazyImports:
         assert codes == [0] * 6
         assert scipy_modules == []
 
+    def test_radial_solvers_load_no_sparse_linalg(self):
+        """The TF, TFW and Hartree solvers run their own GMRES cycle and
+        tridiagonal solves: importing them, and a capped Hartree solve,
+        leave scipy.sparse.linalg unloaded."""
+        code = (
+            "import sys\n"
+            "import ionlab.tf, ionlab.tfw, ionlab.hartree\n"
+            "ionlab.hartree.minimize_e(0.7)\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+        )
+        assert _fresh_python(code).splitlines()[-1] == "False"
+
     def test_unknown_attribute_raises(self):
         import ionlab
 

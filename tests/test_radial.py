@@ -15,6 +15,7 @@ from ionlab.radial import (
     make_log_grid,
     newton_potential,
     reduced_laplacian,
+    tridiagonal_solver,
 )
 
 
@@ -144,6 +145,25 @@ class TestNewtonPotential:
         exact = np.exp(-g.r[window]) - np.exp(-g.r_max)
         assert np.max(np.abs(outer[window] / exact - 1.0)) < 1e-3
 
+    @pytest.mark.parametrize("inward", [False, True])
+    def test_end_correction_equals_numpy_gradient_rule(self, inward):
+        """The written-out derivative of the end correction is
+        np.gradient(g, h) to the bit, on a 4-point grid and a default one."""
+        from ionlab.radial import _cumulative_integral
+
+        for g in (make_log_grid(1e-3, 10.0, 4), make_log_grid(1e-4, 100.0, 2000)):
+            for f in (np.exp(-g.r), np.sin(g.r) / (1.0 + g.r**3)):
+                h = g.log_step
+                y = f * g.r
+                seg = 0.5 * h * (y[:-1] + y[1:])
+                gp = np.gradient(y, h)
+                c = h * h / 12.0
+                if inward:
+                    ref = np.append(np.cumsum(seg[::-1])[::-1], 0.0) - c * (gp[-1] - gp)
+                else:
+                    ref = np.append(0.0, np.cumsum(seg)) - c * (gp - gp[0])
+                assert np.array_equal(_cumulative_integral(g, f, inward=inward), ref)
+
 
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
@@ -210,6 +230,64 @@ class TestExtremalEigs:
         band = np.vstack([np.concatenate(([0.0], mat.diagonal(1))), mat.diagonal(0)])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+class TestTridiagonalSolver:
+    """One factorization, many solves: bit for bit what solve_banded((1, 1),
+    ...) returns, with its errors."""
+
+    @staticmethod
+    def _tfw_band():
+        from ionlab.tfw import TFWParams, _TFWModel, default_tfw_grid
+
+        model = _TFWModel(TFWParams(z=1.0), default_tfw_grid())
+        u = model.seed()
+        band = model.a_band.copy()
+        band[1] += model.local_potential(u)
+        return band, model.sr * u
+
+    @staticmethod
+    def _pivoting_band(n=200):
+        rng = np.random.default_rng(3)
+        band = np.vstack(
+            [rng.uniform(-1, 1, n), rng.uniform(-0.1, 0.1, n), rng.uniform(-4, 4, n)]
+        )
+        ipiv = scipy.linalg.lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])[4]
+        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) > n // 2  # |dl| > |d| mostly
+        return band, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("kind", ["tfw", "pivoting"])
+    def test_equals_solve_banded(self, kind):
+        band, rhs = self._tfw_band() if kind == "tfw" else self._pivoting_band()
+        kept = band.copy()
+        solve = tridiagonal_solver(band)
+        for b in (rhs, np.cos(np.arange(rhs.size)), rhs):
+            assert np.array_equal(solve(b), scipy.linalg.solve_banded((1, 1), band, b))
+        assert np.array_equal(band, kept)
+
+    def test_singular_band_raises_linalg_error(self):
+        band, rhs = self._pivoting_band(8)
+        band[1, 0] = band[2, 0] = 0.0  # first column zero
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_banded((1, 1), band, rhs)
+        with pytest.raises(np.linalg.LinAlgError):
+            tridiagonal_solver(band)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        band, rhs = self._pivoting_band(8)
+        solve = tridiagonal_solver(band)
+        rhs[3] = bad
+        for call in (lambda: scipy.linalg.solve_banded((1, 1), band, rhs), lambda: solve(rhs)):
+            with pytest.raises(ValueError):
+                call()
+        band[1, 2] = bad
+        for call in (
+            lambda: scipy.linalg.solve_banded((1, 1), band, np.ones(8)),
+            lambda: tridiagonal_solver(band),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_field_length_mismatch_rejected(coarse_grid):

@@ -115,8 +115,8 @@ class TestStationarity:
     )
     def test_coulomb_solve_budget_per_newton_step(self, monkeypatch, params, cap):
         """A Newton step costs one Coulomb solve per density tried and one
-        per Jacobian product, about 4 to 8 in all (the gradient-free seed's
-        own solves are not counted)."""
+        per Jacobian product, 4.6 to 6.7 in these cases (the gradient-free
+        seed's own solves are not counted)."""
         counts = {"density": 0, "signed": 0}
 
         def counted(key, fn):
@@ -136,7 +136,7 @@ class TestStationarity:
         assert rel < ionlab.tfw._RESIDUAL_TOL
         assert counts["density"] > steps
         assert counts["signed"] >= steps
-        assert counts["density"] + counts["signed"] <= 10 * steps
+        assert counts["density"] + counts["signed"] <= 8 * steps
 
     def test_gradient_coefficient_trend(self):
         # weaker gradient correction -> smaller excess charge
