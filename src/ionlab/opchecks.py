@@ -203,6 +203,33 @@ def _smooth_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_matrix(grid: RadialGrid) -> np.ndarray:
+    """The raw bumps of ``bump_dictionary``, one column each.
+
+    Each bump is evaluated on its support |log r - c| < half only, found by
+    bisection and widened by one node on each side against rounding; every
+    node outside it is the exact zero the whole-grid evaluation gives.
+    """
+    x = np.log(grid.r)
+    s = np.sqrt(4.0 * np.pi * grid.mass)
+    lo, hi = x[0], x[-1]
+    clear = BUMP_WALL_CLEARANCE_NODES * grid.log_step
+    bumps = []
+    for half in BUMP_HALF_WIDTHS:
+        cmin = lo + clear + half
+        cmax = hi - clear - half
+        if cmin < cmax:
+            bumps += [(c, half) for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH)]
+    if not bumps:
+        raise DomainError(f"no bump of the dictionary fits on grid {grid.descriptor()}")
+    rows = np.zeros((len(bumps), x.size))
+    for row, (c, half) in zip(rows, bumps):
+        i = max(int(np.searchsorted(x, c - half)) - 1, 0)
+        j = int(np.searchsorted(x, c + half)) + 1
+        row[i:j] = s[i:j] * _smooth_bump((x[i:j] - c) / half)
+    return rows.T
+
+
 def bump_dictionary(grid: RadialGrid) -> np.ndarray:
     """Orthonormal basis of smooth compactly supported bumps in log r.
 
@@ -223,21 +250,7 @@ def bump_dictionary(grid: RadialGrid) -> np.ndarray:
     n = 500 to 8000.  The second pass starts from that near-identity Gram,
     prunes nothing, and leaves at most 3.3e-15.
     """
-    x = np.log(grid.r)
-    s = np.sqrt(4.0 * np.pi * grid.mass)
-    lo, hi = x[0], x[-1]
-    clear = BUMP_WALL_CLEARANCE_NODES * grid.log_step
-    cols = []
-    for half in BUMP_HALF_WIDTHS:
-        cmin = lo + clear + half
-        cmax = hi - clear - half
-        if cmin >= cmax:
-            continue
-        for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH):
-            cols.append(s * _smooth_bump((x - c) / half))
-    if not cols:
-        raise DomainError(f"no bump of the dictionary fits on grid {grid.descriptor()}")
-    b = np.array(cols).T
+    b = _bump_matrix(grid)
     lam, v = np.linalg.eigh(b.T @ b)
     keep = lam > 1e-12 * lam[-1]
     q = b @ (v[:, keep] / np.sqrt(lam[keep]))

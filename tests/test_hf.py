@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import erf, pi, sqrt
 
 import numpy as np
@@ -134,6 +135,30 @@ class TestEnergyAndFock:
                 4 * eps if i != j else 2 * eps
             )
             assert num == pytest.approx(f[i, j], rel=1e-5, abs=1e-7)
+
+    def test_two_body_kernel_matches_einsum(self, rng):
+        """Fock matrix and energy from W = basis.two_body against the 4-index
+        contractions they replace, on random symmetric gamma."""
+        for d in range(2, 9):
+            basis = random_basis(rng, d)
+            w = basis.two_body
+            assert np.array_equal(w, w.T)
+            for _ in range(3):
+                m = rng.normal(size=(d, d))
+                gamma = 0.5 * (m + m.T)
+                j = np.einsum("ijkl,kl->ij", basis.eri, gamma)
+                k = np.einsum("ikjl,kl->ij", basis.eri, gamma)
+                f_ref = basis.h0 + j - k
+                f_ref = 0.5 * (f_ref + f_ref.T)
+                e_ref = float(np.sum(basis.h0 * gamma)) + 0.5 * (
+                    np.einsum("ijkl,ij,kl", basis.eri, gamma, gamma)
+                    - np.einsum("ikjl,ij,kl", basis.eri, gamma, gamma)
+                )
+                f = fock_matrix(gamma, basis)
+                e = hf_energy(gamma, basis)
+                assert np.max(np.abs(f - f_ref)) <= 1e-13 * np.max(np.abs(f_ref))
+                assert e == pytest.approx(e_ref, rel=1e-13)
+                assert e == pytest.approx(0.5 * np.sum((basis.h0 + f) * gamma), rel=1e-13)
 
     def test_exchange_never_exceeds_direct_for_box_states(self, helium_like, rng):
         for _ in range(10):
@@ -306,6 +331,37 @@ class TestExactDiagonalization:
         monkeypatch.setattr(ionlab.hf, "_sector_hamiltonian", unreachable)
         with pytest.raises(CapacityError):
             exact_diagonalization(basis, 10)
+
+    def test_sector_is_the_fock_space_block(self, rng):
+        """Each sector Hamiltonian is the n-particle block of the dense
+        Jordan-Wigner Hamiltonian on all 2^d occupations (bit p = orbital p)."""
+        for d in range(2, 7):
+            basis = random_basis(rng, d)
+            states = np.arange(2**d)
+            a = np.zeros((d, 2**d, 2**d))  # a[p][b ^ 2^p, b] = (-1)^(bits of b below p)
+            for p in range(d):
+                occupied = states[(states >> p) & 1 == 1]
+                below = [bin(b & ((1 << p) - 1)).count("1") for b in occupied]
+                a[p][occupied ^ (1 << p), occupied] = (-1.0) ** np.array(below)
+            adag = np.transpose(a, (0, 2, 1))
+            hop = np.einsum("pij,qjk->pqik", adag, a)  # a+_p a_q
+            pair = np.einsum("pij,qjk->pqik", adag, adag)  # a+_p a+_q
+            drop = np.einsum("sij,rjk->srik", a, a)  # a_s a_r
+            # <pq|rs> = (pr|qs)
+            fock = np.einsum("pq,pqik->ik", basis.h0, hop) + 0.5 * np.einsum(
+                "prqs,pqij,srjk->ik", basis.eri, pair, drop
+            )
+            count = np.array([bin(b).count("1") for b in states])
+            for n in range(d + 1):
+                # the sector's order: itertools.combinations, lexicographic
+                index = [sum(1 << i for i in occ) for occ in combinations(range(d), n)]
+                block = fock[np.ix_(index, index)]
+                assert sorted(index) == sorted(states[count == n])
+                h = ionlab.hf._sector_hamiltonian(basis, n)
+                scale = np.max(np.abs(block))
+                assert np.max(np.abs(h - block)) <= 1e-12 * scale
+                lowest = np.linalg.eigvalsh(block)[0]
+                assert np.linalg.eigvalsh(h)[0] == pytest.approx(lowest, rel=1e-12, abs=1e-300)
 
     def test_empty_sector(self, helium_like):
         assert exact_diagonalization(helium_like, 0) == 0.0

@@ -8,6 +8,7 @@ from ionlab.opchecks import (
     BUMP_PER_WIDTH,
     BUMP_WALL_CLEARANCE_NODES,
     IMS_BOUND,
+    _bump_matrix,
     _smooth_bump,
     bump_dictionary,
     check_double_commutator_cube,
@@ -19,6 +20,18 @@ from ionlab.opchecks import (
     symmetrized_product,
 )
 from ionlab.radial import extremal_eigs, make_log_grid, reduced_laplacian
+
+
+def _whole_grid_bumps(g):
+    """Reference: every bump of the dictionary evaluated on the whole grid
+    (on a box that all BUMP_HALF_WIDTHS fit)."""
+    x = np.log(g.r)
+    clear = BUMP_WALL_CLEARANCE_NODES * g.log_step
+    return np.array([
+        np.sqrt(4.0 * np.pi * g.mass) * _smooth_bump((x - c) / half)
+        for half in BUMP_HALF_WIDTHS
+        for c in np.linspace(x[0] + clear + half, x[-1] - clear - half, BUMP_PER_WIDTH)
+    ]).T
 
 
 class TestHardy:
@@ -179,18 +192,18 @@ class TestDoubleCommutator:
         assert np.abs(q.T @ q - np.eye(size)).max() < 1e-13
         # the raw bumps, orthonormalized by the thin SVD and the same
         # pruning rule sigma > 1e-6 sigma_max
-        x = np.log(g.r)
-        clear = BUMP_WALL_CLEARANCE_NODES * g.log_step
-        b = np.array([
-            np.sqrt(4.0 * np.pi * g.mass) * _smooth_bump((x - c) / half)
-            for half in BUMP_HALF_WIDTHS
-            for c in np.linspace(x[0] + clear + half, x[-1] - clear - half, BUMP_PER_WIDTH)
-        ]).T
-        u, sv, _ = np.linalg.svd(b, full_matrices=False)
+        u, sv, _ = np.linalg.svd(_whole_grid_bumps(g), full_matrices=False)
         u = u[:, sv > 1e-6 * sv[0]]
         cosines = np.linalg.svd(u.T @ q, compute_uv=False)
         assert u.shape[1] == size
         assert cosines.min() >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize(
+        "r_min,r_max,n", [(1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]
+    )
+    def test_support_evaluation_is_bit_identical(self, r_min, r_max, n):
+        g = make_log_grid(r_min, r_max, n)
+        assert np.array_equal(_bump_matrix(g), _whole_grid_bumps(g))
 
     @pytest.mark.parametrize(
         "r_min,r_max,n",
