@@ -23,7 +23,7 @@ chemists' index order eri[i,j,k,l] = (ij|kl).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -289,6 +289,7 @@ def solve_hf_relaxed(
     )
 
 
+@cache
 def _excitations(d: int, n: int):
     """The images of one-body hops E_pq = a+_p a_q on the n-fermion sector.
 
@@ -299,7 +300,7 @@ def _excitations(d: int, n: int):
     ``sign[J, k]`` its Jordan-Wigner sign (-1)^(occupied orbitals strictly
     between p and q) and ``pair[J, k]`` = p d + q.  An image is ranked by
     the combinatorial number system, rank(c) = D - 1 - sum_i C(d-1-c_i, n-i)
-    for sorted c, whose terms never exceed D = C(d, n).
+    for sorted c, whose terms never exceed D = C(d, n).  Cached; read-only.
     """
     size = comb(d, n)
     occ = np.array(list(combinations(range(d), n)), dtype=np.intp).reshape(size, n)
@@ -323,7 +324,10 @@ def _excitations(d: int, n: int):
         dtype=np.intp,
     )
     target = size - 1 - terms[images, np.arange(n)].sum(axis=2)
-    return target, sign, p * d + q
+    tables = (target, sign, p * d + q)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def _sector_hamiltonian(basis: OneBodyBasis, n: int) -> np.ndarray:

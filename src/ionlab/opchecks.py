@@ -2,12 +2,13 @@
 
 Each check builds the relevant symmetric matrix from the reduced radial
 operators, reports an extremal eigenvalue, and grades it against the
-inequality's bound at the caller's tolerance.  Before any eigen-solve a
-check refuses, with DomainError, a grid with fewer than 10 points per
-unit of log r (log step > MAX_LOG_STEP = 0.1): coarser grids have
-discrete minima that are grid artifacts (Hardy reads -28489 on
-make_log_grid(1e-6, 1e4, 12)), while lowest modes held at the walls
-appear only at 7.2 points or fewer.
+inequality's bound at the caller's tolerance.  Matrices are
+``radial.Tridiagonal`` records; the pentadiagonal double commutator is
+held by rows.  Before any eigen-solve a check refuses, with DomainError,
+a grid with fewer than 10 points per unit of log r (log step >
+MAX_LOG_STEP = 0.1): coarser grids have discrete minima that are grid
+artifacts (Hardy reads -28489 on make_log_grid(1e-6, 1e4, 12)), while
+lowest modes held at the walls appear only at 7.2 points or fewer.
 
 The double-commutator check is special: on a graded (log) mesh the raw
 matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
@@ -25,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, ParameterError
-from .radial import RadialGrid, extremal_eigs, reduced_laplacian
+from .radial import RadialGrid, Tridiagonal, extremal_eigs, reduced_laplacian
 
 __all__ = [
     "InequalityReport",
@@ -117,23 +118,23 @@ def _smallest(matrix) -> float:
     return float(extremal_eigs(matrix, k=1)[0][0])
 
 
-def symmetrized_product(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix):
-    """a b + b a, the symmetrized operator product, as CSR."""
-    return (a @ b + b @ a).tocsr()
+def symmetrized_product(a: Tridiagonal, g: np.ndarray) -> Tridiagonal:
+    """A G + G A for diagonal G = diag(g): entries A_ij g_j + g_i A_ij."""
+    ag = a.diag * g
+    return Tridiagonal(ag + ag, a.off * g[1:] + a.off * g[:-1])
 
 
 def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     """-Laplace >= 1/(4 |x|^2): smallest eigenvalue of A - 1/(4 r^2)."""
     tol = _admit(grid, tol)
-    v = scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
-    return _report("hardy", _smallest(reduced_laplacian(grid) - v), grid, tol)
+    a = reduced_laplacian(grid)
+    return _report("hardy", _smallest(Tridiagonal(a.diag - 0.25 / grid.r**2, a.off)), grid, tol)
 
 
 def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     """(-Laplace)|x| + |x|(-Laplace) >= 0 via the symmetrized product."""
     tol = _admit(grid, tol)
-    r_op = scipy.sparse.diags(grid.r, format="csr")
-    s_op = symmetrized_product(reduced_laplacian(grid), r_op)
+    s_op = symmetrized_product(reduced_laplacian(grid), grid.r)
     return _report("lieb_symmetrization", _smallest(s_op), grid, tol)
 
 
@@ -157,42 +158,51 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     """
     tol = _admit(grid, tol)
     a = reduced_laplacian(grid)
-    r_op = scipy.sparse.diags(grid.r, format="csr")
-    r2_op = scipy.sparse.diags(grid.r**2, format="csr")
-    s_op = 0.5 * symmetrized_product(a, r2_op)
-
-    ident = scipy.sparse.identity(grid.n, format="csr")
-    rar = (r_op @ a @ r_op).tocsr()
-    dev = s_op - (rar - ident)
-    rel_dev = np.sqrt((dev.multiply(dev)).sum() / (a.multiply(a)).sum())
+    r = grid.r
+    s_op = symmetrized_product(a, 0.5 * r**2)
+    dev = Tridiagonal(s_op.diag - (r * a.diag * r - 1.0),  # S - (R A R - I)
+                      s_op.off - r[:-1] * a.off * r[1:])
+    frob2 = [t.diag @ t.diag + 2.0 * (t.off @ t.off) for t in (dev, a)]
+    rel_dev = np.sqrt(frob2[0] / frob2[1])
     return _report(
         "ims_x2", _smallest(s_op), grid, tol, bound=bound, holds=rel_dev < 1e-8,
         details={"identity_rel_deviation": float(rel_dev)},
     )
 
 
-def commutator_with_diagonal(op: scipy.sparse.spmatrix, diag_values: np.ndarray):
-    """[A, G] for diagonal G, assembled entrywise: C_ij = A_ij (g_j - g_i).
+def commutator_with_diagonal(a: Tridiagonal, g: np.ndarray) -> np.ndarray:
+    """[A, G] for diagonal G = diag(g), entrywise C_ij = A_ij (g_j - g_i):
+    antisymmetric, so the superdiagonal alone is returned.
 
     The entrywise form avoids the catastrophic cancellation of forming
     A G - G A from products whose entries dwarf the commutator.
     """
-    coo = op.tocoo()
-    data = coo.data * (diag_values[coo.col] - diag_values[coo.row])
-    return scipy.sparse.csr_matrix((data, (coo.row, coo.col)), shape=op.shape)
+    return a.off * (g[1:] - g[:-1])
 
 
-def double_commutator_matrix(grid: RadialGrid) -> scipy.sparse.csr_matrix:
-    """[Laplace, [Laplace, r^3]] restricted to the radial sector.
+def double_commutator_matrix(grid: RadialGrid) -> np.ndarray:
+    """[Laplace, [Laplace, r^3]] restricted to the radial sector, by rows:
+    ``m[i, s]`` is M_(i, i-2+s), zero outside the matrix.
 
-    Equal to [A, [A, r^3]] with A the reduced -Laplace; the double
-    commutator is even in the sign of A.
+    M = A C - C A with A the reduced -Laplace and C = [A, r^3]; the double
+    commutator is even in the sign of A.  Each entry is written out as
+    the difference of the two products' entries, exactly symmetric.
     """
     a = reduced_laplacian(grid)
-    c1 = commutator_with_diagonal(a, grid.r ** 3.0)
-    m = a @ c1 - c1 @ a
-    m = 0.5 * (m + m.T)
-    return m.tocsr()
+    c = commutator_with_diagonal(a, grid.r ** 3.0)
+    m = np.zeros((grid.n, 5))
+    m[2:, 0] = m[:-2, 4] = c[1:] * a.off[:-1] - a.off[1:] * c[:-1]
+    m[1:, 1] = m[:-1, 3] = c * a.diag[:-1] - c * a.diag[1:]
+    m[:, 2] = -2.0 * np.diff(np.pad(a.off * c, 1))
+    return m
+
+
+def _band_product(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """M q for M by rows, rows 0, 1, n-2 and n-1 left zero: exact when q, like
+    the bumps (zero within BUMP_WALL_CLEARANCE_NODES), is zero near each wall."""
+    mq = np.zeros_like(q)
+    np.einsum("ns,nks->nk", m[2:-2], sliding_window_view(q, 5, axis=0), out=mq[2:-2])
+    return mq
 
 
 def _smooth_bump(t: np.ndarray) -> np.ndarray:
@@ -277,14 +287,13 @@ def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityRepo
     d = np.diff(q, 2, axis=0)
     # spectral norm of d from its small Gram matrix, several times cheaper than an SVD
     roughness = float(np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]))
-    # before m @ q: at n = 8000 this check sets the peak RSS of a
+    # before M q: at n = 8000 this check sets the peak RSS of a
     # certificates pass, 94.5 MB with the del and 101.7 MB without it
     del d
     if roughness > MAX_BUMP_ROUGHNESS:
         raise DomainError(f"bump dictionary on grid {grid.descriptor()} has roughness "
                           f"{roughness:.3g}: fewer than 4 points per wavelength")
-    m = double_commutator_matrix(grid)
-    mred = q.T @ (m @ q)
+    mred = q.T @ _band_product(double_commutator_matrix(grid), q)
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))
     return _report(
         "double_commutator_r3", float(vals[-1]), grid, tol, side="upper",

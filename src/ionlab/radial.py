@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, ParameterError
@@ -29,6 +28,7 @@ __all__ = [
     "integrate_3d",
     "coulomb_potential",
     "newton_potential",
+    "Tridiagonal",
     "reduced_laplacian",
     "tridiagonal_solver",
     "extremal_eigs",
@@ -77,10 +77,6 @@ class RadialGrid:
 
     def descriptor(self) -> str:
         return f"log[{self.r_min:.3g},{self.r_max:.3g}] n={self.n}"
-
-    def integrate(self, values: np.ndarray) -> float:
-        """int_0^infty g(r) dr for samples g(r_i)."""
-        return float(np.dot(self.w, values))
 
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
@@ -195,7 +191,22 @@ def newton_potential(rho: RadialField) -> RadialField:
     return coulomb_potential(RadialField(rho.grid, np.clip(rho.values, 0.0, None)))
 
 
-def reduced_laplacian(grid: RadialGrid) -> scipy.sparse.csr_matrix:
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix: ``diag`` (n) and ``off`` (n - 1), the
+    super- and subdiagonal alike.  ``t @ x`` is the matrix-vector product."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[1:] += self.off * x[:-1]
+        y[:-1] += self.off * x[1:]
+        return y
+
+
+def reduced_laplacian(grid: RadialGrid) -> Tridiagonal:
     """-d^2/dr^2 on phi = r*f with Dirichlet at both grid ends.
 
     Assembled as the piecewise-linear stiffness matrix, with ghost nodes
@@ -220,24 +231,20 @@ def reduced_laplacian(grid: RadialGrid) -> scipy.sparse.csr_matrix:
     diag[-1] = inv[-1] + 1.0 / dr_hi
 
     s = 1.0 / np.sqrt(grid.mass)
-    main = diag * s * s
-    off = -inv * s[:-1] * s[1:]
-    return scipy.sparse.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+    return Tridiagonal(diag * s * s, -inv * s[:-1] * s[1:])
 
 
-def tridiagonal_solver(band: np.ndarray):
-    """Solve with the tridiagonal matrix held in LAPACK band storage
-    (superdiagonal, diagonal, subdiagonal rows), factored once.
+def tridiagonal_solver(t: Tridiagonal):
+    """Solve with the symmetric tridiagonal t, factored once.
 
-    LU with partial pivoting (LAPACK gttrf), then one gttrs substitution
-    per right-hand side: the arithmetic of ``scipy.linalg.solve_banded((1,
-    1), band, rhs)``, which refactors on every call.  Raises ValueError on
-    a non-finite band or right-hand side and LinAlgError on a singular
-    matrix.
+    LU with partial pivoting (LAPACK gttrf), then one gttrs substitution per
+    right-hand side: the arithmetic of ``scipy.linalg.solve_banded((1, 1),
+    band, rhs)``, which refactors on every call.  Raises ValueError on a
+    non-finite or misshapen t or rhs and LinAlgError on a singular t.
     """
-    if not np.all(np.isfinite(band)):
+    if not (np.all(np.isfinite(t.diag)) and np.all(np.isfinite(t.off))):
         raise ValueError("array must not contain infs or NaNs")
-    dl, d, du, du2, ipiv, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+    dl, d, du, du2, ipiv, info = dgttrf(t.off, t.diag, t.off)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
 
@@ -249,26 +256,15 @@ def tridiagonal_solver(band: np.ndarray):
     return solve
 
 
-def _bandwidth(mat: scipy.sparse.spmatrix) -> int:
-    coo = mat.tocoo()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
-
-
-def extremal_eigs(mat: scipy.sparse.spmatrix, k: int = 1):
-    """k smallest eigenpairs of a symmetric tridiagonal (or diagonal)
-    matrix, ascending order, by bisection plus inverse iteration (LAPACK
-    stebz/stein), O(n k) in time and memory.  Wider bands are rejected;
-    k must not exceed the matrix order.  Returns (values, vectors) with
-    vectors in columns.
+def extremal_eigs(t: Tridiagonal, k: int = 1):
+    """k smallest eigenpairs of the symmetric tridiagonal t, ascending, by
+    bisection plus inverse iteration (LAPACK stebz/stein), O(n k) in time
+    and memory; k <= n, and a misshapen t raises ValueError.  Returns
+    (values, vectors) with vectors in columns.
     """
-    bw = _bandwidth(mat)
-    if bw > 1:
-        raise ParameterError(f"extremal_eigs needs a tridiagonal matrix, got bandwidth {bw}")
     # stebz's default tolerance is eps * ||T||_1, far too loose on graded
     # matrices whose spectrum spans many decades; ask for full accuracy.
     return scipy.linalg.eigh_tridiagonal(
-        mat.diagonal(0), mat.diagonal(1), select="i", select_range=(0, k - 1),
+        t.diag, t.off, select="i", select_range=(0, k - 1),
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
     )

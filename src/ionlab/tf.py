@@ -34,6 +34,7 @@ from .krylov import newton_krylov
 from .radial import (
     RadialField,
     RadialGrid,
+    Tridiagonal,
     coulomb_potential,
     integrate_3d,
     make_log_grid,
@@ -191,9 +192,6 @@ def _newton(
     sqrt_q = np.sqrt(q)
     sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
     a = reduced_laplacian(grid)
-    a_band = np.zeros((3, grid.n))
-    a_band[0, 1:] = a_band[2, :-1] = a.diagonal(1)
-    a_band[1] = a.diagonal()
 
     def defect(phi):
         mu, rho = _projected_target(grid, params, phi, n_cap)
@@ -206,9 +204,7 @@ def _newton(
         mu = state[0]
         drho = 1.5 * coeff * np.sqrt(np.clip(phi - mu, 0.0, None))
         qd = q * drho
-        band = a_band.copy()
-        band[1] += 4.0 * np.pi * drho
-        solve = tridiagonal_solver(band)
+        solve = tridiagonal_solver(Tridiagonal(a.diag + 4.0 * np.pi * drho, a.off))
 
         def jac(d):
             shift = (qd @ d) / qd.sum() if mu > 0.0 else 0.0

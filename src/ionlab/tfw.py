@@ -40,6 +40,7 @@ from .krylov import newton_krylov
 from .radial import (
     RadialField,
     RadialGrid,
+    Tridiagonal,
     coulomb_potential,
     integrate_3d,
     make_log_grid,
@@ -102,10 +103,6 @@ class _TFWModel:
         self.a = reduced_laplacian(grid)
         self.sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
         self.wm = grid.w / grid.mass  # mass = sum wm psi^2
-        # A in LAPACK band storage: superdiagonal, diagonal, subdiagonal.
-        self.a_band = np.zeros((3, grid.n))
-        self.a_band[0, 1:] = self.a_band[2, :-1] = self.a.diagonal(1)
-        self.a_band[1] = self.a.diagonal()
 
     def coulomb(self, u: np.ndarray) -> np.ndarray:
         """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
@@ -216,9 +213,7 @@ class _TFWModel:
             psi, lam, u, vh = state
             bulk = (20.0 / 9.0) * c_tf * np.abs(u) ** (4.0 / 3.0)
             diag = self.local_potential(u, vh) + bulk - lam
-            t_band = c_w * self.a_band
-            t_band[1] += diag
-            t_solve = tridiagonal_solver(t_band)
+            t_solve = tridiagonal_solver(Tridiagonal(c_w * self.a.diag + diag, c_w * self.a.off))
             g = 2.0 * u / self.sr
             if cap is not None:
                 c = 2.0 * self.wm * psi

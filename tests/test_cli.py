@@ -346,17 +346,22 @@ class TestLazyImports:
         assert codes == [0] * 6
         assert scipy_modules == []
 
-    def test_radial_solvers_load_no_sparse_linalg(self):
-        """The TF, TFW and Hartree solvers run their own GMRES cycle and
-        tridiagonal solves: importing them, and a capped Hartree solve,
-        leave scipy.sparse.linalg unloaded."""
+    def test_radial_commands_load_no_sparse(self):
+        """The radial layer holds its tridiagonal matrices as two arrays and
+        runs its own GMRES cycle: a TF and a TFW command, a capped Hartree
+        solve and the operator checks load no scipy.sparse module."""
         code = (
-            "import sys\n"
-            "import ionlab.tf, ionlab.tfw, ionlab.hartree\n"
-            "ionlab.hartree.minimize_e(0.7)\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "import json, sys\n"
+            "from ionlab import cli, hartree\n"
+            "argvs = ['tf --Z 1 --N 2', 'tfw --sweep 1', 'opcheck --grid-n 500']\n"
+            "codes = [cli.main(a.split()) for a in argvs]\n"
+            "hartree.minimize_e(0.7)\n"
+            "sparse = sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
+            "print(json.dumps([codes, sparse]))\n"
         )
-        assert _fresh_python(code).splitlines()[-1] == "False"
+        codes, sparse_modules = json.loads(_fresh_python(code).splitlines()[-1])
+        assert codes == [0] * 3
+        assert sparse_modules == []
 
     def test_unknown_attribute_raises(self):
         import ionlab

@@ -363,6 +363,22 @@ class TestExactDiagonalization:
                 lowest = np.linalg.eigvalsh(block)[0]
                 assert np.linalg.eigvalsh(h)[0] == pytest.approx(lowest, rel=1e-12, abs=1e-300)
 
+    def test_excitation_tables_cached_read_only(self, rng):
+        """A second call hands back the same read-only tables, and the
+        sector Hamiltonian built from them is unchanged."""
+        basis = random_basis(rng, 6)
+        ionlab.hf._excitations.cache_clear()
+        h_fresh = ionlab.hf._sector_hamiltonian(basis, 3)
+        first = ionlab.hf._excitations(6, 3)
+        second = ionlab.hf._excitations(6, 3)
+        assert ionlab.hf._excitations.cache_info().hits == 2
+        assert all(a is b for a, b in zip(first, second))
+        for table in second:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        assert np.array_equal(ionlab.hf._sector_hamiltonian(basis, 3), h_fresh)
+
     def test_empty_sector(self, helium_like):
         assert exact_diagonalization(helium_like, 0) == 0.0
 

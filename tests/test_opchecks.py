@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 
 from ionlab.errors import DomainError, ParameterError
 from ionlab.opchecks import (
@@ -8,6 +7,7 @@ from ionlab.opchecks import (
     BUMP_PER_WIDTH,
     BUMP_WALL_CLEARANCE_NODES,
     IMS_BOUND,
+    _band_product,
     _bump_matrix,
     _smooth_bump,
     bump_dictionary,
@@ -19,7 +19,7 @@ from ionlab.opchecks import (
     double_commutator_matrix,
     symmetrized_product,
 )
-from ionlab.radial import extremal_eigs, make_log_grid, reduced_laplacian
+from ionlab.radial import Tridiagonal, extremal_eigs, make_log_grid, reduced_laplacian
 
 
 def _whole_grid_bumps(g):
@@ -58,15 +58,13 @@ class TestLiebSymmetrization:
     def test_sign_flip_fails(self, coarse_grid):
         g = coarse_grid
         a = reduced_laplacian(g)
-        neg_r = scipy.sparse.diags(-g.r, format="csr")
-        vals, _ = extremal_eigs(symmetrized_product(a, neg_r), k=1)
+        vals, _ = extremal_eigs(symmetrized_product(a, -g.r), k=1)
         assert vals[0] < -1e-2
 
     def test_identity_times_r(self, coarse_grid):
         g = coarse_grid
-        ident = scipy.sparse.diags(np.ones(g.n), format="csr")
-        r_op = scipy.sparse.diags(g.r, format="csr")
-        vals, _ = extremal_eigs(symmetrized_product(ident, r_op), k=1)
+        ident = Tridiagonal(np.ones(g.n), np.zeros(g.n - 1))
+        vals, _ = extremal_eigs(symmetrized_product(ident, g.r), k=1)
         assert vals[0] == pytest.approx(2 * g.r_min, rel=1e-12)
 
 
@@ -89,14 +87,16 @@ class TestImsX2:
         # the reported deviation is sqrt(1.5 n - 0.5) / |A|_F: the grid's,
         # not the identity's.
         g = make_log_grid(*spec)
+        r = g.r
         a = reduced_laplacian(g)
-        r_op = scipy.sparse.diags(g.r, format="csr")
-        s_op = 0.5 * symmetrized_product(a, scipy.sparse.diags(g.r**2, format="csr"))
-        dev = s_op - (r_op @ a @ r_op - scipy.sparse.identity(g.n))
-        closed = scipy.sparse.diags([-0.5, 1.0, -0.5], [-1, 0, 1], shape=(g.n, g.n))
-        assert abs(dev - closed).max() <= 1e-9
+        s_op = symmetrized_product(a, r**2)
+        dev_diag = 0.5 * s_op.diag - (r * a.diag * r - 1.0)
+        dev_upper = 0.5 * s_op.off - r[:-1] * a.off * r[1:]
+        dev_lower = 0.5 * s_op.off - r[1:] * a.off * r[:-1]
+        assert np.abs(dev_diag - 1.0).max() <= 1e-9
+        assert max(np.abs(dev_upper + 0.5).max(), np.abs(dev_lower + 0.5).max()) <= 1e-9
         rel_dev = check_ims_x2(g, tol=1e-2).details["identity_rel_deviation"]
-        a_norm = np.sqrt(a.multiply(a).sum())
+        a_norm = np.sqrt(a.diag @ a.diag + 2.0 * (a.off @ a.off))
         assert rel_dev == pytest.approx(np.sqrt(1.5 * g.n - 0.5) / a_norm, rel=1e-10)
 
     def test_eigenvalue_at_sharp_constant(self):
@@ -126,9 +126,9 @@ class TestImsX2:
     def test_zero_operator_case(self, coarse_grid):
         # with A = 0 both sides of the identity vanish
         g = coarse_grid
-        zero = scipy.sparse.diags(np.zeros(g.n), format="csr")
-        prod = symmetrized_product(zero, zero)
-        assert prod.nnz == 0
+        zero = Tridiagonal(np.zeros(g.n), np.zeros(g.n - 1))
+        prod = symmetrized_product(zero, np.zeros(g.n))
+        assert not prod.diag.any() and not prod.off.any()
 
     def test_coarse_grid_report_recorded(self):
         with pytest.raises(DomainError):
@@ -143,20 +143,50 @@ class TestDoubleCommutator:
         assert rep.extremal_eigenvalue <= 1e-1
 
     def test_identity_weight_commutes(self, coarse_grid):
-        # a constant weight commutes with the Laplacian, so both the single
-        # and the double commutator vanish identically
+        # a constant weight commutes with the Laplacian, so the single
+        # commutator, and with it the double, vanishes identically
         a = reduced_laplacian(coarse_grid)
         c = commutator_with_diagonal(a, np.full(coarse_grid.n, 2.5))
-        assert not c.toarray().any()
-        assert not (a @ c - c @ a).toarray().any()
+        assert c.shape == (coarse_grid.n - 1,)
+        assert not c.any()
 
     def test_commutator_entrywise_formula(self, coarse_grid):
         g = coarse_grid
         a = reduced_laplacian(g)
+        a_dense = np.diag(a.diag) + np.diag(a.off, 1) + np.diag(a.off, -1)
         gv = g.r**2
         c = commutator_with_diagonal(a, gv)
-        dense = a.toarray() @ np.diag(gv) - np.diag(gv) @ a.toarray()
-        assert np.allclose(c.toarray(), dense, rtol=1e-12, atol=1e-8)
+        dense = a_dense @ np.diag(gv) - np.diag(gv) @ a_dense
+        c_dense = np.diag(c, 1) - np.diag(c, -1)
+        assert np.allclose(c_dense, dense, rtol=1e-12, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec", [(1e-4, 100, 2000), (1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]
+    )
+    def test_rows_and_product_equal_sparse_bit_for_bit(self, spec):
+        """The rows of M and the Galerkin product M q against the sparse
+        products A C - C A and m @ q, formed inline in CSR.  A CSR product
+        sums each row in storage order; with sorted columns that is the
+        ascending order of the einsum, and of the CSR matrix the check
+        built before it held M by rows."""
+        import scipy.sparse
+
+        g = make_log_grid(*spec)
+        a = reduced_laplacian(g)
+        c = commutator_with_diagonal(a, g.r**3.0)
+        a_csr = scipy.sparse.diags([a.off, a.diag, a.off], [-1, 0, 1], format="csr")
+        c_csr = scipy.sparse.diags([-c, c], [-1, 1], format="csr")
+        m_csr = (a_csr @ c_csr - c_csr @ a_csr).tocsr()
+        m_csr.sort_indices()
+        m = double_commutator_matrix(g)
+        assert m.shape == (g.n, 5)
+        for s in range(5):
+            k = s - 2  # row i of column s holds M_(i, i + k)
+            assert np.array_equal(m[max(0, -k):g.n - max(0, k), s], m_csr.diagonal(k))
+        assert not m[:2, 0].any() and not m[:1, 1].any()
+        assert not m[-1:, 3].any() and not m[-2:, 4].any()
+        q = bump_dictionary(g)
+        assert np.array_equal(_band_product(m, q), m_csr @ q)
 
     def test_quadratic_form_matches_continuum(self, default_grid):
         # smooth compactly supported bump: discrete form vs -24 int r phi'^2
@@ -166,7 +196,7 @@ class TestDoubleCommutator:
         t = (x - np.log(1.0)) / 2.0
         phi = np.where(np.abs(t) < 1, np.exp(1.0 - 1.0 / (1.0 - np.minimum(t * t, 0.999999))), 0.0)
         psi = np.sqrt(4 * np.pi * g.mass) * phi
-        quad = float(psi @ (m @ psi))
+        quad = float(psi @ _band_product(m, psi[:, None])[:, 0])
         dphi = np.gradient(phi, g.r)
         cont = -24.0 * 4 * np.pi * np.trapezoid(g.r * dphi**2, g.r)
         assert quad == pytest.approx(cont, rel=2e-3)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionlab.errors import DomainError, ParameterError
 from ionlab.radial import (
     RadialField,
+    Tridiagonal,
     coulomb_potential,
     extremal_eigs,
     field_from_function,
@@ -29,7 +29,7 @@ class TestLogGrid:
 
     def test_exponential_quadrature_within_1e_minus_6(self):
         g = make_log_grid(1e-4, 1e2, 2000)
-        val = g.integrate(np.exp(-g.r))
+        val = g.w @ np.exp(-g.r)
         assert abs(val - 1.0) < 1e-6
 
     def test_empty_range_rejected(self):
@@ -165,30 +165,48 @@ class TestNewtonPotential:
                 assert np.array_equal(_cumulative_integral(g, f, inward=inward), ref)
 
 
+def _dense(t):
+    return np.diag(t.diag) + np.diag(t.off, 1) + np.diag(t.off, -1)
+
+
+def _hydrogen(grid):
+    a = reduced_laplacian(grid)
+    return Tridiagonal(a.diag - 1.0 / grid.r, a.off)
+
+
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
-        a = reduced_laplacian(default_grid)
-        v = scipy.sparse.diags(-1.0 / default_grid.r, format="csr")
-        vals, _ = extremal_eigs(a + v, k=1)
+        vals, _ = extremal_eigs(_hydrogen(default_grid), k=1)
         assert vals[0] == pytest.approx(-0.25, abs=1e-3)
 
-    def test_symmetry_exact(self, default_grid):
-        a = reduced_laplacian(default_grid)
-        assert (a != a.T).nnz == 0
+    def test_symmetry_exact(self, coarse_grid):
+        a = reduced_laplacian(coarse_grid)
+        columns = np.column_stack([a @ e for e in np.eye(coarse_grid.n)])
+        assert a.off.shape == (coarse_grid.n - 1,)
+        assert np.array_equal(columns, columns.T)
+        assert np.array_equal(columns, _dense(a))
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_product_equals_csr_bit_for_bit(self, n):
+        import scipy.sparse
+
+        g = make_log_grid(1e-4, 1e2, n)
+        a = reduced_laplacian(g)
+        csr = scipy.sparse.diags([a.off, a.diag, a.off], [-1, 0, 1], format="csr")
+        for x in (np.sin(np.arange(n)) * g.r, np.random.default_rng(5).standard_normal(n)):
+            assert np.array_equal(a @ x, csr @ x)
 
     def test_annihilates_linear_reduced_functions(self, default_grid):
         a = reduced_laplacian(default_grid)
         s = np.sqrt(4.0 * np.pi * default_grid.mass)
         out = (a @ (s * 3.7 * default_grid.r)) / s
-        scale = np.max(np.abs(a.diagonal()))
+        scale = np.max(np.abs(a.diag))
         assert np.max(np.abs(out[1:-1])) < 1e-12 * scale
 
     def test_doubling_n_halves_hydrogen_error(self):
         errors = []
         for n in (32, 64, 128, 256):
-            g = make_log_grid(1e-4, 1e2, n)
-            h = reduced_laplacian(g) + scipy.sparse.diags(-1.0 / g.r, format="csr")
-            vals, _ = extremal_eigs(h, k=1)
+            vals, _ = extremal_eigs(_hydrogen(make_log_grid(1e-4, 1e2, n)), k=1)
             errors.append(abs(vals[0] + 0.25))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
@@ -199,7 +217,8 @@ class TestExtremalEigs:
 
     @staticmethod
     def _hardy(grid):
-        return reduced_laplacian(grid) - scipy.sparse.diags(1.0 / (4.0 * grid.r**2), format="csr")
+        a = reduced_laplacian(grid)
+        return Tridiagonal(a.diag - 1.0 / (4.0 * grid.r**2), a.off)
 
     @pytest.mark.parametrize("kind", ["hardy", "diagonal"], ids=lambda kind: f"{kind}-smallest")
     def test_matches_dense_eigh(self, kind):
@@ -209,25 +228,28 @@ class TestExtremalEigs:
         g = make_log_grid(1.0, 10.0, 400)
         mat = self._hardy(g)
         if kind == "diagonal":
-            mat = scipy.sparse.diags(np.log(g.r) ** 2, format="csr")
+            mat = Tridiagonal(np.log(g.r) ** 2, np.zeros(g.n - 1))
         vals, vecs = extremal_eigs(mat, k=8)
-        ref_vals, ref_vecs = scipy.linalg.eigh(mat.toarray(), subset_by_index=(0, 7))
+        ref_vals, ref_vecs = scipy.linalg.eigh(_dense(mat), subset_by_index=(0, 7))
         assert np.all(np.diff(vals) >= 0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0)
         overlaps = np.abs(np.sum(vecs * ref_vecs, axis=0))
         assert np.all(overlaps >= 1 - 1e-10)
 
-    def test_wider_band_rejected(self):
-        mat = scipy.sparse.diags([np.ones(8), 2.0 * np.ones(10), np.ones(8)], [-2, 0, 2])
-        with pytest.raises(ParameterError):
-            extremal_eigs(mat)
+    def test_wrong_off_length_rejected(self):
+        for size in (0, 10, 11):
+            mat = Tridiagonal(2.0 * np.ones(10), np.ones(size))
+            with pytest.raises(ValueError):
+                extremal_eigs(mat)
+            with pytest.raises(ValueError):
+                tridiagonal_solver(mat)
 
     def test_graded_hardy_matches_banded_solver(self):
         # stebz at its default tolerance (eps * ||T||_1) misses these by ~1e-4.
         g = make_log_grid(1e-4, 1e2, 2000)
         mat = self._hardy(g)
         vals, _ = extremal_eigs(mat, k=8)
-        band = np.vstack([np.concatenate(([0.0], mat.diagonal(1))), mat.diagonal(0)])
+        band = np.vstack([np.concatenate(([0.0], mat.off)), mat.diag])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
@@ -237,57 +259,62 @@ class TestTridiagonalSolver:
     ...) returns, with its errors."""
 
     @staticmethod
-    def _tfw_band():
+    def _band(t):
+        """t in LAPACK band storage: superdiagonal, diagonal, subdiagonal."""
+        return np.vstack([np.append(0.0, t.off), t.diag, np.append(t.off, 0.0)])
+
+    @staticmethod
+    def _tfw_matrix():
         from ionlab.tfw import TFWParams, _TFWModel, default_tfw_grid
 
         model = _TFWModel(TFWParams(z=1.0), default_tfw_grid())
         u = model.seed()
-        band = model.a_band.copy()
-        band[1] += model.local_potential(u)
-        return band, model.sr * u
+        return Tridiagonal(model.a.diag + model.local_potential(u), model.a.off), model.sr * u
 
     @staticmethod
-    def _pivoting_band(n=200):
+    def _pivoting_matrix(n=200):
         rng = np.random.default_rng(3)
-        band = np.vstack(
-            [rng.uniform(-1, 1, n), rng.uniform(-0.1, 0.1, n), rng.uniform(-4, 4, n)]
-        )
-        ipiv = scipy.linalg.lapack.dgttrf(band[2, :-1], band[1], band[0, 1:])[4]
-        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) > n // 2  # |dl| > |d| mostly
-        return band, rng.standard_normal(n)
+        t = Tridiagonal(rng.uniform(-0.1, 0.1, n), rng.uniform(-4, 4, n - 1))
+        ipiv = scipy.linalg.lapack.dgttrf(t.off, t.diag, t.off)[4]
+        assert np.count_nonzero(ipiv != np.arange(1, n + 1)) > n // 2  # |off| > |diag| mostly
+        return t, rng.standard_normal(n)
 
     @pytest.mark.parametrize("kind", ["tfw", "pivoting"])
     def test_equals_solve_banded(self, kind):
-        band, rhs = self._tfw_band() if kind == "tfw" else self._pivoting_band()
-        kept = band.copy()
-        solve = tridiagonal_solver(band)
+        t, rhs = self._tfw_matrix() if kind == "tfw" else self._pivoting_matrix()
+        kept = (t.diag.copy(), t.off.copy())
+        solve = tridiagonal_solver(t)
         for b in (rhs, np.cos(np.arange(rhs.size)), rhs):
-            assert np.array_equal(solve(b), scipy.linalg.solve_banded((1, 1), band, b))
-        assert np.array_equal(band, kept)
+            assert np.array_equal(solve(b), scipy.linalg.solve_banded((1, 1), self._band(t), b))
+        assert np.array_equal(t.diag, kept[0]) and np.array_equal(t.off, kept[1])
 
     def test_singular_band_raises_linalg_error(self):
-        band, rhs = self._pivoting_band(8)
-        band[1, 0] = band[2, 0] = 0.0  # first column zero
+        t, rhs = self._pivoting_matrix(8)
+        t.diag[0] = t.off[0] = 0.0  # first column zero
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.solve_banded((1, 1), band, rhs)
+            scipy.linalg.solve_banded((1, 1), self._band(t), rhs)
         with pytest.raises(np.linalg.LinAlgError):
-            tridiagonal_solver(band)
+            tridiagonal_solver(t)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises_value_error(self, bad):
-        band, rhs = self._pivoting_band(8)
-        solve = tridiagonal_solver(band)
+        t, rhs = self._pivoting_matrix(8)
+        solve = tridiagonal_solver(t)
         rhs[3] = bad
-        for call in (lambda: scipy.linalg.solve_banded((1, 1), band, rhs), lambda: solve(rhs)):
-            with pytest.raises(ValueError):
-                call()
-        band[1, 2] = bad
         for call in (
-            lambda: scipy.linalg.solve_banded((1, 1), band, np.ones(8)),
-            lambda: tridiagonal_solver(band),
+            lambda: scipy.linalg.solve_banded((1, 1), self._band(t), rhs), lambda: solve(rhs)
         ):
             with pytest.raises(ValueError):
                 call()
+        for arr in (t.diag, t.off):
+            arr[2] = bad
+            for call in (
+                lambda: scipy.linalg.solve_banded((1, 1), self._band(t), np.ones(8)),
+                lambda: tridiagonal_solver(t),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+            arr[2] = 1.0
 
 
 def test_field_length_mismatch_rejected(coarse_grid):

@@ -159,7 +159,7 @@ class TestDenseOracle:
         coul = np.column_stack(
             [coulomb_potential(RadialField(grid, e)).values for e in np.eye(n)]
         )
-        a = model.a.toarray()
+        a = np.diag(model.a.diag) + np.diag(model.a.off, 1) + np.diag(model.a.off, -1)
         sr = model.sr
         wm = grid.w / grid.mass
         psi = sr * u
