@@ -21,15 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .radial import (
-    RadialField,
-    RadialGrid,
-    integrate_3d,
-    make_log_grid,
-    newton_potential,
-    reduced_laplacian,
-)
-from .tfw import TFWParams, _TFWModel
+from .radial import RadialField, RadialGrid, integrate_3d, newton_potential, reduced_laplacian
+from .tfw import TFWParams, _TFWModel, default_tfw_grid
 
 __all__ = [
     "HartreeState",
@@ -60,8 +53,8 @@ class HartreeState:
     iterations: int
 
 
-def default_hartree_grid() -> RadialGrid:
-    return make_log_grid(1e-4, 100.0, 2000)
+# The rescaled functional is the gradient-corrected one at c_tf = 0, on its grid.
+default_hartree_grid = default_tfw_grid
 
 
 def normalize_mass(field: RadialField, mass: float) -> RadialField:
@@ -85,16 +78,16 @@ def _model(grid: RadialGrid | None, z: float = 1.0) -> _TFWModel:
 
 
 def _state(model: _TFWModel, t: float) -> HartreeState:
-    """The minimizer at cap t."""
-    v, lam, rel, iters = model.minimize(t)
+    """The minimizer at cap t, read off its solve's final state."""
+    st = model.minimize(t)
     return HartreeState(
-        v=RadialField(model.grid, v, nonnegative=True),
+        v=RadialField(model.grid, st.u, nonnegative=True),
         t=float(t),
-        mu=0.0 - lam,  # +0.0, not -0.0, off the cap
-        energy=model.energy(v),
-        bound_mass=model.mass(v),
-        residual=rel,
-        iterations=iters,
+        mu=0.0 - st.lam,  # +0.0, not -0.0, off the cap
+        energy=model.energy(st.u, st.vh),
+        bound_mass=model.mass(st.u),
+        residual=st.residual,
+        iterations=st.iterations,
     )
 
 
@@ -118,8 +111,8 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     if tol <= 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     model = _model(grid)
-    tc = model.mass(model.minimize()[0])
-    mu = 0.0 - model.minimize(tc - tol)[1]
+    tc = model.mass(model.minimize().u)
+    mu = 0.0 - model.minimize(tc - tol).lam
     if not mu > 0:
         raise ConvergenceError(
             f"t_c = {tc:.6g} not certified: mu(t_c - {tol:g}) = {mu:.3e} "
@@ -160,13 +153,13 @@ def hartree_energy_direct(
     if z <= 0:
         raise ParameterError("charge must be positive")
     model = _model(grid, z)
-    w, lam, _, _ = model.minimize(n_particles - 1.0)
-    if not lam < 0:
+    st = model.minimize(n_particles - 1.0)
+    if not st.lam < 0:
         raise DomainError(
             f"cap N - 1 = {n_particles - 1.0:g} does not bind at Z = {z:g}: "
             "it exceeds the critical mass"
         )
-    return float(n_particles) / (n_particles - 1.0) * model.energy(w)
+    return float(n_particles) / (n_particles - 1.0) * model.energy(st.u, st.vh)
 
 
 def hoffmann_ostenhof_product_check(u: RadialField, n_particles: int):

@@ -98,20 +98,22 @@ def default_tf_grid() -> RadialGrid:
     return make_log_grid(1e-4, 400.0, 2200)
 
 
-def _bare_potential(grid: RadialGrid, z: float, rho_values: np.ndarray) -> np.ndarray:
-    rho = RadialField(grid, np.clip(rho_values, 0.0, None))
-    return z / grid.r - newton_potential(rho).values
+def _hartree_potential(grid: RadialGrid, rho_values: np.ndarray) -> np.ndarray:
+    """rho * 1/|x| of the nonnegative part of rho."""
+    return newton_potential(RadialField(grid, np.clip(rho_values, 0.0, None))).values
 
 
-def _residual_norm(grid: RadialGrid, params: TFParams, rho, phi) -> float:
-    """L1(R3) norm of the Euler-Lagrange defect."""
-    defect = (5.0 / 3.0) * params.c_tf * rho ** (2.0 / 3.0) - np.clip(phi, 0.0, None)
-    return float(4.0 * np.pi * np.dot(grid.w, grid.r**2 * np.abs(defect)))
+def _energy(grid: RadialGrid, params: TFParams, rho: np.ndarray, vh: np.ndarray) -> float:
+    """The functional at a density rho >= 0 with Hartree potential vh."""
+    kinetic = params.c_tf * integrate_3d(RadialField(grid, rho ** (5.0 / 3.0)))
+    attraction = params.z * integrate_3d(RadialField(grid, rho), radial_power=-1)
+    hartree = 0.5 * integrate_3d(RadialField(grid, rho * vh))
+    return float(kinetic - attraction + hartree)
 
 
 def _mass_of_target(grid: RadialGrid, coeff: float, phi_bare: np.ndarray, mu: float):
     target = coeff * np.clip(phi_bare - mu, 0.0, None) ** 1.5
-    return float(4.0 * np.pi * np.dot(grid.w, grid.r**2 * target)), target
+    return integrate_3d(RadialField(grid, target)), target
 
 
 # Newton on the multiplier settles in 9-21 steps from mu = 0 on the
@@ -183,9 +185,10 @@ def _newton(
     preconditioner (A + 4 pi rho')^(-1) A, at one LU per Newton step and
     one back-substitution per Krylov step, inverts the Jacobian up to the
     projection term and the box-edge condition.  Steps backtrack on
-    |sqrt(q) G|; the stopping residual is the L1 defect of the
-    Euler-Lagrange equation at rho(V).  Returns (V, (mu, rho,
-    Z/r - rho * 1/|x|), residual, Newton steps).
+    |sqrt(q) G|; the stopping residual is the L1(R3) norm of the
+    Euler-Lagrange defect at rho(V).  Returns (V, (mu, rho, vh), residual,
+    Newton steps), the state unpacked from the final defect evaluation, with
+    vh = rho * 1/|x| of the returned rho: no Coulomb solve follows the solve.
     """
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
     q = 4.0 * np.pi * grid.w * grid.r**2
@@ -195,10 +198,12 @@ def _newton(
 
     def defect(phi):
         mu, rho = _projected_target(grid, params, phi, n_cap)
-        phi_rho = _bare_potential(grid, params.z, rho)
+        vh = _hartree_potential(grid, rho)
+        phi_rho = params.z / grid.r - vh
         g = phi - phi_rho
-        res = _residual_norm(grid, params, rho, phi_rho - mu)
-        return g, float(np.linalg.norm(sqrt_q * g)), res, (mu, rho, phi_rho)
+        el = (5.0 / 3.0) * params.c_tf * rho ** (2.0 / 3.0) - np.clip(phi_rho - mu, 0.0, None)
+        res = integrate_3d(RadialField(grid, np.abs(el)))
+        return g, float(np.linalg.norm(sqrt_q * g)), res, (mu, rho, vh)
 
     def linearize(phi, state):
         mu = state[0]
@@ -234,19 +239,17 @@ def solve_tf(
     """
     grid = grid if grid is not None else default_tf_grid()
     capped = params.n_electrons < params.z
-    phi = _bare_potential(grid, params.z, _initial_density(grid, params))
-    _, (mu, rho, phi_rho), res, steps = _newton(
+    phi = params.z / grid.r - _hartree_potential(grid, _initial_density(grid, params))
+    _, (mu, rho, vh), res, steps = _newton(
         "constrained stage" if capped else "unconstrained stage",
         grid, params, phi, params.n_electrons if capped else np.inf, tol=tol,
     )
-    mass = integrate_3d(RadialField(grid, rho))
-    rho_field = RadialField(grid, rho, nonnegative=True)
     return TFSolution(
-        rho=rho_field,
-        phi=RadialField(grid, phi_rho - mu),
+        rho=RadialField(grid, rho, nonnegative=True),
+        phi=RadialField(grid, params.z / grid.r - vh - mu),
         mu=mu,
-        energy=tf_energy(rho_field, params),
-        mass=mass,
+        energy=_energy(grid, params, rho, vh),
+        mass=integrate_3d(RadialField(grid, rho)),
         residual=res,
         iterations=steps,
         params=params,
@@ -258,14 +261,7 @@ def tf_energy(rho: RadialField, params: TFParams) -> float:
     if np.any(rho.values < -1e-12 * max(1.0, float(np.max(np.abs(rho.values))))):
         raise DomainError("density must be nonnegative")
     vals = np.clip(rho.values, 0.0, None)
-    grid = rho.grid
-    clean = RadialField(grid, vals)
-    kinetic = params.c_tf * integrate_3d(RadialField(grid, vals ** (5.0 / 3.0)))
-    attraction = params.z * integrate_3d(clean, radial_power=-1)
-    hartree = 0.5 * integrate_3d(
-        RadialField(grid, vals * newton_potential(clean).values)
-    )
-    return float(kinetic - attraction + hartree)
+    return _energy(rho.grid, params, vals, _hartree_potential(rho.grid, vals))
 
 
 def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:

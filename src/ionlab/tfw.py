@@ -31,7 +31,7 @@ the solution.  The Newton loop is ``krylov.newton_krylov``, shared with ``tf``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,6 +96,19 @@ def default_tfw_grid() -> RadialGrid:
     return make_log_grid(1e-4, 100.0, 2000)
 
 
+@dataclass(frozen=True)
+class _State:
+    """The final state of one Newton solve, the one source of every answer
+    read off it: the profile u, the multiplier lambda (0 off the cap), the
+    Hartree potential vh = u^2 * 1/|x| of u, the residual and the steps."""
+
+    u: np.ndarray
+    lam: float
+    vh: np.ndarray
+    residual: float
+    iterations: int
+
+
 class _TFWModel:
     def __init__(self, params: TFWParams, grid: RadialGrid):
         self.params = params
@@ -107,24 +120,16 @@ class _TFWModel:
     def coulomb(self, u: np.ndarray) -> np.ndarray:
         """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
 
-        The methods below take it as an optional vh and compute it only
-        when it is not given."""
+        The methods below take it as vh; a solved state carries its own."""
         return newton_potential(RadialField(self.grid, u * u)).values
 
-    def phi_of(self, u: np.ndarray, vh: np.ndarray | None = None) -> np.ndarray:
-        if vh is None:
-            vh = self.coulomb(u)
-        return self.params.z / self.grid.r - vh
-
-    def local_potential(self, u: np.ndarray, vh: np.ndarray | None = None) -> np.ndarray:
+    def local_potential(self, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
         p = self.params
-        return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - self.phi_of(u, vh)
+        return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - (p.z / self.grid.r - vh)
 
-    def energy(self, u: np.ndarray, vh: np.ndarray | None = None) -> float:
+    def energy(self, u: np.ndarray, vh: np.ndarray) -> float:
         grid = self.grid
         p = self.params
-        if vh is None:
-            vh = self.coulomb(u)
         u2 = RadialField(grid, u * u)
         psi = self.sr * u
         kin = p.c_w * float(psi @ (self.a @ psi))
@@ -136,7 +141,7 @@ class _TFWModel:
     def mass(self, u: np.ndarray) -> float:
         return float(integrate_3d(RadialField(self.grid, u * u)))
 
-    def stationarity(self, u: np.ndarray, lam: float = 0.0, vh: np.ndarray | None = None):
+    def stationarity(self, u: np.ndarray, vh: np.ndarray, lam: float = 0.0):
         """F = (c_w A + vloc - lambda) psi, and its norm relative to the
         sizes of its kinetic and potential parts."""
         psi = self.sr * u
@@ -186,22 +191,23 @@ class _TFWModel:
         stays.
 
         The residual is the relative stationarity defect, under a cap the
-        larger of it and the relative mass defect.  Returns (u, lambda,
-        residual, Newton steps).
+        larger of it and the relative mass defect.  Returns the ``_State``
+        unpacked from the final defect evaluation, whose vh is that of the
+        returned u: no Coulomb solve follows the solve.
         """
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
         deflate = cap is None and c_tf == 0.0
         x = self.sr * u
         if cap is not None:
-            x = np.append(x, float(x @ self.stationarity(u)[0]) / float(x @ x))
+            x = np.append(x, float(x @ self.stationarity(u, self.coulomb(u))[0]) / float(x @ x))
 
         def defect(x):
             psi = x[:n]
             lam = x[n] if cap is not None else 0.0
             u = psi / self.sr
             vh = self.coulomb(u)
-            f, rel = self.stationarity(u, lam, vh)
+            f, rel = self.stationarity(u, vh, lam)
             if cap is not None:
                 dm = float(self.wm @ (psi * psi)) - cap
                 f = np.append(f, dm)
@@ -244,32 +250,34 @@ class _TFWModel:
             return jac, precond, step
 
         case = f"Z={self.params.z:g}" + ("" if cap is None else f", N={cap:g}")
-        x, _, rel, steps = newton_krylov(x, defect, linearize, _RESIDUAL_TOL, stage, case)
-        return x[:n] / self.sr, (float(x[n]) if cap is not None else 0.0), rel, steps
+        _, (_, lam, u, vh), rel, steps = newton_krylov(
+            x, defect, linearize, _RESIDUAL_TOL, stage, case
+        )
+        return _State(u, float(lam), vh, rel, steps)
 
     @functools.cached_property
-    def uncapped(self):
-        """(u, lambda = 0, residual, Newton steps) of the uncapped
-        minimizer, solved once per model."""
+    def uncapped(self) -> _State:
+        """The state of the uncapped minimizer (lambda = 0), solved once per
+        model."""
         state = self.newton(self.seed(), None, "unconstrained stage")
-        state[0].setflags(write=False)  # every minimize() call shares it
+        state.u.setflags(write=False)  # every minimize() call shares it
         return state
 
-    def minimize(self, cap: float | None = None):
+    def minimize(self, cap: float | None = None) -> _State:
         """The minimizer under an optional mass cap: the one driver of the
         gradient-corrected and product-state solves.
 
         The uncapped minimizer stands unless it carries more than cap;
         then a bordered Newton solve follows, started from it rescaled
-        onto the cap.  Returns (u, lambda, residual, Newton steps), the
-        steps of both stages counted.
+        onto the cap.  Returns that solve's ``_State``, its iterations the
+        steps of both stages.
         """
-        u, _, _, steps = self.uncapped
-        mass = self.mass(u)
+        free = self.uncapped
+        mass = self.mass(free.u)
         if cap is None or mass <= cap:
-            return self.uncapped
-        u, lam, rel, more = self.newton(np.sqrt(cap / mass) * u, cap, "constrained stage")
-        return u, lam, rel, steps + more
+            return free
+        state = self.newton(np.sqrt(cap / mass) * free.u, cap, "constrained stage")
+        return replace(state, iterations=free.iterations + state.iterations)
 
 
 def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
@@ -281,17 +289,16 @@ def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
     """
     grid = grid if grid is not None else default_tfw_grid()
     model = _TFWModel(params, grid)
-    u, _, rel, steps = model.minimize()
-    n_c = model.mass(u)
-    vh = model.coulomb(u)
+    st = model.minimize()
+    n_c = model.mass(st.u)
     return TFWSolution(
-        u=RadialField(grid, u, nonnegative=True),
-        phi=RadialField(grid, model.phi_of(u, vh)),
+        u=RadialField(grid, st.u, nonnegative=True),
+        phi=RadialField(grid, params.z / grid.r - st.vh),
         n_c=n_c,
         q=n_c - params.z,
-        energy=model.energy(u, vh),
-        residual=rel,
-        iterations=steps,
+        energy=model.energy(st.u, st.vh),
+        residual=st.residual,
+        iterations=st.iterations,
         params=params,
     )
 
@@ -342,7 +349,8 @@ def subharmonic_majorant_check(sol: TFWSolution) -> MajorantCheck:
     residual above _MAJORANT_RESIDUAL_CAP) are rejected rather than scored.
     """
     grid = sol.u.grid
-    _, res = _TFWModel(sol.params, grid).stationarity(sol.u.values)
+    model = _TFWModel(sol.params, grid)
+    _, res = model.stationarity(sol.u.values, model.coulomb(sol.u.values))
     if res > _MAJORANT_RESIDUAL_CAP:
         raise DomainError(
             f"input does not solve the stationarity equation (residual {res:.2e})"

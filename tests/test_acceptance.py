@@ -272,6 +272,9 @@ def test_criterion_8_liquid_drop():
         ("beta", {"n": 8, "restarts": 3}),
         ("pairinf", {"samples": 200}),
         ("opcheck", {"check": "hardy", "grid_n": 300}),
+        ("hartree", {"tc": True}),
+        ("tfw", {"sweep": [1.0, 4.0]}),
+        ("hf", {"z": 8.0, "exponents": [0.25, 0.5, 1.1, 4.3], "scan": True}),
     ],
 )
 def test_criterion_9_determinism(command, params):

@@ -62,7 +62,8 @@ class TestMinimize:
             trial = normalize_mass(
                 field_from_function(grid, lambda r: np.exp(-scale * r)), 1.0
             )
-            assert model.energy(trial.values) >= st.energy - 1e-12
+            vh = model.coulomb(trial.values)
+            assert model.energy(trial.values, vh) >= st.energy - 1e-12
 
 
 class TestCriticalMass:

@@ -113,6 +113,28 @@ class TestImsX2:
         assert max(errors) < 1e-5
         assert errors[0] > errors[1] > errors[2]
 
+    @pytest.mark.parametrize(
+        "spec, eigenvalue, deviation",
+        [
+            ((1e-2, 1e2, 1000), -0.6341165932781224, 2.564707540058563e-08),
+            ((0.1, 1e3, 2000), -0.6338866091500677, 6.423963167186543e-07),
+            ((0.5, 1.2e4, 3000), -0.6531052129357705, 8.960640298151665e-06),
+        ],
+        ids=["1e-2..1e2", "0.1..1e3", "0.5..1.2e4"],
+    )
+    def test_passes_whatever_the_identity_deviation(self, spec, eigenvalue, deviation):
+        # Resolved grids whose eigenvalue lies above -3/4 pass, although
+        # the grid's identity deviation is well above 1e-8: it is reported,
+        # not graded.
+        g = make_log_grid(*spec)
+        rep = check_ims_x2(g, tol=1e-2)
+        assert rep.passed
+        assert rep.extremal_eigenvalue == pytest.approx(eigenvalue, rel=1e-12)
+        box = np.log(g.r[-1] / g.r[0]) + 2.0 * g.log_step
+        assert rep.extremal_eigenvalue == pytest.approx(-0.75 + (np.pi / box) ** 2, abs=1e-5)
+        assert rep.details == {"identity_rel_deviation": pytest.approx(deviation, rel=1e-10)}
+        assert rep.details["identity_rel_deviation"] > 1e-8
+
     def test_stated_bound_fails_as_measured(self, default_grid):
         rep = check_ims_x2(default_grid, tol=1e-2, bound=-3.0 / 8.0)
         assert rep.bound == -3.0 / 8.0

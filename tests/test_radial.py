@@ -269,7 +269,8 @@ class TestTridiagonalSolver:
 
         model = _TFWModel(TFWParams(z=1.0), default_tfw_grid())
         u = model.seed()
-        return Tridiagonal(model.a.diag + model.local_potential(u), model.a.off), model.sr * u
+        vloc = model.local_potential(u, model.coulomb(u))
+        return Tridiagonal(model.a.diag + vloc, model.a.off), model.sr * u
 
     @staticmethod
     def _pivoting_matrix(n=200):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import ionlab.hartree
 import ionlab.krylov
+import ionlab.radial
+import ionlab.tf
 import ionlab.tfw
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log_grid
@@ -132,8 +135,9 @@ class TestStationarity:
         monkeypatch.setattr(
             ionlab.tfw, "coulomb_potential", counted("signed", ionlab.tfw.coulomb_potential)
         )
-        _, _, rel, steps = _TFWModel(params, default_tfw_grid()).minimize(cap)
-        assert rel < ionlab.tfw._RESIDUAL_TOL
+        st = _TFWModel(params, default_tfw_grid()).minimize(cap)
+        steps = st.iterations
+        assert st.residual < ionlab.tfw._RESIDUAL_TOL
         assert counts["density"] > steps
         assert counts["signed"] >= steps
         assert counts["density"] + counts["signed"] <= 8 * steps
@@ -145,6 +149,41 @@ class TestStationarity:
             qs.append(solve_tfw(TFWParams(z=1.0, c_w=c_w)).q)
         print(f"q vs c_w (1.0, 0.3, 0.1): {qs}")
         assert qs[0] > qs[1] > qs[2] > 0
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: ionlab.tf.solve_tf(ionlab.tf.TFParams(z=5.0, n_electrons=3.0)),
+        lambda: solve_tfw(TFWParams(z=4.0)),
+        lambda: ionlab.hartree.e_curve([0.6, 1.8]),
+        lambda: ionlab.hartree.compute_tc(),
+        lambda: ionlab.hartree.hartree_energy_direct(3.0, 2.5),
+    ],
+    ids=["solve_tf", "solve_tfw", "e_curve", "compute_tc", "hartree_energy_direct"],
+)
+def test_no_coulomb_solve_after_the_last_newton_solve(monkeypatch, solve):
+    """Every answer is read off the final state of the Newton solve that
+    produced it, which carries the Hartree potential of its density."""
+    count = {"solves": 0, "at_last_newton": None}
+    coulomb = ionlab.radial.coulomb_potential
+
+    def counted_coulomb(*args, **kwargs):
+        count["solves"] += 1
+        return coulomb(*args, **kwargs)
+
+    def counted_newton(*args, **kwargs):
+        out = ionlab.krylov.newton_krylov(*args, **kwargs)
+        count["at_last_newton"] = count["solves"]
+        return out
+
+    for module in (ionlab.radial, ionlab.tf, ionlab.tfw):
+        monkeypatch.setattr(module, "coulomb_potential", counted_coulomb)
+    for module in (ionlab.tf, ionlab.tfw):
+        monkeypatch.setattr(module, "newton_krylov", counted_newton)
+    solve()
+    assert count["at_last_newton"] is not None
+    assert count["solves"] == count["at_last_newton"]
 
 
 class TestDenseOracle:
@@ -191,7 +230,8 @@ class TestDenseOracle:
     def test_agrees_with_dense_newton(self, params, cap):
         grid = make_log_grid(1e-4, 100.0, 300)
         model = _TFWModel(params, grid)
-        u, lam, _, _ = model.minimize(cap)
+        st = model.minimize(cap)
+        u, lam = st.u, st.lam
         # The dense iteration starts from the seed (rescaled onto the cap),
         # not from the solver's answer.
         u_ref, lam_ref = self._dense_newton(model, model.seed(), cap)
@@ -240,16 +280,18 @@ class TestMajorant:
         grid = tfw_z1.u.grid
         model = _TFWModel(tfw_z1.params, grid)
         bump = np.exp(-((np.log(grid.r) - np.log(2.0)) ** 2))
-        _, unit = model.stationarity(tfw_z1.u.values * (1.0 + 1e-3 * bump))
+        trial = tfw_z1.u.values * (1.0 + 1e-3 * bump)
+        _, unit = model.stationarity(trial, model.coulomb(trial))
         bad_u = tfw_z1.u.values * (1.0 + 1e-3 * 1e-6 / unit * bump)
-        _, res = model.stationarity(bad_u)
+        vh = model.coulomb(bad_u)
+        _, res = model.stationarity(bad_u, vh)
         assert 5e-7 < res < 2e-6
         bad = TFWSolution(
             u=RadialField(grid, bad_u),
-            phi=RadialField(grid, model.phi_of(bad_u)),
+            phi=RadialField(grid, tfw_z1.params.z / grid.r - vh),
             n_c=model.mass(bad_u),
             q=model.mass(bad_u) - tfw_z1.params.z,
-            energy=model.energy(bad_u),
+            energy=model.energy(bad_u, vh),
             residual=res,
             iterations=tfw_z1.iterations,
             params=tfw_z1.params,
