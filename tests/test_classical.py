@@ -1,8 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionlab import classical
 from ionlab.classical import (
     PointConfig,
     _beta_starts,
@@ -88,42 +91,183 @@ class TestGradients:
             assert np.max(np.abs(grad - fd)) < 1e-7 * max(1.0, np.max(np.abs(grad)))
 
 
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n", [2, 8, 50])
+    def test_beta_stack_matches_rows(self, rng, n):
+        X = rng.normal(size=(10, 3 * n))
+        vals, grads = _beta_value_grad(X, n)
+        assert vals.shape == (10,) and grads.shape == X.shape
+        for row, val, grad in zip(X, vals, grads):
+            v1, g1 = _beta_value_grad(row, n)
+            assert val == pytest.approx(v1, rel=1e-12)
+            assert val == pytest.approx(beta_value(PointConfig(row.reshape(n, 3))), rel=1e-12)
+            assert np.max(np.abs(grad - g1)) <= 1e-12 * np.max(np.abs(g1))
+
+    def test_beta_work_buffer_gives_the_same_answer(self, rng):
+        X = rng.normal(size=(4, 24))
+        work = np.full(2 * 10 * 64, np.nan)
+        v0, g0 = _beta_value_grad(X, 8)
+        v1, g1 = _beta_value_grad(X[:3], 8, work)
+        assert np.array_equal(v1, v0[:3]) and np.array_equal(g1, g0[:3])
+
+    def test_pair_stack_matches_rows(self, rng):
+        X = rng.normal(size=(8, 6))
+        vals, grads = _pair_value_grad(X)
+        assert vals.shape == (8,) and grads.shape == X.shape
+        for row, val, grad in zip(X, vals, grads):
+            v1, g1 = _pair_value_grad(row)
+            assert isinstance(v1, float)
+            assert val == pytest.approx(v1, rel=1e-12)
+            assert np.max(np.abs(grad - g1)) <= 1e-12 * np.max(np.abs(g1))
+
+
+def _x_plus_inverse(X):
+    # v + 1/v on v > 0 and infinite elsewhere; its minimum is 2 at v = 1.
+    v = X[:, 0]
+    inside = v > 0
+    safe = np.where(inside, v, 1.0)
+    return np.where(inside, v + 1 / safe, np.inf), np.where(inside, 1 - safe**-2, np.nan)[:, None]
+
+
+def _double_well(X):
+    # v^4/4 - v^2 is concave on |v| < (2/3)^(1/2): a step from there keeps
+    # no pair (s.y < 0), so that row's memory lags the others'.
+    v = X[:, 0]
+    return v**4 / 4 - v**2, (v**3 - 2 * v)[:, None]
+
+
+def _rosen(X):
+    # The extended Rosenbrock function; D = 2 is the classic one.
+    a, b = X[:, :-1], X[:, 1:]
+    grad = np.zeros_like(X)
+    grad[:, :-1] -= 400 * a * (b - a * a) + 2 * (1 - a)
+    grad[:, 1:] += 200 * (b - a * a)
+    return np.sum(100 * (b - a * a) ** 2 + (1 - a) ** 2, axis=1), grad
+
+
+def _two_loop_lbfgs(fun_grad, x0):
+    """One start by the two-loop recursion and a deque memory: the reference."""
+    x, (f, g), memory, steps = x0, fun_grad(x0[None, :]), deque(maxlen=10), 0
+    f, g = f[0], g[0]
+    for _ in range(500):
+        if np.max(np.abs(g)) <= 1e-10:
+            break
+        q, alphas = g.copy(), []
+        for s, y, rho in reversed(memory):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if memory:
+            q /= memory[-1][2] * (memory[-1][1] @ memory[-1][1])
+            t = 1.0
+        else:
+            t = min(1.0, 1.0 / np.linalg.norm(g))
+        for (s, y, rho), a in zip(memory, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        for _ in range(60):
+            x_new = x - t * q
+            f_new, g_new = (r[0] for r in fun_grad(x_new[None, :]))
+            if np.isfinite(f_new) and f_new <= f - 1e-4 * t * (g @ q):
+                break
+            t *= 0.5
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            memory.append((s, y, 1.0 / (s @ y)))
+        small = f - f_new <= 2.22e-9 * max(abs(f), abs(f_new), 1.0)
+        x, f, g, steps = x_new, f_new, g_new, steps + 1
+        if small:
+            break
+    return x, f, steps
+
+
 class TestLbfgs:
     def test_quadratic_reaches_gradient_stop(self):
         b = np.arange(5.0)
-        x, val = _lbfgs(lambda v: (1.5 * v @ v - b @ v, 3.0 * v - b), np.zeros(5))
-        assert np.max(np.abs(3.0 * x - b)) <= 1e-10
-        assert val == pytest.approx(-b @ b / 6.0, rel=1e-14)
+        X, vals, _ = _lbfgs(
+            lambda V: (1.5 * np.sum(V * V, axis=1) - V @ b, 3.0 * V - b), np.zeros((1, 5))
+        )
+        assert np.max(np.abs(3.0 * X[0] - b)) <= 1e-10
+        assert vals[0] == pytest.approx(-b @ b / 6.0, rel=1e-14)
 
     def test_rosenbrock_minimizer(self):
         # From the classic start the relative-decrease rule ends the descent
         # at a max-abs gradient of about 3e-7, before the 1e-10 gradient stop.
-        def rosen(v):
-            a, b = v
-            return (1 - a) ** 2 + 100 * (b - a * a) ** 2, np.array(
-                [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)]
-            )
-
-        x, val = _lbfgs(rosen, np.array([-1.2, 1.0]))
-        assert np.max(np.abs(x - 1.0)) < 1e-6
-        assert val < 1e-12
-        assert np.max(np.abs(rosen(x)[1])) < 1e-5
+        X, vals, _ = _lbfgs(_rosen, np.array([[-1.2, 1.0]]))
+        assert np.max(np.abs(X[0] - 1.0)) < 1e-6
+        assert vals[0] < 1e-12
+        assert np.max(np.abs(_rosen(X)[1])) < 1e-5
 
     def test_backtracks_from_non_finite_trial(self):
         # The secant step from x = 10 overshoots into x < 0, where the
         # objective is infinite; backtracking must recover the minimum x = 1.
         trials = []
 
-        def fun_grad(v):
-            trials.append(v[0])
-            if v[0] <= 0:
-                return np.inf, np.array([np.nan])
-            return v[0] + 1 / v[0], np.array([1 - v[0] ** -2])
+        def fun_grad(X):
+            trials.extend(X[:, 0])
+            return _x_plus_inverse(X)
 
-        x, val = _lbfgs(fun_grad, np.array([10.0]))
+        X, vals, _ = _lbfgs(fun_grad, np.array([[10.0]]))
         assert min(trials) < 0
-        assert x[0] == pytest.approx(1.0, abs=1e-6)
-        assert val == pytest.approx(2.0, abs=1e-12)
+        assert X[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert vals[0] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fun_grad, starts",
+        [
+            # Row 0 starts at the minimum and stops at step 0; row 1 is the
+            # non-finite backtracking case; the others are ordinary descents.
+            (_x_plus_inverse, [[1.0], [10.0], [0.3], [4.0], [0.05]]),
+            # Row 1 starts on the concave part, so its memory fills late.
+            (_double_well, [[2.0**0.5], [0.2], [3.0], [-0.5], [1.2]]),
+        ],
+    )
+    def test_rows_descend_as_if_alone(self, fun_grad, starts):
+        starts = np.array(starts)
+        X, vals, steps = _lbfgs(fun_grad, starts)
+        assert steps[0] == 0 and X[0, 0] == starts[0, 0]
+        assert len(set(steps)) > 2
+        for k, start in enumerate(starts):
+            x1, v1, s1 = _lbfgs(fun_grad, start[None, :])
+            assert s1[0] == steps[k]
+            assert vals[k] == pytest.approx(v1[0], rel=1e-12)
+            assert X[k] == pytest.approx(x1[0], rel=1e-12)
+
+    def test_backtracking_evaluates_only_failing_rows(self):
+        trials = []
+
+        def fun_grad(X):
+            trials.append(X[:, 0].copy())
+            return _x_plus_inverse(X)
+
+        _lbfgs(fun_grad, np.array([[1.0], [10.0], [0.3], [4.0], [0.05]]))
+        k = next(k for k, v in enumerate(trials) if np.any(v <= 0))
+        assert 0 < len(trials[k + 1]) == np.sum(trials[k] <= 0) < len(trials[k])
+
+    @pytest.mark.parametrize("case", ["rosenbrock", "beta"])
+    def test_matches_the_two_loop_recursion(self, rng, case):
+        # The compact form gives the two-loop direction up to rounding, so
+        # each row takes the steps a lone two-loop descent takes.
+        if case == "rosenbrock":
+            fun_grad, starts = _rosen, rng.normal(size=(4, 10))
+        else:
+            fun_grad = lambda V: _beta_value_grad(V, 8)  # noqa: E731
+            starts = np.reshape(_beta_starts(8, 4, 5), (4, 24))
+        X, vals, steps = _lbfgs(fun_grad, starts)
+        for k, start in enumerate(starts):
+            x1, v1, s1 = _two_loop_lbfgs(fun_grad, start)
+            assert s1 == steps[k]
+            assert abs(vals[k] - v1) <= 1e-10 * max(1.0, abs(v1))
+            assert np.max(np.abs(X[k] - x1)) <= 1e-6
+
+    def test_beta_rows_descend_as_if_alone(self):
+        starts = np.reshape(_beta_starts(8, 4, 5), (4, 24))
+        X, vals, steps = _lbfgs(lambda V: _beta_value_grad(V, 8), starts)
+        assert len(set(steps)) > 1
+        for k, start in enumerate(starts):
+            x1, v1, s1 = _lbfgs(lambda V: _beta_value_grad(V, 8), start[None, :])
+            assert s1[0] == steps[k]
+            assert vals[k] == pytest.approx(v1[0], rel=1e-12)
 
 
 class TestBetaOptimize:
@@ -158,6 +302,57 @@ class TestBetaOptimize:
         assert abs(best - reference) < 1e-7
         assert best <= beta_value(PointConfig(fibonacci_sphere(n)))
         assert beta_value(cfg) == pytest.approx(best, rel=1e-12)
+
+    def test_kernel_calls_for_ten_restarts(self, monkeypatch):
+        # The restarts share every kernel call: 1578 calls one restart at a
+        # time, about 230 in lockstep.
+        calls = []
+        kernel = classical._beta_value_grad
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(classical, "_beta_value_grad", counted)
+        beta_optimize(50, restarts=10, seed=0)
+        assert len(calls) <= 320
+        assert calls[0] == 10
+
+    def test_groups_give_the_same_best_value(self, monkeypatch):
+        one_group = beta_optimize(8, restarts=5, seed=4)
+        sizes = []
+        lbfgs = classical._lbfgs
+
+        def recorded(fun_grad, x0):
+            sizes.append(len(x0))
+            return lbfgs(fun_grad, x0)
+
+        monkeypatch.setattr(classical, "_GROUP_ELEMENTS", 2 * 8 * 8)
+        monkeypatch.setattr(classical, "_lbfgs", recorded)
+        best, cfg = beta_optimize(8, restarts=5, seed=4)
+        assert sizes == [2, 2, 1]
+        assert best == pytest.approx(one_group[0], rel=1e-12)
+        assert np.allclose(cfg.points, one_group[1].points, rtol=0, atol=1e-12)
+
+    def test_peak_memory_does_not_grow_with_restarts(self, monkeypatch):
+        # Groups hold as many restarts at n = 50 as they do at n = 400, so
+        # seven restarts may take at most twice the memory of one; in one
+        # group they would take almost four times as much.
+        import tracemalloc
+
+        n = 50
+        group = max(1, classical._GROUP_ELEMENTS // 400**2)
+        monkeypatch.setattr(classical, "_GROUP_ELEMENTS", group * n * n)
+        beta_optimize(n, restarts=1, seed=0)
+        peaks = []
+        for restarts in (1, 7):
+            tracemalloc.start()
+            try:
+                beta_optimize(n, restarts=restarts, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
