@@ -14,9 +14,7 @@ objective once for all rows still descending, through batched kernels
 that take a (..., D) stack.  Each row stops on its own, when its max-abs
 gradient is <= 1e-10, when one step lowers its value by
 <= 2.22e-9 * max(|f|, |f_new|, 1) (the default factr * eps of L-BFGS-B),
-or after 500 iterations, and then leaves the stack.  beta_optimize
-descends its restarts in groups whose (R, n, n) kernel buffers stay
-under a fixed element budget, so memory does not grow with restarts.
+or after 500 iterations, and then leaves the stack.
 """
 
 from __future__ import annotations
@@ -56,14 +54,10 @@ class PointConfig:
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
         if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
             raise ParameterError("points must be an (n, 3) array")
-        radii = np.linalg.norm(p, axis=1)
-        if np.min(radii) <= _MIN_SEP:
+        if np.min(np.linalg.norm(p, axis=1)) <= _MIN_SEP:
             raise DomainError("configuration contains a point at the origin")
-        if p.shape[0] > 1:
-            d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-            np.fill_diagonal(d, np.inf)
-            if np.min(d) <= _MIN_SEP:
-                raise DomainError("configuration contains coincident points")
+        if p.shape[0] > 1 and np.min(_pair_distances(p)) <= _MIN_SEP:
+            raise DomainError("configuration contains coincident points")
         object.__setattr__(self, "points", p)
         p.setflags(write=False)
 
@@ -73,8 +67,14 @@ class PointConfig:
 
 
 def _pair_distances(p: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
+    """|p_i - p_j| of an (n, 3) array, inf on the diagonal, summed into one
+    (n, n) array a coordinate at a time, so bit-identical to np.linalg.norm.
+    The Gram form of _beta_value_grad cancels for close points: 1e-9 apart
+    at radius 1e4 it gives beta = inf where this form gives 2.2e12."""
+    d, t = np.zeros((len(p), len(p))), np.empty((len(p), len(p)))
+    for x in p.T:
+        d += np.square(np.subtract.outer(x, x, out=t), out=t)
+    np.fill_diagonal(np.sqrt(d, out=d), np.inf)
     return d
 
 
@@ -260,7 +260,7 @@ def beta_optimize(n: int, restarts: int = 10, seed: int = 0):
         k = np.argmin(vals)
         if vals[k] < best_val:
             best_val, best_pts = float(vals[k]), x[k].reshape(n, 3)
-    del work  # free it before PointConfig's (n, n, 3) check allocates
+    del work  # free it before PointConfig's (n, n) distance check allocates
     scale = np.mean(np.linalg.norm(best_pts, axis=1))
     return best_val, PointConfig(best_pts / scale)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -55,9 +56,10 @@ COMMANDS = tuple(_SCHEMAS)
 
 
 def _convert(key: str, conv, value):
-    """Apply key's schema converter.  Only bool keys take booleans, and int
-    keys take only integral values; anything the converter cannot take
-    exactly raises ParameterError naming the key."""
+    """Apply key's schema converter.  Only bool keys take booleans, int
+    keys take only integral values, and float keys and float lists only
+    finite ones; anything the converter cannot take exactly raises
+    ParameterError naming the key."""
     bad = ParameterError(f"invalid value {value!r} for parameter {key!r}")
     if isinstance(value, bool) != (conv is bool):
         raise bad
@@ -67,12 +69,16 @@ def _convert(key: str, conv, value):
         raise bad
     try:
         if conv != "float_list":
-            return conv(value)
-        if isinstance(value, str):
-            return [float(x) for x in value.split(",") if x]
-        return [float(x) for x in value]
+            value = conv(value)
+        elif isinstance(value, str):
+            value = [float(x) for x in value.split(",") if x]
+        else:
+            value = [float(x) for x in value]
     except (TypeError, ValueError):
         raise bad from None
+    if conv in (float, "float_list") and not np.isfinite(value).all():
+        raise bad
+    return value
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,8 @@ def _json_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise FormatError(f"cannot write {v!r} as a JSON number")
         return _fmt(v)
     if isinstance(v, str):
         return json.dumps(v)

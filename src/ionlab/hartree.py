@@ -97,7 +97,7 @@ def minimize_e(t: float, grid: RadialGrid | None = None) -> HartreeState:
     Below t_c the minimizer sits on the cap with mu > 0; from t_c on it
     leaves the cap, with mu = 0, bound mass t_c and the flat energy e(t_c).
     """
-    if t <= 0:
+    if not t > 0:
         raise ParameterError(f"target mass must be positive, got {t}")
     return _state(_model(grid), t)
 
@@ -108,7 +108,7 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
     Certified by the multiplier one tolerance below: mu(t_c - tol) > 0,
     i.e. the cap still binds there.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     model = _model(grid)
     tc = model.mass(model.minimize().u)
@@ -127,7 +127,7 @@ def e_curve(ts, grid: RadialGrid | None = None):
     ts = list(ts)
     if not ts:
         raise ParameterError("need at least one mass value")
-    if any(t <= 0 for t in ts):
+    if not all(t > 0 for t in ts):
         raise ParameterError("masses must be positive")
     model = _model(grid)
     rows = []

@@ -90,7 +90,7 @@ class InequalityReport:
 def _admit(grid: RadialGrid, tol: float) -> float:
     """The tolerance as a float: ParameterError if negative, DomainError
     if the grid is coarser than MAX_LOG_STEP."""
-    if tol < 0:
+    if not tol >= 0:
         raise ParameterError(f"tolerance must be nonnegative, got {tol}")
     if grid.log_step > MAX_LOG_STEP:
         raise DomainError(f"grid {grid.descriptor()} has fewer than 10 points per unit of log r")

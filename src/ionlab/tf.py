@@ -237,6 +237,8 @@ def solve_tf(
     and dropped (mu = 0) otherwise.  tol bounds the L1 Euler-Lagrange
     defect, scaled by Z^(1/3).
     """
+    if not tol > 0:
+        raise ParameterError(f"tolerance must be positive, got {tol}")
     grid = grid if grid is not None else default_tf_grid()
     capped = params.n_electrons < params.z
     phi = params.z / grid.r - _hartree_potential(grid, _initial_density(grid, params))

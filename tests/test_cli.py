@@ -1,14 +1,16 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ionlab.cli as cli
 import ionlab.hf
-from ionlab.errors import ParameterError
+from ionlab.errors import FormatError, ParameterError
 
 
 class TestRunConfig:
@@ -128,6 +130,31 @@ class TestMainExitCodes:
     )
     def test_count_below_range_exit_2(self, argv, capsysbinary):
         assert cli.main(argv) == 2
+        assert capsysbinary.readouterr().out == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hartree", "--t", "nan"],
+            ["hartree", "--tc", "--tol", "nan"],
+            ["hf", "--z", "nan"],
+            ["drop", "--m", "nan"],
+            ["opcheck", "--check", "hardy", "--tol", "nan"],
+            ["tf", "--N", "inf"],
+            ["hartree", "--t", "inf"],
+            ["tf", "--Z", "nan"],
+            ["tfw", "--sweep", "1,nan"],
+        ],
+    )
+    def test_non_finite_value_exit_2(self, argv, capsysbinary):
+        assert cli.main(argv) == 2
+        assert capsysbinary.readouterr().out == b""
+
+    def test_non_finite_value_via_config_file(self, tmp_path, capsysbinary):
+        # json.load reads the NaN and Infinity literals as floats
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"Z": NaN}')
+        assert cli.main(["tfw", "--config", str(cfg)]) == 2
         assert capsysbinary.readouterr().out == b""
 
     def test_unknown_parameter_via_config_file(self, tmp_path):
@@ -287,6 +314,46 @@ class TestHelpers:
     def test_float_formatting_roundtrip(self):
         for x in (np.pi, 1 / 3, 1e-300, 123456.789e17):
             assert float(cli._fmt(x)) == x
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+    def test_non_finite_float_is_no_json(self, x):
+        with pytest.raises(FormatError):
+            cli._json_value({"payload": [1.0, x]})
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _readme_commands() -> list:
+    """The argv of each `ionlab ...` line in the README's CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [
+        shlex.split(line.split("#")[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("ionlab ")
+    ]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_runs(self, tmp_path, monkeypatch, capsysbinary):
+        commands = _readme_commands()
+        assert len(commands) == 13
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if argv == ["--version"]:
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv)
+                assert exc.value.code == 0
+                continue
+            assert cli.main(argv) == 0, argv
+            out = capsysbinary.readouterr().out
+            if "--out" in argv:
+                assert out == b"", argv
+            elif "csv" not in argv:
+                json.loads(out, parse_constant=_refuse_constant)
+        assert (tmp_path / "tf.csv").read_text().startswith("r,rho,phi\n")
 
 
 def _fresh_python(code: str) -> str:

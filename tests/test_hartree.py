@@ -54,6 +54,8 @@ class TestMinimize:
     def test_nonpositive_mass_rejected(self, grid):
         with pytest.raises(ParameterError):
             minimize_e(0.0, grid)
+        with pytest.raises(ParameterError):
+            minimize_e(float("nan"), grid)
 
     def test_variational_against_trial_states(self, grid, exp_orbital):
         st = minimize_e(1.0, grid)
@@ -79,6 +81,8 @@ class TestCriticalMass:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ParameterError):
             compute_tc(tol=0.0)
+        with pytest.raises(ParameterError):
+            compute_tc(tol=float("nan"))
 
     def test_matches_multiplier_bisection(self, hartree_tc):
         # Oracle: bisect on the sign of mu(t) over [1, 2]; mu > 0 while
@@ -142,6 +146,8 @@ class TestECurve:
             e_curve([], grid)
         with pytest.raises(ParameterError):
             e_curve([0.5, -1.0], grid)
+        with pytest.raises(ParameterError):
+            e_curve([0.5, float("nan")], grid)
 
     def test_virial_diagnostic_recorded(self, grid):
         # 2K + V_attr + V_hartree vanishes at constrained minimizers;

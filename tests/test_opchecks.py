@@ -48,6 +48,8 @@ class TestHardy:
     def test_negative_tolerance_rejected(self, coarse_grid):
         with pytest.raises(ParameterError):
             check_hardy(coarse_grid, tol=-1.0)
+        with pytest.raises(ParameterError):
+            check_hardy(coarse_grid, tol=float("nan"))
 
 
 class TestLiebSymmetrization:

@@ -52,6 +52,11 @@ class TestMaximumIonization:
         with pytest.raises(ParameterError):
             TFParams(z=1.0, n_electrons=-2.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, small_grid, tol):
+        with pytest.raises(ParameterError):
+            solve_tf(TFParams(z=1.0, n_electrons=1.0), small_grid, tol=tol)
+
 
 def _bisection_multiplier(grid, coeff, phi, n_cap):
     """Reference multiplier: 80 bisection steps on mass(mu) = n_cap."""
