@@ -54,6 +54,8 @@ class PointConfig:
         p = np.atleast_2d(np.asarray(self.points, dtype=float))
         if p.ndim != 2 or p.shape[1] != 3 or p.shape[0] < 1:
             raise ParameterError("points must be an (n, 3) array")
+        if not np.isfinite(p).all():
+            raise ParameterError("points must be finite")
         if np.min(np.linalg.norm(p, axis=1)) <= _MIN_SEP:
             raise DomainError("configuration contains a point at the origin")
         if p.shape[0] > 1 and np.min(_pair_distances(p)) <= _MIN_SEP:

@@ -10,8 +10,6 @@ or an unwritable --out path included), 3 convergence failure, 4 capacity
 overrun.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -35,28 +33,9 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_CAPACITY = 4
 
-# Per-command parameter schema: name -> converter.  Each key is also the
-# command's flag, "--" plus the key with "_" written "-".
-_SCHEMAS = {
-    "tf": {"Z": float, "N": float, "ctf": float, "grid_n": int, "rmin": float,
-           "rmax": float, "tol": float},
-    "hartree": {"t": float, "tc": bool, "tol": float, "grid_n": int,
-                "ts": "float_list"},
-    "tfw": {"Z": float, "sweep": "float_list", "ctf": float, "cw": float},
-    "hf": {"z": float, "exponents": "float_list", "n": int, "scan": bool},
-    "beta": {"n": int, "restarts": int},
-    "pairinf": {"samples": int},
-    "sigal": {"n": int, "eps": float, "trials": int},
-    "drop": {"m": float, "split": float, "check_identities": bool,
-             "mc_pairs": int},
-    "opcheck": {"check": str, "grid_n": int, "tol": float},
-}
-
-COMMANDS = tuple(_SCHEMAS)
-
 
 def _convert(key: str, conv, value):
-    """Apply key's schema converter.  Only bool keys take booleans, int
+    """Apply key's converter.  Only bool keys take booleans, int
     keys take only integral values, and float keys and float lists only
     finite ones; anything the converter cannot take exactly raises
     ParameterError naming the key."""
@@ -68,7 +47,7 @@ def _convert(key: str, conv, value):
     if conv is int and isinstance(value, float) and not value.is_integer():
         raise bad
     try:
-        if conv != "float_list":
+        if conv != list[float]:
             value = conv(value)
         elif isinstance(value, str):
             value = [float(x) for x in value.split(",") if x]
@@ -76,7 +55,7 @@ def _convert(key: str, conv, value):
             value = [float(x) for x in value]
     except (TypeError, ValueError):
         raise bad from None
-    if conv in (float, "float_list") and not np.isfinite(value).all():
+    if conv in (float, list[float]) and not np.isfinite(value).all():
         raise bad
     return value
 
@@ -90,18 +69,18 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ParameterError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ParameterError(f"unknown format {self.format!r}")
-        schema = _SCHEMAS[self.command]
+        flags = _COMMANDS[self.command].__annotations__
         clean = {}
         for key, value in self.parameters.items():
-            if key not in schema:
+            if key not in flags:
                 raise ParameterError(
                     f"unknown parameter {key!r} for command {self.command!r}"
                 )
-            clean[key] = _convert(key, schema[key], value)
+            clean[key] = _convert(key, flags[key], value)
         object.__setattr__(self, "parameters", clean)
 
 
@@ -178,21 +157,25 @@ def emit(report: RunReport) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _run_tf(params: dict, seed: int):
+def _run_tf(
+    seed, *, Z: float = 1.0, N: float = None, ctf: float = None,
+    grid_n: int = None, rmin: float = None, rmax: float = None, tol: float = 1e-8,
+):
     from .radial import make_log_grid
     from .tf import C_TF_DEFAULT, TFParams, default_tf_grid, solve_tf
 
-    z = params.get("Z", 1.0)
-    n = params.get("N", z)
-    tfp = TFParams(z=z, n_electrons=n, c_tf=params.get("ctf", C_TF_DEFAULT))
-    if {"grid_n", "rmin", "rmax"} & params.keys():
+    tfp = TFParams(
+        z=Z, n_electrons=Z if N is None else N,
+        c_tf=C_TF_DEFAULT if ctf is None else ctf,
+    )
+    grid = default_tf_grid()
+    if (grid_n, rmin, rmax) != (None, None, None):
         grid = make_log_grid(
-            params.get("rmin", 1e-4), params.get("rmax", 400.0),
-            params.get("grid_n", 2200),
+            grid.r_min if rmin is None else rmin,
+            grid.r_max if rmax is None else rmax,
+            grid.n if grid_n is None else grid_n,
         )
-    else:
-        grid = default_tf_grid()
-    sol = solve_tf(tfp, grid, tol=params.get("tol", 1e-8))
+    sol = solve_tf(tfp, grid, tol=tol)
     payload = {
         "Z": tfp.z, "N": tfp.n_electrons, "mu": sol.mu, "mass": sol.mass,
         "energy": sol.energy, "residual": sol.residual,
@@ -201,27 +184,25 @@ def _run_tf(params: dict, seed: int):
         (float(r), float(rho), float(phi))
         for r, rho, phi in zip(grid.r, sol.rho.values, sol.phi.values)
     ]
-    diags = {"iterations": sol.iterations}
-    return payload, table, ("r", "rho", "phi"), diags
+    return payload, table, ("r", "rho", "phi"), {"iterations": sol.iterations}
 
 
-def _run_hartree(params: dict, seed: int):
+def _run_hartree(
+    seed, *, t: float = 1.0, tc: bool = False, tol: float = 0.01,
+    grid_n: int = None, ts: list[float] = None,
+):
     from .hartree import compute_tc, default_hartree_grid, e_curve, minimize_e
     from .radial import make_log_grid
 
     grid = None
-    if "grid_n" in params:
+    if grid_n is not None:
         base = default_hartree_grid()
-        grid = make_log_grid(base.r_min, base.r_max, params["grid_n"])
-    if params.get("tc"):
-        tol = params.get("tol", 0.01)
-        tc = compute_tc(grid, tol=tol)
-        return {"tc": tc, "tol": tol}, None, None, {}
-    if "ts" in params:
-        rows = e_curve(params["ts"], grid)
-        payload = {"points": len(rows)}
-        return payload, rows, ("t", "e", "mu", "bound_mass"), {}
-    t = params.get("t", 1.0)
+        grid = make_log_grid(base.r_min, base.r_max, grid_n)
+    if tc:
+        return {"tc": compute_tc(grid, tol=tol), "tol": tol}, None, None, {}
+    if ts is not None:
+        rows = e_curve(ts, grid)
+        return {"points": len(rows)}, rows, ("t", "e", "mu", "bound_mass"), {}
     st = minimize_e(t, grid)
     payload = {
         "t": st.t, "e": st.energy, "mu": st.mu, "bound_mass": st.bound_mass,
@@ -230,40 +211,34 @@ def _run_hartree(params: dict, seed: int):
     return payload, None, None, {"iterations": st.iterations}
 
 
-def _run_tfw(params: dict, seed: int):
+def _run_tfw(
+    seed, *, Z: float = 1.0, sweep: list[float] = None, ctf: float = None,
+    cw: float = None,
+):
     from .tfw import TFWParams, excess_charge_sweep, solve_tfw, subharmonic_majorant_check
 
-    kw = {}
-    if "ctf" in params:
-        kw["c_tf"] = params["ctf"]
-    if "cw" in params:
-        kw["c_w"] = params["cw"]
-    if "sweep" in params:
-        rows = excess_charge_sweep(params["sweep"], **kw)
+    kw = {k: v for k, v in (("c_tf", ctf), ("c_w", cw)) if v is not None}
+    if sweep is not None:
+        rows = excess_charge_sweep(sweep, **kw)
         return {"points": len(rows)}, rows, ("Z", "q", "u_at_1", "phi_at_1"), {}
-    z = params.get("Z", 1.0)
-    sol = solve_tfw(TFWParams(z=z, **kw))
+    sol = solve_tfw(TFWParams(z=Z, **kw))
     chk = subharmonic_majorant_check(sol)
     payload = {
-        "Z": z, "n_c": sol.n_c, "q": sol.q, "energy": sol.energy,
+        "Z": Z, "n_c": sol.n_c, "q": sol.q, "energy": sol.energy,
         "residual": sol.residual, "majorant_bound": chk.q_bound,
         "majorant_passed": chk.passed,
     }
     return payload, None, None, {"iterations": sol.iterations}
 
 
-def _run_hf(params: dict, seed: int):
-    from .hf import (
-        build_sgauss_basis,
-        exact_diagonalization,
-        solve_hf_scf,
-        spectrum_scan,
-    )
+def _run_hf(
+    seed, *, z: float = 1.0, exponents: list[float] = (0.25, 1.0, 4.0),
+    n: int = 1, scan: bool = False,
+):
+    from .hf import build_sgauss_basis, exact_diagonalization, solve_hf_scf, spectrum_scan
 
-    z = params.get("z", 1.0)
-    exps = params.get("exponents", [0.25, 1.0, 4.0])
-    basis = build_sgauss_basis(z, exps)
-    if params.get("scan"):
+    basis = build_sgauss_basis(z, exponents)
+    if scan:
         sc = spectrum_scan(basis)
         payload = {
             "z": z,
@@ -272,13 +247,11 @@ def _run_hf(params: dict, seed: int):
             "convexity_violations": [list(map(float, v)) for v in sc.convexity_violations],
         }
         return payload, None, None, {}
-    n = params.get("n", 1)
     scf = solve_hf_scf(basis, n)
     rel = scf.relaxed
-    exact = exact_diagonalization(basis, n)
     payload = {
         "z": z, "n": n, "E_scf": scf.energy, "E_relaxed": rel.energy,
-        "E_exact": exact,
+        "E_exact": exact_diagonalization(basis, n),
         "relaxed_gap": abs(scf.energy - rel.energy),
         "relaxed_converged": rel.converged,
         "fermi_degenerate": scf.fermi_degenerate,
@@ -291,11 +264,9 @@ def _run_hf(params: dict, seed: int):
     return payload, None, None, diags
 
 
-def _run_beta(params: dict, seed: int):
+def _run_beta(seed, *, n: int = 50, restarts: int = 10):
     from .classical import beta_optimize
 
-    n = params.get("n", 50)
-    restarts = params.get("restarts", 10)
     value, config = beta_optimize(n, restarts=restarts, seed=seed)
     payload = {
         "n": n, "restarts": restarts, "best_value": value,
@@ -304,33 +275,23 @@ def _run_beta(params: dict, seed: int):
     return payload, None, None, {}
 
 
-def _run_pairinf(params: dict, seed: int):
+def _run_pairinf(seed, *, samples: int = 10_000):
     from .classical import pair_infimum_scan
 
-    samples = params.get("samples", 10_000)
     best, arg = pair_infimum_scan(samples, seed=seed)
-    return (
-        {"samples": samples, "min_found": best, "argmin": arg.tolist()},
-        None,
-        None,
-        {},
-    )
+    return {"samples": samples, "min_found": best, "argmin": arg.tolist()}, None, None, {}
 
 
-def _run_sigal(params: dict, seed: int):
+def _run_sigal(seed, *, n: int = 10, eps: float = 0.1, trials: int = 100):
     from .classical import PointConfig, sigal_check
 
-    n = params.get("n", 10)
-    eps = params.get("eps", 0.1)
-    trials = params.get("trials", 100)
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     basic_all = True
     improved_failures = 0
     for _ in range(trials):
-        pts = rng.normal(size=(n, 3))
-        cfg = PointConfig(pts)
+        cfg = PointConfig(rng.normal(size=(n, 3)))
         if not sigal_check(cfg):
             basic_all = False
         if not sigal_check(cfg, epsilon=eps, improved=True):
@@ -343,7 +304,10 @@ def _run_sigal(params: dict, seed: int):
     return payload, None, None, {}
 
 
-def _run_drop(params: dict, seed: int):
+def _run_drop(
+    seed, *, m: float = 1.0, split: float = None, check_identities: bool = False,
+    mc_pairs: int = None,
+):
     from .drop import (
         ball_energy,
         binding_gap_lower_bound,
@@ -352,25 +316,24 @@ def _run_drop(params: dict, seed: int):
         mstar,
     )
 
-    m = params.get("m", 1.0)
     be = ball_energy(m)
     payload = {
         "m": m, "perimeter": be.perimeter, "coulomb": be.coulomb,
         "total": be.total, "mstar": mstar(),
     }
-    if "split" in params:
-        payload["binding_gap_bound"] = binding_gap_lower_bound(m, params["split"])
-    if params.get("check_identities"):
+    if split is not None:
+        payload["binding_gap_bound"] = binding_gap_lower_bound(m, split)
+    if check_identities:
         rep = cutting_identities_check(
-            np.array([0.0, 0.0, 1.0]), mc_nodes=params.get("mc_pairs", 0), seed=seed
+            np.array([0.0, 0.0, 1.0]), mc_nodes=mc_pairs or 0, seed=seed
         )
         payload["cutting"] = rep.to_dict()
-    if "mc_pairs" in params and not params.get("check_identities"):
-        payload["mc_coulomb"] = mc_ball_coulomb(m, params["mc_pairs"], seed=seed)
+    elif mc_pairs is not None:
+        payload["mc_coulomb"] = mc_ball_coulomb(m, mc_pairs, seed=seed)
     return payload, None, None, {}
 
 
-def _run_opcheck(params: dict, seed: int):
+def _run_opcheck(seed, *, check: str = "all", grid_n: int = 2000, tol: float = 1e-2):
     from .opchecks import (
         check_double_commutator_cube,
         check_hardy,
@@ -379,26 +342,28 @@ def _run_opcheck(params: dict, seed: int):
     )
     from .radial import make_log_grid
 
-    grid = make_log_grid(1e-4, 100.0, params.get("grid_n", 2000))
-    tol = params.get("tol", 1e-2)
-    which = params.get("check", "all")
+    grid = make_log_grid(1e-4, 100.0, grid_n)
     checks = {
-        "hardy": lambda: check_hardy(grid, tol),
-        "lieb": lambda: check_lieb_symmetrization(grid, tol),
-        "ims_x2": lambda: check_ims_x2(grid, tol),
-        "double_commutator": lambda: check_double_commutator_cube(grid, tol),
+        "hardy": check_hardy,
+        "lieb": check_lieb_symmetrization,
+        "ims_x2": check_ims_x2,
+        "double_commutator": check_double_commutator_cube,
     }
-    if which != "all":
-        if which not in checks:
-            raise ParameterError(f"unknown check {which!r}")
-        selected = {which: checks[which]}
-    else:
-        selected = checks
-    payload = {name: fn().to_dict() for name, fn in selected.items()}
+    if check != "all":
+        if check not in checks:
+            raise ParameterError(f"unknown check {check!r}")
+        checks = {check: checks[check]}
+    payload = {name: fn(grid, tol).to_dict() for name, fn in checks.items()}
     return payload, None, None, {}
 
 
-_RUNNERS = {
+# Each command is its runner, called as runner(seed, **parameters).  The
+# runner's keyword-only parameters are the command's parameters: each is
+# also a flag, "--" plus the name with "_" written "-"; its default is the
+# value when the flag is absent (None where the flag selects a branch or
+# the library owns the default), and its annotation is not a type hint but
+# the converter _convert applies: bool, int, float, str or list[float].
+_COMMANDS = {
     "tf": _run_tf,
     "hartree": _run_hartree,
     "tfw": _run_tfw,
@@ -414,8 +379,8 @@ _RUNNERS = {
 def run(config: RunConfig) -> RunReport:
     """Dispatch a validated config; deterministic given (config, seed)."""
     t0 = time.perf_counter()
-    payload, table, columns, diags = _RUNNERS[config.command](
-        config.parameters, config.seed
+    payload, table, columns, diags = _COMMANDS[config.command](
+        config.seed, **config.parameters
     )
     elapsed = time.perf_counter() - t0
     return RunReport(
@@ -437,14 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ionlab {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for cmd, schema in _SCHEMAS.items():
+    for cmd, runner in _COMMANDS.items():
         p = sub.add_parser(cmd)
-        for key, conv in schema.items():
+        for key, conv in runner.__annotations__.items():
             flag = "--" + key.replace("_", "-")
             if conv is bool:
                 p.add_argument(flag, dest=key, action="store_true")
             else:
-                p.add_argument(flag, dest=key, type=str if conv == "float_list" else conv)
+                p.add_argument(flag, dest=key, type=str if conv == list[float] else conv)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")

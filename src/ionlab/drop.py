@@ -55,13 +55,16 @@ class BallEnergy:
 
 
 def ball_energy(m: float) -> BallEnergy:
-    """Perimeter and Coulomb self-energy of the ball of volume m."""
-    if m <= 0:
-        raise ParameterError(f"volume must be positive, got {m}")
-    return BallEnergy(
-        perimeter=PERIMETER_UNIT_BALL * m ** (2.0 / 3.0),
-        coulomb=COULOMB_UNIT_BALL * m ** (5.0 / 3.0),
-    )
+    """Perimeter and Coulomb self-energy of the ball of volume m.  From
+    about m = 9e184 on the Coulomb term overflows a float: such a volume,
+    like an infinite one, is refused."""
+    if not 0 < m < np.inf:
+        raise ParameterError(f"volume must be positive and finite, got {m}")
+    try:
+        coulomb = COULOMB_UNIT_BALL * float(m) ** (5.0 / 3.0)
+    except OverflowError:
+        raise ParameterError(f"the energy of volume {m} overflows a float") from None
+    return BallEnergy(perimeter=PERIMETER_UNIT_BALL * m ** (2.0 / 3.0), coulomb=coulomb)
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class Ball:
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(3)
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ParameterError("ball radius must be positive")
         object.__setattr__(self, "center", c)
         c.setflags(write=False)
@@ -135,7 +138,7 @@ def mstar_from_splitting() -> float:
 def f_of_s(s):
     """f(s) = (s^(2/3) + (1-s)^(2/3) - 1) / (1 - s^(5/3) - (1-s)^(5/3))."""
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or np.any(s >= 1.0):
+    if not np.all((s > 0.0) & (s < 1.0)):
         raise ParameterError("f_of_s needs 0 < s < 1")
     num = s ** (2.0 / 3.0) + (1.0 - s) ** (2.0 / 3.0) - 1.0
     den = 1.0 - s ** (5.0 / 3.0) - (1.0 - s) ** (5.0 / 3.0)
@@ -170,7 +173,7 @@ def binding_gap_lower_bound(m: float, s: float) -> float:
     Positive for every s in (0,1) exactly when m is below the splitting
     threshold; changes sign at m = 5 min f = mstar().
     """
-    if m <= 0:
+    if not m > 0:
         raise ParameterError(f"volume must be positive, got {m}")
     concavity = s ** (5.0 / 3.0) + (1.0 - s) ** (5.0 / 3.0) - 1.0
     return float(
@@ -298,7 +301,7 @@ def nonexistence_certificate(m: float) -> bool:
     8 are excluded (strictly).  The two supporting identities are
     re-verified on every call.
     """
-    if m <= 0:
+    if not m > 0:
         raise ParameterError(f"volume must be positive, got {m}")
     report = cutting_identities_check(np.array([0.0, 0.0, 1.0]))
     if report.quad_error > 1e-8 or report.cavalieri_error > 1e-6:
@@ -312,7 +315,7 @@ def mc_ball_coulomb(m: float, pairs: int, seed: int = 0) -> float:
     Independent stochastic oracle for ball_energy(m).coulomb:
     (m^2/2) E[1/|p-q|] over uniform pairs in the ball.
     """
-    if m <= 0:
+    if not m > 0:
         raise ParameterError(f"volume must be positive, got {m}")
     if pairs < 1:
         raise ParameterError("need at least one sample pair")

@@ -148,9 +148,9 @@ def hartree_energy_direct(
     With w = (N-1)^(1/2) u this is N/(N-1) times the charge-Z minimum
     over int w^2 = N - 1, so the cap N - 1 must bind.
     """
-    if n_particles <= 1:
+    if not n_particles > 1:
         raise ParameterError("need more than one particle for the pair term")
-    if z <= 0:
+    if not z > 0:
         raise ParameterError("charge must be positive")
     model = _model(grid, z)
     st = model.minimize(n_particles - 1.0)

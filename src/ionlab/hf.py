@@ -114,10 +114,10 @@ def build_sgauss_basis(z: float, exponents) -> OneBodyBasis:
     (Loewdin) orthonormalized; near-linear dependence (overlap condition
     number above 1e10) is rejected.
     """
-    if z <= 0:
+    if not z > 0:
         raise ParameterError(f"charge must be positive, got {z}")
     a = np.asarray(sorted(float(x) for x in exponents))
-    if a.size == 0 or np.any(a <= 0):
+    if a.size == 0 or not np.all(a > 0):
         raise ParameterError("need a nonempty list of positive exponents")
     d = a.size
 

@@ -52,15 +52,15 @@ class RadialGrid:
     log_step: float
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        w = np.asarray(self.w, dtype=float)
+        r, w, mass = (np.asarray(a, dtype=float) for a in (self.r, self.w, self.mass))
         if r.ndim != 1 or r.size < 2:
             raise ParameterError("grid needs at least 2 points")
         if not np.all(r > 0) or not np.all(np.diff(r) > 0):
             raise ParameterError("radii must be positive and strictly increasing")
         if not np.all(w > 0):
             raise ParameterError("quadrature weights must be positive")
-        for arr in (self.r, self.w, self.mass):
+        for name, arr in (("r", r), ("w", w), ("mass", mass)):
+            object.__setattr__(self, name, arr)
             arr.setflags(write=False)
 
     @property

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .krylov import newton_krylov
 from .radial import (
     RadialField,
@@ -70,7 +70,7 @@ class TFParams:
     c_tf: float = C_TF_DEFAULT
 
     def __post_init__(self):
-        if self.z <= 0 or self.n_electrons <= 0 or self.c_tf <= 0:
+        if not (self.z > 0 and self.n_electrons > 0 and self.c_tf > 0):
             raise ParameterError("Z, N and c_tf must all be positive")
 
 
@@ -96,11 +96,6 @@ class TailFit:
 
 def default_tf_grid() -> RadialGrid:
     return make_log_grid(1e-4, 400.0, 2200)
-
-
-def _hartree_potential(grid: RadialGrid, rho_values: np.ndarray) -> np.ndarray:
-    """rho * 1/|x| of the nonnegative part of rho."""
-    return newton_potential(RadialField(grid, np.clip(rho_values, 0.0, None))).values
 
 
 def _energy(grid: RadialGrid, params: TFParams, rho: np.ndarray, vh: np.ndarray) -> float:
@@ -198,7 +193,7 @@ def _newton(
 
     def defect(phi):
         mu, rho = _projected_target(grid, params, phi, n_cap)
-        vh = _hartree_potential(grid, rho)
+        vh = newton_potential(RadialField(grid, rho)).values
         phi_rho = params.z / grid.r - vh
         g = phi - phi_rho
         el = (5.0 / 3.0) * params.c_tf * rho ** (2.0 / 3.0) - np.clip(phi_rho - mu, 0.0, None)
@@ -241,7 +236,8 @@ def solve_tf(
         raise ParameterError(f"tolerance must be positive, got {tol}")
     grid = grid if grid is not None else default_tf_grid()
     capped = params.n_electrons < params.z
-    phi = params.z / grid.r - _hartree_potential(grid, _initial_density(grid, params))
+    rho0 = RadialField(grid, _initial_density(grid, params))
+    phi = params.z / grid.r - newton_potential(rho0).values
     _, (mu, rho, vh), res, steps = _newton(
         "constrained stage" if capped else "unconstrained stage",
         grid, params, phi, params.n_electrons if capped else np.inf, tol=tol,
@@ -259,11 +255,11 @@ def solve_tf(
 
 
 def tf_energy(rho: RadialField, params: TFParams) -> float:
-    """c_tf int rho^(5/3) - Z int rho/|x| + (1/2) int rho (rho * 1/|x|)."""
-    if np.any(rho.values < -1e-12 * max(1.0, float(np.max(np.abs(rho.values))))):
-        raise DomainError("density must be nonnegative")
-    vals = np.clip(rho.values, 0.0, None)
-    return _energy(rho.grid, params, vals, _hartree_potential(rho.grid, vals))
+    """c_tf int rho^(5/3) - Z int rho/|x| + (1/2) int rho (rho * 1/|x|).
+
+    A density below zero beyond rounding raises DomainError."""
+    vh = newton_potential(rho).values
+    return _energy(rho.grid, params, np.clip(rho.values, 0.0, None), vh)
 
 
 def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:

@@ -76,7 +76,7 @@ class TFWParams:
     c_w: float = 1.0
 
     def __post_init__(self):
-        if self.z <= 0 or self.c_tf < 0 or self.c_w <= 0:
+        if not (self.z > 0 and self.c_tf >= 0 and self.c_w > 0):
             raise ParameterError("Z and c_w must be positive and c_tf nonnegative")
 
 
@@ -318,7 +318,7 @@ def excess_charge_sweep(
     zs = [float(z) for z in zs]
     if not zs:
         raise ParameterError("need at least one charge")
-    if any(z <= 0 for z in zs) or sorted(zs) != zs or len(set(zs)) != len(zs):
+    if not all(z > 0 for z in zs) or sorted(zs) != zs or len(set(zs)) != len(zs):
         raise ParameterError("charges must be positive and strictly increasing")
     grid = grid if grid is not None else default_tfw_grid()
 

@@ -31,17 +31,28 @@ class TestRunConfig:
             cli.RunConfig(command="drop", format="yaml")
 
     @pytest.mark.parametrize(
-        "command, key", [(c, k) for c, schema in cli._SCHEMAS.items() for k in schema]
+        "command, key", [(c, k) for c, run in cli._COMMANDS.items() for k in run.__annotations__]
     )
     def test_every_schema_key_has_its_flag(self, command, key):
-        conv = cli._SCHEMAS[command][key]
+        conv = cli._COMMANDS[command].__annotations__[key]
         arg, expected = {
             bool: ([], True), int: (["3"], 3), float: (["0.5"], 0.5),
-            str: (["hardy"], "hardy"), "float_list": (["1,2"], [1.0, 2.0]),
+            str: (["hardy"], "hardy"), list[float]: (["1,2"], [1.0, 2.0]),
         }[conv]
         flag = "--" + key.replace("_", "-")
         args = cli._build_parser().parse_args([command, flag, *arg])
         assert cli._config_from_args(args).parameters == {key: expected}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_flag_has_a_default_and_a_known_converter(self, command):
+        # A runner that gains a required flag or a converter _convert does
+        # not know fails here, not at a user's prompt.
+        runner = cli._COMMANDS[command]
+        assert list(runner.__kwdefaults__) == list(runner.__annotations__)
+        for key, conv in runner.__annotations__.items():
+            assert conv in (bool, int, float, str, list[float]), key
+            if conv is bool:
+                assert runner.__kwdefaults__[key] is False, key
 
 
 class TestRunAndEmit:
@@ -157,6 +168,27 @@ class TestMainExitCodes:
         assert cli.main(["tfw", "--config", str(cfg)]) == 2
         assert capsysbinary.readouterr().out == b""
 
+    @pytest.mark.parametrize("key", ["seed", "bogus_key"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_config_key_that_names_no_runner_parameter_exit_2(
+        self, tmp_path, capsysbinary, command, key
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert capsysbinary.readouterr().out == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["drop", "--m", "1e200"], ["drop", "--m", "1e300"],
+         ["drop", "--m", "1e300", "--split", "0.5"]],
+    )
+    def test_overflowing_volume_exit_2(self, argv, capsysbinary):
+        assert cli.main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ionlab: ") and b"overflows" in captured.err
+
     def test_unknown_parameter_via_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_key": 1}))
@@ -243,6 +275,14 @@ class TestMainExitCodes:
 
 
 class TestOtherRunners:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_runs_on_its_defaults(self, command, capsysbinary):
+        assert cli.main([command]) == 0
+        doc = json.loads(capsysbinary.readouterr().out, parse_constant=_refuse_constant)
+        assert doc["config"] == {
+            "command": command, "parameters": {}, "seed": 0, "format": "json",
+        }
+
     def test_tfw_single_charge(self):
         report = cli.run(cli.RunConfig(command="tfw", parameters={"Z": 1.0}))
         assert report.payload["q"] > 0

@@ -42,6 +42,13 @@ class TestBallEnergy:
         with pytest.raises(ParameterError):
             ball_energy(0.0)
 
+    def test_overflowing_energy_rejected(self):
+        # m^(5/3) overflows a float from about m = 9e184 on
+        assert np.isfinite(ball_energy(1e184).total)
+        for m in (1e185, 1e300, np.inf):
+            with pytest.raises(ParameterError):
+                ball_energy(m)
+
     def test_monte_carlo_matches_closed_form(self):
         mc = mc_ball_coulomb(1.0, 10**6, seed=11)
         assert mc == pytest.approx(ball_energy(1.0).coulomb, rel=5e-3)

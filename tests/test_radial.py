@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ionlab.errors import DomainError, ParameterError
 from ionlab.radial import (
     RadialField,
+    RadialGrid,
     Tridiagonal,
     coulomb_potential,
     extremal_eigs,
@@ -41,6 +42,13 @@ class TestLogGrid:
             make_log_grid(-1.0, 10.0, 100)
         with pytest.raises(ParameterError):
             make_log_grid(1e-4, 1e2, 2)
+
+    def test_stores_the_float_arrays_it_validates(self):
+        g = RadialGrid(r=[1.0, 2.0], w=[1.0, 1.0], mass=[1, 1], log_step=0.69)
+        for arr in (g.r, g.w, g.mass):
+            assert isinstance(arr, np.ndarray) and arr.dtype == float
+            assert not arr.flags.writeable
+        assert (g.n, g.r_max, g.mass.sum()) == (2, 2.0, 2.0)
 
 
 class TestIntegrate3d:

@@ -254,10 +254,11 @@ class TestUniquenessAndPositivity:
         sol_a = solve_tf(params, small_grid, tol=1e-9)
 
         # second run, uncapped, from the potential of a flat density
-        from ionlab.tf import _hartree_potential, _newton
+        from ionlab.radial import newton_potential
+        from ionlab.tf import _newton
 
-        flat = np.full(small_grid.n, 1e-3)
-        phi0 = params.z / small_grid.r - _hartree_potential(small_grid, flat)
+        flat = RadialField(small_grid, np.full(small_grid.n, 1e-3))
+        phi0 = params.z / small_grid.r - newton_potential(flat).values
         _, (_, rho_b, _), res_b, _ = _newton(
             "flat start", small_grid, params, phi0, np.inf, tol=1e-9
         )
