@@ -1,6 +1,5 @@
 """Classical point-charge functionals: the beta constant, the pair
-infimum 1/2, Sigal-type configuration inequalities, and the triangle
-symmetrization ratio.
+infimum 1/2 and Sigal-type configuration inequalities.
 
 All functionals here are homogeneous of degree zero, so values are
 invariant under uniform rescaling of a configuration; optimizers exploit
@@ -33,7 +32,6 @@ __all__ = [
     "pair_infimum_scan",
     "sigal_check",
     "sigal_margin",
-    "triangle_symmetrization_check",
     "fibonacci_sphere",
 ]
 
@@ -359,16 +357,3 @@ def sigal_check(config: PointConfig, epsilon: float = 0.1, improved: bool = Fals
     else:
         threshold = 0.5 * (config.n - 1)
     return sigal_margin(config, threshold) >= 0.0
-
-
-def triangle_symmetrization_check(samples: int, seed: int = 0) -> float:
-    """Sampled minimum of (|x|+|y|)/|x-y| over random pairs; >= 1 always."""
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(samples, 3))
-    y = rng.normal(size=(samples, 3))
-    d = np.linalg.norm(x - y, axis=1)
-    keep = d > _MIN_SEP
-    ratio = (np.linalg.norm(x, axis=1) + np.linalg.norm(y, axis=1))[keep] / d[keep]
-    return float(np.min(ratio))

@@ -331,4 +331,7 @@ def mc_ball_coulomb(m: float, pairs: int, seed: int = 0) -> float:
     q = sample(pairs)
     d = np.linalg.norm(p - q, axis=1)
     d = d[d > 1e-12]
-    return float(0.5 * m * m * np.mean(1.0 / d))
+    energy = float(0.5 * m * m * np.mean(1.0 / d))
+    if not np.isfinite(energy):
+        raise ParameterError(f"the Monte Carlo energy of volume {m} overflows a float")
+    return energy

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConvergenceError, DomainError, ParameterError
-from .radial import RadialField, RadialGrid, integrate_3d, newton_potential, reduced_laplacian
+from .radial import RadialField, RadialGrid
 from .tfw import TFWParams, _TFWModel, default_tfw_grid
 
 __all__ = [
@@ -30,16 +28,8 @@ __all__ = [
     "minimize_e",
     "compute_tc",
     "e_curve",
-    "kinetic_energy",
-    "normalize_mass",
     "hartree_energy_direct",
-    "hoffmann_ostenhof_product_check",
-    "lieb_oxford_product_check",
-    "LIEB_OXFORD_CONSTANT",
 ]
-
-LIEB_OXFORD_CONSTANT = 1.68
-_NORM_TOL = 1e-6  # how far from 1 an orbital's L2 mass may be in the product checks
 
 
 @dataclass(frozen=True)
@@ -55,20 +45,6 @@ class HartreeState:
 
 # The rescaled functional is the gradient-corrected one at c_tf = 0, on its grid.
 default_hartree_grid = default_tfw_grid
-
-
-def normalize_mass(field: RadialField, mass: float) -> RadialField:
-    cur = integrate_3d(RadialField(field.grid, field.values**2))
-    if cur <= 0:
-        raise DomainError("cannot normalize a null orbital")
-    return RadialField(field.grid, np.sqrt(mass / cur) * field.values)
-
-
-def kinetic_energy(u: RadialField) -> float:
-    """int |grad u|^2 over R^3 via the reduced quadratic form."""
-    a = reduced_laplacian(u.grid)
-    psi = np.sqrt(4.0 * np.pi * u.grid.mass) * u.grid.r * u.values
-    return float(psi @ (a @ psi))
 
 
 def _model(grid: RadialGrid | None, z: float = 1.0) -> _TFWModel:
@@ -160,44 +136,3 @@ def hartree_energy_direct(
             "it exceeds the critical mass"
         )
     return float(n_particles) / (n_particles - 1.0) * model.energy(st.u, st.vh)
-
-
-def hoffmann_ostenhof_product_check(u: RadialField, n_particles: int):
-    """Kinetic energy of a product state vs the kinetic energy of the
-    square root of its density; equal for nonnegative orbitals.
-
-    Returns (lhs, rhs) = (N int |grad u|^2, int |grad sqrt(N u^2)|^2).
-    """
-    if n_particles < 1:
-        raise ParameterError("need at least one particle")
-    _require_normalized(u)
-    lhs = n_particles * kinetic_energy(u)
-    sqrt_density = RadialField(u.grid, np.sqrt(float(n_particles) * u.values**2))
-    rhs = kinetic_energy(sqrt_density)
-    return float(lhs), float(rhs)
-
-
-def lieb_oxford_product_check(u: RadialField, n_particles: int) -> float:
-    """Exchange-energy margin of a product state.
-
-    margin = 1.68 int rho^(4/3) - (N/2) int u^2 (u^2 * 1/|x|) with
-    rho = N u^2; the indirect interaction energy of the product state is
-    bounded below exactly when the margin is nonnegative.
-    """
-    if n_particles < 1:
-        raise ParameterError("need at least one particle")
-    _require_normalized(u)
-    if np.any(u.values < 0):
-        raise ParameterError("orbital must be nonnegative")
-    grid = u.grid
-    n = float(n_particles)
-    rho43 = integrate_3d(RadialField(grid, (n * u.values**2) ** (4.0 / 3.0)))
-    u2 = RadialField(grid, u.values**2)
-    pair = integrate_3d(RadialField(grid, u.values**2 * newton_potential(u2).values))
-    return float(LIEB_OXFORD_CONSTANT * rho43 - 0.5 * n * pair)
-
-
-def _require_normalized(u: RadialField):
-    mass = integrate_3d(RadialField(u.grid, u.values**2))
-    if abs(mass - 1.0) > _NORM_TOL:
-        raise ParameterError(f"orbital must be L2-normalized, has mass {mass:.6g}")

@@ -112,7 +112,8 @@ def build_sgauss_basis(z: float, exponents) -> OneBodyBasis:
     F0 Boys integral at zero argument for concentric shells, where
     F0(0) = 1, so that factor drops out.  The basis is symmetrically
     (Loewdin) orthonormalized; near-linear dependence (overlap condition
-    number above 1e10) is rejected.
+    number above 1e10) is rejected, and so are a charge and exponents
+    whose one-body integrals overflow.
     """
     if not z > 0:
         raise ParameterError(f"charge must be positive, got {z}")
@@ -121,11 +122,16 @@ def build_sgauss_basis(z: float, exponents) -> OneBodyBasis:
         raise ParameterError("need a nonempty list of positive exponents")
     d = a.size
 
-    norms = (2.0 * a / np.pi) ** 0.75
-    p = a[:, None] + a[None, :]
-    s = (np.pi / p) ** 1.5 * norms[:, None] * norms[None, :]
-    t = 6.0 * np.outer(a, a) / p * (np.pi / p) ** 1.5 * norms[:, None] * norms[None, :]
-    v = -z * 2.0 * np.pi / p * norms[:, None] * norms[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (2.0 * a / np.pi) ** 0.75
+        p = a[:, None] + a[None, :]
+        s = (np.pi / p) ** 1.5 * norms[:, None] * norms[None, :]
+        t = 6.0 * np.outer(a, a) / p * (np.pi / p) ** 1.5 * norms[:, None] * norms[None, :]
+        v = -z * 2.0 * np.pi / p * norms[:, None] * norms[None, :]
+    if not np.isfinite([s, t, v]).all():
+        raise ParameterError(
+            f"one-body integrals of charge {z:g} and exponents {a.tolist()} are not finite"
+        )
 
     cond = np.linalg.cond(s)
     if not np.isfinite(cond) or cond > 1e10:

@@ -24,7 +24,6 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_log_grid",
-    "field_from_function",
     "integrate_3d",
     "coulomb_potential",
     "newton_potential",
@@ -121,10 +120,6 @@ class RadialField:
             raise DomainError("field tagged nonnegative has negative entries")
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
-
-
-def field_from_function(grid: RadialGrid, fn, nonnegative: bool = False) -> RadialField:
-    return RadialField(grid, np.asarray(fn(grid.r), dtype=float), nonnegative=nonnegative)
 
 
 def integrate_3d(f: RadialField, radial_power: int = 0) -> float:

@@ -156,14 +156,22 @@ def _projected_target(
 def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
     """Screened-core profile plus the universal r^-4 potential tail,
     scaled to the neutral mass Z; under a cap N < Z the first evaluation
-    projects it onto mass N."""
-    scale = params.z ** (1.0 / 3.0)
-    amp = sommerfeld_amplitude(params.c_tf)
-    phi_guess = params.z / grid.r * np.exp(-scale * grid.r) + amp / (
-        grid.r**4 + (3.0 / scale) ** 4
-    )
-    rho = (3.0 / (5.0 * params.c_tf) * phi_guess) ** 1.5
-    return params.z / integrate_3d(RadialField(grid, rho)) * rho
+    projects it onto mass N.  A charge whose profile is not finite on the
+    grid is refused, rather than handed to the solver."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            scale = params.z ** (1.0 / 3.0)
+            amp = sommerfeld_amplitude(params.c_tf)
+            phi_guess = params.z / grid.r * np.exp(-scale * grid.r) + amp / (
+                grid.r**4 + (3.0 / scale) ** 4
+            )
+            rho = (3.0 / (5.0 * params.c_tf) * phi_guess) ** 1.5
+            return params.z / integrate_3d(RadialField(grid, rho)) * rho
+    except ArithmeticError:
+        raise ParameterError(
+            f"charge Z = {params.z:g} with c_tf = {params.c_tf:g} is out of range: "
+            "its starting density is not finite"
+        ) from None
 
 
 def _newton(

@@ -19,7 +19,6 @@ from ionlab.classical import (
     pair_infimum_scan,
     sigal_check,
     sigal_margin,
-    triangle_symmetrization_check,
 )
 from ionlab.errors import DomainError, ParameterError
 
@@ -455,22 +454,3 @@ class TestSigal:
         rep = np.sum(1.0 / d, axis=1)
         expected = np.max(rep - 2.0 / np.linalg.norm(pts, axis=1))
         assert sigal_margin(cfg, 2.0) == pytest.approx(expected, rel=1e-12)
-
-
-class TestTriangleSymmetrization:
-    def test_sampled_minimum_above_one(self):
-        assert triangle_symmetrization_check(100_000, seed=5) >= 1.0 - 1e-12
-
-    def test_antipodal_equality_case(self):
-        x = np.array([1.0, 0, 0])
-        ratio = (np.linalg.norm(x) + np.linalg.norm(-x)) / np.linalg.norm(2 * x)
-        assert ratio == 1.0
-
-    def test_collinear_half_ratio(self):
-        y = np.array([2.0, 0, 0])
-        x = y / 2
-        assert (np.linalg.norm(x) + np.linalg.norm(y)) / np.linalg.norm(x - y) == 3.0
-
-    def test_needs_samples(self):
-        with pytest.raises(ParameterError):
-            triangle_symmetrization_check(0)

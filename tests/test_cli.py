@@ -189,6 +189,18 @@ class TestMainExitCodes:
         assert captured.out == b""
         assert captured.err.startswith(b"ionlab: ") and b"overflows" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["hf", "--z", "1e308"], ["hf", "--exponents", "1e308,1"],
+         ["tf", "--Z", "1e-300"], ["tf", "--Z", "1e300"],
+         ["drop", "--m", "1e160", "--mc-pairs", "10"]],
+    )
+    def test_input_that_overflows_its_model_exit_2(self, argv, capsysbinary):
+        assert cli.main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ionlab: ") and b"Traceback" not in captured.err
+
     def test_unknown_parameter_via_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_key": 1}))
@@ -475,3 +487,11 @@ class TestLazyImports:
 
         with pytest.raises(AttributeError, match="no_such_module"):
             ionlab.no_such_module
+
+
+@pytest.mark.parametrize("name", ionlab._SUBMODULES)
+def test_every_exported_name_resolves(name):
+    """A name deleted from a module is deleted from its ``__all__`` too;
+    ``krylov`` declares none."""
+    module = getattr(ionlab, name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

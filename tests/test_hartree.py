@@ -3,28 +3,18 @@ import pytest
 
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.hartree import (
-    LIEB_OXFORD_CONSTANT,
     compute_tc,
     e_curve,
     hartree_energy_direct,
-    hoffmann_ostenhof_product_check,
-    kinetic_energy,
-    lieb_oxford_product_check,
     minimize_e,
-    normalize_mass,
 )
-from ionlab.radial import RadialField, field_from_function, make_log_grid
+from ionlab.radial import RadialField, make_log_grid
 from ionlab.tfw import TFWParams, _TFWModel
 
 
 @pytest.fixture(scope="module")
 def grid():
     return make_log_grid(1e-4, 100.0, 1500)
-
-
-@pytest.fixture(scope="module")
-def exp_orbital(grid):
-    return normalize_mass(field_from_function(grid, lambda r: np.exp(-r)), 1.0)
 
 
 class TestMinimize:
@@ -57,15 +47,14 @@ class TestMinimize:
         with pytest.raises(ParameterError):
             minimize_e(float("nan"), grid)
 
-    def test_variational_against_trial_states(self, grid, exp_orbital):
+    def test_variational_against_trial_states(self, grid):
         st = minimize_e(1.0, grid)
         model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), grid)
         for scale in (0.6, 1.0, 1.8):
-            trial = normalize_mass(
-                field_from_function(grid, lambda r: np.exp(-scale * r)), 1.0
-            )
-            vh = model.coulomb(trial.values)
-            assert model.energy(trial.values, vh) >= st.energy - 1e-12
+            trial = np.exp(-scale * grid.r)
+            trial /= np.sqrt(model.mass(trial))
+            vh = model.coulomb(trial)
+            assert model.energy(trial, vh) >= st.energy - 1e-12
 
 
 class TestCriticalMass:
@@ -157,64 +146,14 @@ class TestECurve:
 
         st = minimize_e(1.0, grid)
         v = st.v.values
-        kin = kinetic_energy(st.v)
+        model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), grid)
+        psi = np.sqrt(4.0 * np.pi * grid.mass) * grid.r * v
+        kin = float(psi @ (model.a @ psi))
         attract = -integrate_3d(RadialField(grid, v * v), radial_power=-1)
         u2 = RadialField(grid, v * v)
         hart = 0.5 * integrate_3d(RadialField(grid, v * v * newton_potential(u2).values))
         print(f"virial 2K + V = {2 * kin + attract + hart:.3e} (K={kin:.4f})")
         assert kin + attract + hart == pytest.approx(st.energy, rel=1e-12)
-
-
-class TestProductStateChecks:
-    def test_hoffmann_ostenhof_equality(self, exp_orbital):
-        lhs, rhs = hoffmann_ostenhof_product_check(exp_orbital, 3)
-        assert lhs == pytest.approx(rhs, abs=1e-8)
-
-    def test_gaussian_single_particle(self, grid):
-        u = normalize_mass(field_from_function(grid, lambda r: np.exp(-r * r)), 1.0)
-        lhs, rhs = hoffmann_ostenhof_product_check(u, 1)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_zero_particles_rejected(self, exp_orbital):
-        with pytest.raises(ParameterError):
-            hoffmann_ostenhof_product_check(exp_orbital, 0)
-
-    def test_unnormalized_rejected(self, grid):
-        u = field_from_function(grid, lambda r: np.exp(-r))
-        with pytest.raises(ParameterError):
-            hoffmann_ostenhof_product_check(u, 2)
-
-    def test_lieb_oxford_margin_positive(self, exp_orbital):
-        assert lieb_oxford_product_check(exp_orbital, 2) > 0
-        assert lieb_oxford_product_check(exp_orbital, 50) > 0
-
-    def test_lieb_oxford_against_brute_force(self, exp_orbital):
-        """Independent oracle: both terms by direct summation with the
-        shell kernel 1/max(r, r') on the raw quadrature nodes."""
-        g = exp_orbital.grid
-        u2 = exp_orbital.values**2
-        n = 2
-        rho = n * u2
-        r, w = g.r, g.w
-        rho43 = 4 * np.pi * np.sum(w * r**2 * rho ** (4.0 / 3.0))
-        kern = 1.0 / np.maximum.outer(r, r)
-        pair = (4 * np.pi) ** 2 * float(
-            (w * r**2 * u2) @ kern @ (w * r**2 * u2)
-        )
-        margin_oracle = LIEB_OXFORD_CONSTANT * rho43 - 0.5 * n * pair
-        margin = lieb_oxford_product_check(exp_orbital, n)
-        assert margin == pytest.approx(margin_oracle, rel=1e-3)
-        assert margin_oracle > 0
-
-    def test_lieb_oxford_single_particle_recorded(self, exp_orbital):
-        margin = lieb_oxford_product_check(exp_orbital, 1)
-        print(f"single-particle margin (no sign claim): {margin:.6f}")
-
-    def test_growth_scaling(self, exp_orbital):
-        # the stabilizing term grows like N^(4/3) against N for the pair term
-        m2 = lieb_oxford_product_check(exp_orbital, 2)
-        m50 = lieb_oxford_product_check(exp_orbital, 50)
-        assert m50 > m2
 
 
 class TestScalingConsistency:

@@ -11,7 +11,6 @@ from ionlab.radial import (
     Tridiagonal,
     coulomb_potential,
     extremal_eigs,
-    field_from_function,
     integrate_3d,
     make_log_grid,
     newton_potential,
@@ -53,7 +52,7 @@ class TestLogGrid:
 
 class TestIntegrate3d:
     def test_exponential_8pi(self, default_grid):
-        f = field_from_function(default_grid, lambda r: np.exp(-r))
+        f = RadialField(default_grid, np.exp(-default_grid.r))
         assert integrate_3d(f, 0) == pytest.approx(8 * np.pi, abs=1e-8)
 
     def test_zero_integrand(self, default_grid):
@@ -62,11 +61,11 @@ class TestIntegrate3d:
             assert integrate_3d(f, p) == 0.0
 
     def test_gaussian_over_r_2pi(self, default_grid):
-        f = field_from_function(default_grid, lambda r: np.exp(-r * r))
+        f = RadialField(default_grid, np.exp(-default_grid.r**2))
         assert integrate_3d(f, -1) == pytest.approx(2 * np.pi, abs=1e-6)
 
     def test_power_below_minus_two_rejected(self, default_grid):
-        f = field_from_function(default_grid, lambda r: np.exp(-r))
+        f = RadialField(default_grid, np.exp(-default_grid.r))
         with pytest.raises(ParameterError):
             integrate_3d(f, -3)
 
@@ -77,8 +76,8 @@ class TestIntegrate3d:
     )
     def test_linearity(self, a, b):
         g = make_log_grid(1e-3, 50.0, 300)
-        f1 = field_from_function(g, lambda r: np.exp(-r))
-        f2 = field_from_function(g, lambda r: np.exp(-2 * r) * r)
+        f1 = RadialField(g, np.exp(-g.r))
+        f2 = RadialField(g, np.exp(-2 * g.r) * g.r)
         combo = RadialField(g, a * f1.values + b * f2.values)
         lhs = integrate_3d(combo, 0)
         rhs = a * integrate_3d(f1, 0) + b * integrate_3d(f2, 0)
@@ -106,21 +105,20 @@ class TestNewtonPotential:
 
     def test_hydrogen_density_analytic(self, default_grid):
         g = default_grid
-        rho = field_from_function(g, lambda r: np.exp(-r) / (8 * np.pi), nonnegative=True)
+        rho = RadialField(g, np.exp(-g.r) / (8 * np.pi), nonnegative=True)
         phi = newton_potential(rho)
         exact = 1.0 / g.r - np.exp(-g.r) * (1.0 / g.r + 0.5)
         assert np.max(np.abs(phi.values - exact)) < 1e-6
 
     def test_monotone_nonincreasing(self, default_grid):
-        rho = field_from_function(
-            default_grid, lambda r: np.exp(-0.5 * r) * (1 + r), nonnegative=True
-        )
+        r = default_grid.r
+        rho = RadialField(default_grid, np.exp(-0.5 * r) * (1 + r), nonnegative=True)
         phi = newton_potential(rho)
         assert np.all(np.diff(phi.values) <= 1e-12)
 
     def test_complementarity_with_integrate(self, default_grid):
         g = default_grid
-        rho = field_from_function(g, lambda r: np.exp(-r * r), nonnegative=True)
+        rho = RadialField(g, np.exp(-g.r**2), nonnegative=True)
         phi = newton_potential(rho)
         mass = integrate_3d(rho, 0)
         assert g.r[-1] * phi.values[-1] == pytest.approx(mass, abs=1e-8)

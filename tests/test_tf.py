@@ -3,7 +3,7 @@ import pytest
 
 import ionlab.krylov
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
-from ionlab.radial import RadialField, field_from_function, integrate_3d, make_log_grid
+from ionlab.radial import RadialField, integrate_3d, make_log_grid
 from ionlab.tf import (
     TFParams,
     default_tail_window,
@@ -182,7 +182,7 @@ class TestEnergyFunctional:
         params = TFParams(z=1.0, n_electrons=1.0)
         sol = solve_tf(params, small_grid)
         for scale in (0.5, 1.0, 2.0):
-            trial = field_from_function(small_grid, lambda r: np.exp(-scale * r))
+            trial = RadialField(small_grid, np.exp(-scale * small_grid.r))
             mass = integrate_3d(trial)
             trial = RadialField(small_grid, trial.values / mass)  # mass 1
             assert tf_energy(trial, params) >= sol.energy - 1e-12
