@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,20 +161,14 @@ def _run_tf(
     seed, *, Z: float = 1.0, N: float = None, ctf: float = None,
     grid_n: int = None, rmin: float = None, rmax: float = None, tol: float = 1e-8,
 ):
-    from .radial import make_log_grid
     from .tf import C_TF_DEFAULT, TFParams, default_tf_grid, solve_tf
 
     tfp = TFParams(
         z=Z, n_electrons=Z if N is None else N,
         c_tf=C_TF_DEFAULT if ctf is None else ctf,
     )
-    grid = default_tf_grid()
-    if (grid_n, rmin, rmax) != (None, None, None):
-        grid = make_log_grid(
-            grid.r_min if rmin is None else rmin,
-            grid.r_max if rmax is None else rmax,
-            grid.n if grid_n is None else grid_n,
-        )
+    given = (("r_min", rmin), ("r_max", rmax), ("n", grid_n))
+    grid = replace(default_tf_grid(), **{k: v for k, v in given if v is not None})
     sol = solve_tf(tfp, grid, tol=tol)
     payload = {
         "Z": tfp.z, "N": tfp.n_electrons, "mu": sol.mu, "mass": sol.mass,
@@ -192,12 +186,8 @@ def _run_hartree(
     grid_n: int = None, ts: list[float] = None,
 ):
     from .hartree import compute_tc, default_hartree_grid, e_curve, minimize_e
-    from .radial import make_log_grid
 
-    grid = None
-    if grid_n is not None:
-        base = default_hartree_grid()
-        grid = make_log_grid(base.r_min, base.r_max, grid_n)
+    grid = None if grid_n is None else replace(default_hartree_grid(), n=grid_n)
     if tc:
         return {"tc": compute_tc(grid, tol=tol), "tol": tol}, None, None, {}
     if ts is not None:
@@ -409,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if conv is bool:
                 p.add_argument(flag, dest=key, action="store_true")
             else:
-                p.add_argument(flag, dest=key, type=str if conv == list[float] else conv)
+                p.add_argument(flag, dest=key)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")

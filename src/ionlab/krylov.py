@@ -93,14 +93,21 @@ def newton_krylov(x, defect, linearize, tol, stage, case):
     right preconditioner and the map from the GMRES solution to the Newton
     step.  Each Newton step runs one ``_gmres`` cycle on jac(precond(.)),
     one Jacobian product per Krylov step.  Steps halve until the merit
-    falls by the fraction 1e-4 of the step.  Returns (x, state, residual,
-    Newton steps); raises ConvergenceError, naming stage and case, once
-    MAX_NEWTON_STEPS steps pass or the step underflows.
+    falls by the fraction 1e-4 of the step.  Returns (state, residual,
+    Newton steps); raises ConvergenceError, naming stage and case, if the
+    starting merit is not finite, or once MAX_NEWTON_STEPS steps pass or
+    the step underflows.
     """
     f, merit, res, state = defect(x)
+    if not np.isfinite(merit):
+        raise ConvergenceError(
+            f"{stage} cannot start: the merit of the starting defect is {merit} ({case})",
+            residual=res,
+            iterations=0,
+        )
     for it in range(MAX_NEWTON_STEPS + 1):
         if res < tol:
-            return x, state, res, it
+            return state, res, it
         if it == MAX_NEWTON_STEPS:
             break
         jac, precond, step_of = linearize(x, state)

@@ -36,70 +36,53 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii with quadrature weights for
-    integrals of the form int_0^infty g(r) dr.
+    """The logarithmic grid of n points from r_min to r_max, equal to
+    another grid exactly when the three numbers are.
 
-    ``w`` integrates over [0, r_max]: trapezoid in log r on the tabulated
-    points plus a constant-extrapolation rectangle on [0, r_min].  ``mass``
-    holds the uniform-in-log cell widths used as the lumped mass of the
-    reduced operators (no origin rectangle; reduced functions vanish at 0).
+    Derived once, read-only: the radii ``r``, evenly spaced in log r with
+    step ``log_step``; the weights ``w`` of integrals int_0^r_max g(r) dr,
+    trapezoid in log r plus a constant-extrapolation rectangle of width
+    r_min on [0, r_min], which for r^2-weighted (3D) integrands costs
+    O(r_min^3); the uniform-in-log cell widths ``mass``, the lumped mass of
+    the reduced operators (no origin rectangle: reduced functions vanish at
+    0); and ``sr = sqrt(4 pi mass) r``, which maps u to the weighted
+    representation psi = sr * u that ``reduced_laplacian`` acts in.
     """
 
-    r: np.ndarray
-    w: np.ndarray
-    mass: np.ndarray
-    log_step: float
+    r_min: float
+    r_max: float
+    n: int
 
     def __post_init__(self):
-        r, w, mass = (np.asarray(a, dtype=float) for a in (self.r, self.w, self.mass))
-        if r.ndim != 1 or r.size < 2:
-            raise ParameterError("grid needs at least 2 points")
-        if not np.all(r > 0) or not np.all(np.diff(r) > 0):
-            raise ParameterError("radii must be positive and strictly increasing")
-        if not np.all(w > 0):
-            raise ParameterError("quadrature weights must be positive")
-        for name, arr in (("r", r), ("w", w), ("mass", mass)):
-            object.__setattr__(self, name, arr)
+        if not (0 < self.r_min < self.r_max < np.inf):
+            raise ParameterError(
+                f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
+            )
+        if self.n < 4:
+            raise ParameterError(f"need n >= 4 grid points, got {self.n}")
+        x = np.linspace(np.log(self.r_min), np.log(self.r_max), self.n)
+        h = x[1] - x[0]
+        r = np.exp(x)
+        if not np.all(np.diff(r) > 0):
+            raise ParameterError(f"{self.n} radii on [{self.r_min}, {self.r_max}] do not increase")
+        c = np.ones(self.n)
+        c[0] = c[-1] = 0.5
+        w = h * r * c
+        w[0] += self.r_min
+        mass = 2.0 * np.sinh(0.5 * h) * r
+        sr = np.sqrt(4.0 * np.pi * mass) * r
+        for name, arr in (("r", r), ("w", w), ("mass", mass), ("sr", sr)):
             arr.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.r.size
-
-    @property
-    def r_min(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r[-1])
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "log_step", float(h))
 
     def descriptor(self) -> str:
         return f"log[{self.r_min:.3g},{self.r_max:.3g}] n={self.n}"
 
 
 def make_log_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
-    """Logarithmically spaced grid on [r_min, r_max] with trapezoid weights.
-
-    The first weight carries an extra ``r_min`` so that integrands bounded
-    near the origin pick up the [0, r_min] contribution by constant
-    extrapolation; for r^2-weighted (3D) integrals the correction is
-    O(r_min^3) and harmless.
-    """
-    if not (0 < r_min < r_max):
-        raise ParameterError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-    if n < 4:
-        raise ParameterError(f"need n >= 4 grid points, got {n}")
-    x = np.linspace(np.log(r_min), np.log(r_max), n)
-    h = x[1] - x[0]
-    r = np.exp(x)
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
-    w = h * r * c
-    w = w.copy()
-    w[0] += r_min
-    mass = 2.0 * np.sinh(0.5 * h) * r
-    return RadialGrid(r=r, w=w, mass=mass, log_step=float(h))
+    """The grid of n points from r_min to r_max: ``RadialGrid(r_min, r_max, n)``."""
+    return RadialGrid(r_min, r_max, n)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ much for per-mille mass checks on a shorter box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,14 +189,13 @@ def _newton(
     one back-substitution per Krylov step, inverts the Jacobian up to the
     projection term and the box-edge condition.  Steps backtrack on
     |sqrt(q) G|; the stopping residual is the L1(R3) norm of the
-    Euler-Lagrange defect at rho(V).  Returns (V, (mu, rho, vh), residual,
+    Euler-Lagrange defect at rho(V).  Returns ((mu, rho, vh), residual,
     Newton steps), the state unpacked from the final defect evaluation, with
     vh = rho * 1/|x| of the returned rho: no Coulomb solve follows the solve.
     """
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
     q = 4.0 * np.pi * grid.w * grid.r**2
     sqrt_q = np.sqrt(q)
-    sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
     a = reduced_laplacian(grid)
 
     def defect(phi):
@@ -220,7 +219,7 @@ def _newton(
             return d + dv.values
 
         def precond(y):
-            return solve(a @ (sr * y)) / sr
+            return solve(a @ (grid.sr * y)) / grid.sr
 
         return jac, precond, precond
 
@@ -246,7 +245,7 @@ def solve_tf(
     capped = params.n_electrons < params.z
     rho0 = RadialField(grid, _initial_density(grid, params))
     phi = params.z / grid.r - newton_potential(rho0).values
-    _, (mu, rho, vh), res, steps = _newton(
+    (mu, rho, vh), res, steps = _newton(
         "constrained stage" if capped else "unconstrained stage",
         grid, params, phi, params.n_electrons if capped else np.inf, tol=tol,
     )
@@ -278,7 +277,7 @@ def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:
     """
     grid = grid if grid is not None else default_tf_grid()
     scale = params.z ** (-1.0 / 3.0)
-    scaled_grid = make_log_grid(grid.r_min * scale, grid.r_max * scale, grid.n)
+    scaled_grid = replace(grid, r_min=grid.r_min * scale, r_max=grid.r_max * scale)
     e_z = solve_tf(params, scaled_grid).energy
     ref = TFParams(z=1.0, n_electrons=params.n_electrons / params.z, c_tf=params.c_tf)
     e_1 = solve_tf(ref, grid).energy

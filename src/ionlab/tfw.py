@@ -114,7 +114,6 @@ class _TFWModel:
         self.params = params
         self.grid = grid
         self.a = reduced_laplacian(grid)
-        self.sr = np.sqrt(4.0 * np.pi * grid.mass) * grid.r
         self.wm = grid.w / grid.mass  # mass = sum wm psi^2
 
     def coulomb(self, u: np.ndarray) -> np.ndarray:
@@ -131,7 +130,7 @@ class _TFWModel:
         grid = self.grid
         p = self.params
         u2 = RadialField(grid, u * u)
-        psi = self.sr * u
+        psi = self.grid.sr * u
         kin = p.c_w * float(psi @ (self.a @ psi))
         bulk = p.c_tf * integrate_3d(RadialField(grid, np.abs(u) ** (10.0 / 3.0)))
         attract = p.z * integrate_3d(u2, radial_power=-1)
@@ -144,7 +143,7 @@ class _TFWModel:
     def stationarity(self, u: np.ndarray, vh: np.ndarray, lam: float = 0.0):
         """F = (c_w A + vloc - lambda) psi, and its norm relative to the
         sizes of its kinetic and potential parts."""
-        psi = self.sr * u
+        psi = self.grid.sr * u
         kin_part = self.params.c_w * (self.a @ psi)
         pot_part = (self.local_potential(u, vh) - lam) * psi
         f = kin_part + pot_part
@@ -198,14 +197,14 @@ class _TFWModel:
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
         deflate = cap is None and c_tf == 0.0
-        x = self.sr * u
+        x = self.grid.sr * u
         if cap is not None:
             x = np.append(x, float(x @ self.stationarity(u, self.coulomb(u))[0]) / float(x @ x))
 
         def defect(x):
             psi = x[:n]
             lam = x[n] if cap is not None else 0.0
-            u = psi / self.sr
+            u = psi / self.grid.sr
             vh = self.coulomb(u)
             f, rel = self.stationarity(u, vh, lam)
             if cap is not None:
@@ -220,7 +219,7 @@ class _TFWModel:
             bulk = (20.0 / 9.0) * c_tf * np.abs(u) ** (4.0 / 3.0)
             diag = self.local_potential(u, vh) + bulk - lam
             t_solve = tridiagonal_solver(Tridiagonal(c_w * self.a.diag + diag, c_w * self.a.off))
-            g = 2.0 * u / self.sr
+            g = 2.0 * u / self.grid.sr
             if cap is not None:
                 c = 2.0 * self.wm * psi
                 t_psi = t_solve(psi)
@@ -250,7 +249,7 @@ class _TFWModel:
             return jac, precond, step
 
         case = f"Z={self.params.z:g}" + ("" if cap is None else f", N={cap:g}")
-        _, (_, lam, u, vh), rel, steps = newton_krylov(
+        (_, lam, u, vh), rel, steps = newton_krylov(
             x, defect, linearize, _RESIDUAL_TOL, stage, case
         )
         return _State(u, float(lam), vh, rel, steps)

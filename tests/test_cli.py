@@ -168,6 +168,18 @@ class TestMainExitCodes:
         assert cli.main(["tfw", "--config", str(cfg)]) == 2
         assert capsysbinary.readouterr().out == b""
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["tf", "--Z", "abc"], "Z"), (["beta", "--n", "2.7"], "n"),
+         (["opcheck", "--grid-n", "1e3"], "grid_n")],
+    )
+    def test_bad_flag_value_exit_2(self, argv, key, capsysbinary):
+        # A flag value passes the one converter a --config value does.
+        assert cli.main(argv) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert f"invalid value {argv[-1]!r} for parameter {key!r}".encode() in captured.err
+
     @pytest.mark.parametrize("key", ["seed", "bogus_key"])
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_config_key_that_names_no_runner_parameter_exit_2(
@@ -253,6 +265,17 @@ class TestMainExitCodes:
              "--rmax", "50", "--tol", "1e-30"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tf", "--Z", "1e100"], ["tf", "--Z", "1e210"], ["tf", "--Z", "1e250"],
+         ["tfw", "--Z", "1e250"]],
+    )
+    def test_charge_whose_newton_start_overflows_exit_3(self, argv, capsysbinary):
+        assert cli.main(argv) == 3
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert b"cannot start" in captured.err and b"Traceback" not in captured.err
 
     def test_capacity_error_exit_4(self, monkeypatch):
         monkeypatch.setattr(ionlab.hf, "SECTOR_CAP", 2)

@@ -147,7 +147,7 @@ class TestECurve:
         st = minimize_e(1.0, grid)
         v = st.v.values
         model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), grid)
-        psi = np.sqrt(4.0 * np.pi * grid.mass) * grid.r * v
+        psi = grid.sr * v
         kin = float(psi @ (model.a @ psi))
         attract = -integrate_3d(RadialField(grid, v * v), radial_power=-1)
         u2 = RadialField(grid, v * v)

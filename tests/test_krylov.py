@@ -10,7 +10,7 @@ B = np.linspace(-2.0, 3.0, 7)
 
 def _defect(x):
     f = x**3 + x - B
-    return f, float(np.linalg.norm(f)), float(np.max(np.abs(f))), None
+    return f, float(np.linalg.norm(f)), float(np.max(np.abs(f))), x
 
 
 def _linearize(x, state, turn=1.0):
@@ -27,7 +27,7 @@ def _linearize(x, state, turn=1.0):
 
 class TestNewtonKrylov:
     def test_converges_on_componentwise_cubic(self):
-        x, _, res, steps = newton_krylov(
+        x, res, steps = newton_krylov(
             np.zeros_like(B), _defect, _linearize, 1e-12, "test stage", "case"
         )
         assert res < 1e-12
@@ -36,8 +36,8 @@ class TestNewtonKrylov:
 
     def test_converged_start_takes_no_step(self):
         x0 = np.ones(3)
-        x, _, res, steps = newton_krylov(
-            x0, lambda x: (np.zeros(3), 0.0, 0.0, "s"), None, 1e-9, "s", "c"
+        x, res, steps = newton_krylov(
+            x0, lambda x: (np.zeros(3), 0.0, 0.0, x), None, 1e-9, "s", "c"
         )
         assert steps == 0 and res == 0.0 and x is x0
 
@@ -52,6 +52,15 @@ class TestNewtonKrylov:
 
         with pytest.raises(ConvergenceError, match="after 0 Newton steps") as err:
             newton_krylov(np.zeros_like(B), _defect, uphill, 1e-12, "test stage", "c")
+        assert err.value.iterations == 0
+
+    @pytest.mark.parametrize("merit", [np.inf, np.nan])
+    def test_start_without_a_finite_merit_raises(self, merit):
+        def defect(x):
+            return x, merit, np.inf, x
+
+        with pytest.raises(ConvergenceError, match=r"^test stage cannot start: .*\(Z=2\)$") as err:
+            newton_krylov(np.ones(3), defect, None, 1e-12, "test stage", "Z=2")
         assert err.value.iterations == 0
 
     def test_one_jacobian_product_per_krylov_step(self):
@@ -79,7 +88,7 @@ class TestNewtonKrylov:
 
             return jac, lambda y: y, lambda y: y
 
-        _, _, res, steps = newton_krylov(
+        _, res, steps = newton_krylov(
             np.zeros_like(B), _defect, unpreconditioned, 1e-12, "test stage", "c"
         )
         assert res < 1e-12

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from ionlab.radial import (
     reduced_laplacian,
     tridiagonal_solver,
 )
+from ionlab.tf import _TAIL_GRID_N, _TAIL_R_MAX
 
 
 class TestLogGrid:
@@ -42,12 +45,77 @@ class TestLogGrid:
         with pytest.raises(ParameterError):
             make_log_grid(1e-4, 1e2, 2)
 
-    def test_stores_the_float_arrays_it_validates(self):
-        g = RadialGrid(r=[1.0, 2.0], w=[1.0, 1.0], mass=[1, 1], log_step=0.69)
-        for arr in (g.r, g.w, g.mass):
+
+def _reference_log_grid(r_min, r_max, n):
+    """The log-grid arithmetic, written out once more: the record must
+    derive exactly these arrays from its three numbers."""
+    x = np.linspace(np.log(r_min), np.log(r_max), n)
+    h = x[1] - x[0]
+    r = np.exp(x)
+    c = np.ones(n)
+    c[0] = c[-1] = 0.5
+    w = h * r * c
+    w[0] += r_min
+    mass = 2.0 * np.sinh(0.5 * h) * r
+    return r, w, mass, float(h)
+
+
+_TAIL_SCALE_Z5 = 5.0 ** (-1.0 / 3.0)
+
+
+class TestGridRecord:
+    def test_fields_are_the_three_numbers(self):
+        assert [f.name for f in dataclasses.fields(RadialGrid)] == ["r_min", "r_max", "n"]
+        g = make_log_grid(1e-4, 400.0, 2200)
+        assert (g.r_min, g.r_max, g.n) == (1e-4, 400.0, 2200)
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = make_log_grid(1e-4, 100, 2000), make_log_grid(1e-4, 100.0, 2000)
+        assert a == b and hash(a) == hash(b) and len({a, b, RadialGrid(1e-4, 100, 2000)}) == 1
+        assert a != make_log_grid(1e-4, 100.0, 2001)
+        assert dataclasses.replace(a, n=4000) == make_log_grid(1e-4, 100.0, 4000)
+
+    @pytest.mark.parametrize(
+        "r_min, r_max, n",
+        [
+            (np.nan, 100.0, 2000),
+            (1e-4, np.nan, 2000),
+            (0.0, 100.0, 2000),
+            (-1.0, 100.0, 2000),
+            (1.0, 1.0, 10),
+            (1e-4, 1e-5, 2000),
+            (1e-4, np.inf, 2000),
+            (1.0, np.nextafter(1.0, 2.0), 2000),
+            (1e-4, 100.0, 3),
+        ],
+    )
+    def test_refused(self, r_min, r_max, n):
+        with pytest.raises(ParameterError):
+            RadialGrid(r_min, r_max, n)
+
+    @pytest.mark.parametrize(
+        "r_min, r_max, n",
+        [
+            (1e-4, 100.0, 2000),
+            (1e-4, 400.0, 2200),
+            (1e-4, 100.0, 8000),
+            (1e-4 * _TAIL_SCALE_Z5, _TAIL_R_MAX * _TAIL_SCALE_Z5, _TAIL_GRID_N),
+        ],
+    )
+    def test_derived_arrays_bit_for_bit(self, r_min, r_max, n):
+        g = make_log_grid(r_min, r_max, n)
+        r, w, mass, h = _reference_log_grid(r_min, r_max, n)
+        assert np.array_equal(g.r, r) and np.array_equal(g.w, w)
+        assert np.array_equal(g.mass, mass) and g.log_step == h
+
+    def test_psi_scale_and_read_only_arrays(self, default_grid):
+        g = default_grid
+        assert np.array_equal(g.sr, np.sqrt(4.0 * np.pi * g.mass) * g.r)
+        for arr in (g.r, g.w, g.mass, g.sr):
             assert isinstance(arr, np.ndarray) and arr.dtype == float
             assert not arr.flags.writeable
-        assert (g.n, g.r_max, g.mass.sum()) == (2, 2.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.r = g.r.copy()
 
 
 class TestIntegrate3d:
@@ -276,7 +344,7 @@ class TestTridiagonalSolver:
         model = _TFWModel(TFWParams(z=1.0), default_tfw_grid())
         u = model.seed()
         vloc = model.local_potential(u, model.coulomb(u))
-        return Tridiagonal(model.a.diag + vloc, model.a.off), model.sr * u
+        return Tridiagonal(model.a.diag + vloc, model.a.off), model.grid.sr * u
 
     @staticmethod
     def _pivoting_matrix(n=200):

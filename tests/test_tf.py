@@ -259,7 +259,7 @@ class TestUniquenessAndPositivity:
 
         flat = RadialField(small_grid, np.full(small_grid.n, 1e-3))
         phi0 = params.z / small_grid.r - newton_potential(flat).values
-        _, (_, rho_b, _), res_b, _ = _newton(
+        (_, rho_b, _), res_b, _ = _newton(
             "flat start", small_grid, params, phi0, np.inf, tol=1e-9
         )
         assert res_b < 2e-9

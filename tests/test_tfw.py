@@ -199,7 +199,7 @@ class TestDenseOracle:
             [coulomb_potential(RadialField(grid, e)).values for e in np.eye(n)]
         )
         a = np.diag(model.a.diag) + np.diag(model.a.off, 1) + np.diag(model.a.off, -1)
-        sr = model.sr
+        sr = grid.sr
         wm = grid.w / grid.mass
         psi = sr * u
         lam = 0.0
