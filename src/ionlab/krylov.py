@@ -98,7 +98,9 @@ def newton_krylov(x, defect, linearize, tol, stage, case):
     starting merit is not finite, or once MAX_NEWTON_STEPS steps pass or
     the step underflows.
     """
-    f, merit, res, state = defect(x)
+    # a start that overflows is refused on its merit, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, merit, res, state = defect(x)
     if not np.isfinite(merit):
         raise ConvergenceError(
             f"{stage} cannot start: the merit of the starting defect is {merit} ({case})",

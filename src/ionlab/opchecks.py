@@ -14,7 +14,10 @@ The double-commutator check is special: on a graded (log) mesh the raw
 matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
 checkerboards near r_min and wall layers near r_max, so the inequality
 is certified on a Galerkin dictionary of smooth compactly supported
-bumps in log r instead (see check_double_commutator_cube).  It also
+bumps in log r instead, from three 120x120 Gram matrices of the raw
+bumps (see check_double_commutator_cube): 20-21, 28-30 and 45-46 ms at
+n = 2000, 4000 and 8000 with one BLAS thread, where an explicit
+orthonormal n x 120 dictionary took 26-29, 43-45 and 75-77 ms.  It also
 refuses a dictionary whose roughest unit vector has a second difference
 of norm above MAX_BUMP_ROUGHNESS = 2: a wave sampled at k points per
 wavelength has second difference 4 sin^2(pi/k) times its norm, so 2 is
@@ -40,7 +43,6 @@ __all__ = [
     "symmetrized_product",
     "commutator_with_diagonal",
     "double_commutator_matrix",
-    "bump_dictionary",
 ]
 
 MAX_LOG_STEP = 0.1        # at least 10 grid points per unit of log r
@@ -114,7 +116,7 @@ def _report(name, value, grid, tol, bound=0.0, side="lower", details=None):
 
 
 def _smallest(matrix) -> float:
-    return float(extremal_eigs(matrix, k=1)[0][0])
+    return float(extremal_eigs(matrix, k=1)[0])
 
 
 def symmetrized_product(a: Tridiagonal, g: np.ndarray) -> Tridiagonal:
@@ -214,11 +216,16 @@ def _smooth_bump(t: np.ndarray) -> np.ndarray:
 
 
 def _bump_matrix(grid: RadialGrid) -> np.ndarray:
-    """The raw bumps of ``bump_dictionary``, one column each.
+    """The n x k matrix B of the dictionary's raw bumps, one per column.
 
-    Each bump is evaluated on its support |log r - c| < half only, found by
-    bisection and widened by one node on each side against rounding; every
-    node outside it is the exact zero the whole-grid evaluation gives.
+    BUMP_PER_WIDTH bumps of each of the BUMP_HALF_WIDTHS, in the weighted
+    (psi) representation, each vanishing identically within
+    BUMP_WALL_CLEARANCE_NODES of both ends so that wall layers cannot
+    couple in.  Each bump is evaluated on its support |log r - c| < half
+    only, found by bisection and widened by one node on each side against
+    rounding; every node outside it is the exact zero the whole-grid
+    evaluation gives.  B is C-ordered: on it the einsum of
+    ``_band_product`` sums each row in the order of a CSR product.
     """
     x = np.log(grid.r)
     s = np.sqrt(4.0 * np.pi * grid.mass)
@@ -232,40 +239,34 @@ def _bump_matrix(grid: RadialGrid) -> np.ndarray:
             bumps += [(c, half) for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH)]
     if not bumps:
         raise DomainError(f"no bump of the dictionary fits on grid {grid.descriptor()}")
-    rows = np.zeros((len(bumps), x.size))
-    for row, (c, half) in zip(rows, bumps):
+    b = np.zeros((x.size, len(bumps)))
+    for col, (c, half) in enumerate(bumps):
         i = max(int(np.searchsorted(x, c - half)) - 1, 0)
         j = int(np.searchsorted(x, c + half)) + 1
-        row[i:j] = s[i:j] * _smooth_bump((x[i:j] - c) / half)
-    return rows.T
+        b[i:j, col] = s[i:j] * _smooth_bump((x[i:j] - c) / half)
+    return b
 
 
-def bump_dictionary(grid: RadialGrid) -> np.ndarray:
-    """Orthonormal basis of smooth compactly supported bumps in log r.
+def _canonical_coefficients(g0: np.ndarray) -> np.ndarray:
+    """C with B C an orthonormal basis of span(B), from the Gram G0 = B^T B.
 
-    BUMP_PER_WIDTH bumps of each of the BUMP_HALF_WIDTHS.  Columns live
-    in the weighted (psi) representation and vanish identically within
-    BUMP_WALL_CLEARANCE_NODES of both ends, so wall layers cannot couple
-    in.
-
-    The bumps are orthonormalized through their small Gram matrix
-    B^T B = V diag(lam) V^T (SVQB; Stathopoulos & Wu, SIAM J. Sci.
-    Comput. 23, 2002): Q = B V lam^(-1/2) spans the same space as the
-    thin SVD of B, from level-3 products and a 120x120 eigen-solve.
-    Near-dependent combinations are pruned by the singular-value rule
-    sigma > 1e-6 sigma_max, which on the Gram is lam > 1e-12 lam_max.
-    The pass runs twice.  Forming the Gram squares the condition number,
-    and kept columns reach sigma/sigma_max = 1.1e-6, so one pass leaves
-    max|Q^T Q - I| at 6e-7 to 1.5e-6 on make_log_grid(1e-4, 100, n),
-    n = 500 to 8000.  The second pass starts from that near-identity Gram,
-    prunes nothing, and leaves at most 3.3e-15.
+    Canonical orthogonalization (Loewdin): G0 = V diag(lam) V^T and
+    C = V lam^(-1/2), with near-dependent combinations pruned by the
+    singular-value rule sigma > 1e-6 sigma_max of B, which on the Gram
+    is lam > 1e-12 lam_max.  The pass runs twice (SVQB; Stathopoulos &
+    Wu, SIAM J. Sci. Comput. 23, 2002): after one, C^T G0 C is 4.6e-7 to
+    7.9e-7 off the identity on make_log_grid(1e-4, 100, n), n = 500 to
+    8000, and the second pass starts from it and prunes nothing.  The
+    Gram squares the condition number of B, so B C formed explicitly is
+    orthonormal only to 4e-7 to 1.6e-6 there; it spans the thin SVD's
+    space to rounding, and the Ritz values on it match the SVD's to
+    1.5e-10 relative.
     """
-    b = _bump_matrix(grid)
-    lam, v = np.linalg.eigh(b.T @ b)
+    lam, v = np.linalg.eigh(g0)
     keep = lam > 1e-12 * lam[-1]
-    q = b @ (v[:, keep] / np.sqrt(lam[keep]))
-    lam, v = np.linalg.eigh(q.T @ q)
-    return q @ (v / np.sqrt(lam))
+    c = v[:, keep] / np.sqrt(lam[keep])
+    lam, v = np.linalg.eigh(c.T @ g0 @ c)
+    return c @ (v / np.sqrt(lam))
 
 
 def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityReport:
@@ -281,21 +282,33 @@ def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityRepo
     that the grid does not resolve is refused: DomainError when some
     unit vector of its span has a second difference of norm above
     MAX_BUMP_ROUGHNESS.
+
+    Every number reported is a Ritz value of a k x k problem (k <= 120),
+    so the check never forms an orthonormal n x k basis: with B the raw
+    bumps and C = _canonical_coefficients(B^T B), the roughness is
+    sqrt(lam_max(C^T (D B)^T (D B) C)), D the second difference, and the
+    value is lam_max(C^T B^T (M B) C).  Three n x k^2 products in all.
     """
     tol = _admit(grid, tol)
-    q = bump_dictionary(grid)
-    d = np.diff(q, 2, axis=0)
-    # spectral norm of d from its small Gram matrix, several times cheaper than an SVD
-    roughness = float(np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]))
-    # before M q: at n = 8000 this check sets the peak RSS of a
-    # certificates pass, 94.5 MB with the del and 101.7 MB without it
+    b = _bump_matrix(grid)
+    c = _canonical_coefficients(b.T @ b)
+    # the second difference D B, summed in place: np.diff(b, 2, axis=0)
+    # would hold a third n x k array at the peak
+    d = b[2:] - b[1:-1]
+    d -= b[1:-1]
+    d += b[:-2]
+    # spectral norm of d C, the roughest unit vector's second difference
+    roughness = float(np.sqrt(np.linalg.eigvalsh(c.T @ (d.T @ d) @ c)[-1]))
+    # before M b: at n = 8000 this check sets the peak RSS of a
+    # certificates pass, 78-82 MB with the del and 86 MB without it
+    # (63 MB with the check left out)
     del d
     if roughness > MAX_BUMP_ROUGHNESS:
         raise DomainError(f"bump dictionary on grid {grid.descriptor()} has roughness "
                           f"{roughness:.3g}: fewer than 4 points per wavelength")
-    mred = q.T @ _band_product(double_commutator_matrix(grid), q)
+    mred = c.T @ (b.T @ _band_product(double_commutator_matrix(grid), b)) @ c
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))
     return _report(
         "double_commutator_r3", float(vals[-1]), grid, tol, side="upper",
-        details={"dictionary_size": int(q.shape[1])},
+        details={"dictionary_size": int(c.shape[1])},
     )

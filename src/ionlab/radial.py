@@ -12,6 +12,7 @@ Atomic units throughout: the kinetic operator is -Laplace with no 1/2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class RadialGrid:
     the reduced operators (no origin rectangle: reduced functions vanish at
     0); and ``sr = sqrt(4 pi mass) r``, which maps u to the weighted
     representation psi = sr * u that ``reduced_laplacian`` acts in.
+    ParameterError refuses an n that is not an integer (a bool included)
+    and a grid whose derived arrays are not all finite.
     """
 
     r_min: float
@@ -58,20 +61,33 @@ class RadialGrid:
             raise ParameterError(
                 f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
-        if self.n < 4:
-            raise ParameterError(f"need n >= 4 grid points, got {self.n}")
-        x = np.linspace(np.log(self.r_min), np.log(self.r_max), self.n)
+        try:
+            n = None if isinstance(self.n, bool) else operator.index(self.n)
+        except TypeError:
+            n = None
+        if n is None:
+            raise ParameterError(f"the number of grid points must be an integer, got {self.n!r}")
+        if n < 4:
+            raise ParameterError(f"need n >= 4 grid points, got {n}")
+        object.__setattr__(self, "n", n)
+        x = np.linspace(np.log(self.r_min), np.log(self.r_max), n)
         h = x[1] - x[0]
         r = np.exp(x)
         if not np.all(np.diff(r) > 0):
-            raise ParameterError(f"{self.n} radii on [{self.r_min}, {self.r_max}] do not increase")
-        c = np.ones(self.n)
+            raise ParameterError(f"{n} radii on [{self.r_min}, {self.r_max}] do not increase")
+        c = np.ones(n)
         c[0] = c[-1] = 0.5
-        w = h * r * c
-        w[0] += self.r_min
-        mass = 2.0 * np.sinh(0.5 * h) * r
-        sr = np.sqrt(4.0 * np.pi * mass) * r
+        # near r_max = float max the weights overflow; refused below
+        with np.errstate(over="ignore"):
+            w = h * r * c
+            w[0] += self.r_min
+            mass = 2.0 * np.sinh(0.5 * h) * r
+            sr = np.sqrt(4.0 * np.pi * mass) * r
         for name, arr in (("r", r), ("w", w), ("mass", mass), ("sr", sr)):
+            if not np.isfinite(arr).all():
+                raise ParameterError(
+                    f"grid [{self.r_min}, {self.r_max}] n={n} has non-finite {name}"
+                )
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "log_step", float(h))
@@ -234,15 +250,14 @@ def tridiagonal_solver(t: Tridiagonal):
     return solve
 
 
-def extremal_eigs(t: Tridiagonal, k: int = 1):
-    """k smallest eigenpairs of the symmetric tridiagonal t, ascending, by
-    bisection plus inverse iteration (LAPACK stebz/stein), O(n k) in time
-    and memory; k <= n, and a misshapen t raises ValueError.  Returns
-    (values, vectors) with vectors in columns.
+def extremal_eigs(t: Tridiagonal, k: int = 1) -> np.ndarray:
+    """The k smallest eigenvalues of the symmetric tridiagonal t, ascending,
+    by bisection (LAPACK stebz), O(n k) in time and memory; k <= n, and a
+    misshapen t raises ValueError.
     """
     # stebz's default tolerance is eps * ||T||_1, far too loose on graded
     # matrices whose spectrum spans many decades; ask for full accuracy.
     return scipy.linalg.eigh_tridiagonal(
-        t.diag, t.off, select="i", select_range=(0, k - 1),
+        t.diag, t.off, eigvals_only=True, select="i", select_range=(0, k - 1),
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
     )

@@ -275,7 +275,9 @@ class TestMainExitCodes:
         assert cli.main(argv) == 3
         captured = capsysbinary.readouterr()
         assert captured.out == b""
-        assert b"cannot start" in captured.err and b"Traceback" not in captured.err
+        # the one line of the refusal, with no NumPy warning before it
+        assert captured.err.startswith(b"ionlab: convergence error: ")
+        assert b"cannot start" in captured.err and captured.err.count(b"\n") == 1
 
     def test_capacity_error_exit_4(self, monkeypatch):
         monkeypatch.setattr(ionlab.hf, "SECTOR_CAP", 2)

@@ -9,8 +9,8 @@ from ionlab.opchecks import (
     IMS_BOUND,
     _band_product,
     _bump_matrix,
+    _canonical_coefficients,
     _smooth_bump,
-    bump_dictionary,
     check_double_commutator_cube,
     check_hardy,
     check_ims_x2,
@@ -60,13 +60,13 @@ class TestLiebSymmetrization:
     def test_sign_flip_fails(self, coarse_grid):
         g = coarse_grid
         a = reduced_laplacian(g)
-        vals, _ = extremal_eigs(symmetrized_product(a, -g.r), k=1)
+        vals = extremal_eigs(symmetrized_product(a, -g.r), k=1)
         assert vals[0] < -1e-2
 
     def test_identity_times_r(self, coarse_grid):
         g = coarse_grid
         ident = Tridiagonal(np.ones(g.n), np.zeros(g.n - 1))
-        vals, _ = extremal_eigs(symmetrized_product(ident, g.r), k=1)
+        vals = extremal_eigs(symmetrized_product(ident, g.r), k=1)
         assert vals[0] == pytest.approx(2 * g.r_min, rel=1e-12)
 
 
@@ -188,8 +188,8 @@ class TestDoubleCommutator:
         "spec", [(1e-4, 100, 2000), (1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]
     )
     def test_rows_and_product_equal_sparse_bit_for_bit(self, spec):
-        """The rows of M and the Galerkin product M q against the sparse
-        products A C - C A and m @ q, formed inline in CSR.  A CSR product
+        """The rows of M and the Galerkin product M B against the sparse
+        products A C - C A and m @ B, formed inline in CSR.  A CSR product
         sums each row in storage order; with sorted columns that is the
         ascending order of the einsum, and of the CSR matrix the check
         built before it held M by rows."""
@@ -209,8 +209,8 @@ class TestDoubleCommutator:
             assert np.array_equal(m[max(0, -k):g.n - max(0, k), s], m_csr.diagonal(k))
         assert not m[:2, 0].any() and not m[:1, 1].any()
         assert not m[-1:, 3].any() and not m[-2:, 4].any()
-        q = bump_dictionary(g)
-        assert np.array_equal(_band_product(m, q), m_csr @ q)
+        b = _bump_matrix(g)
+        assert np.array_equal(_band_product(m, b), m_csr @ b)
 
     def test_quadratic_form_matches_continuum(self, default_grid):
         # smooth compactly supported bump: discrete form vs -24 int r phi'^2
@@ -230,8 +230,8 @@ class TestDoubleCommutator:
         assert rep.extremal_eigenvalue == pytest.approx(-0.49984851757279103, rel=1e-9)
 
     def test_dictionary_avoids_walls(self, default_grid):
-        q = bump_dictionary(default_grid)
-        assert not q[:10].any() and not q[-10:].any()
+        b = _bump_matrix(default_grid)
+        assert not b[:10].any() and not b[-10:].any()
 
     @pytest.mark.parametrize(
         "n,size",
@@ -241,16 +241,36 @@ class TestDoubleCommutator:
     )
     def test_dictionary_spans_the_thin_svd(self, n, size):
         g = make_log_grid(1e-4, 100, n)
-        q = bump_dictionary(g)
-        assert q.shape == (n, size)
-        assert np.abs(q.T @ q - np.eye(size)).max() < 1e-13
-        # the raw bumps, orthonormalized by the thin SVD and the same
-        # pruning rule sigma > 1e-6 sigma_max
+        b = _bump_matrix(g)
+        c = _canonical_coefficients(b.T @ b)
+        assert c.shape == (b.shape[1], size)
+        # B C is orthonormal only to the Gram's accuracy, so its span is
+        # compared through an orthonormal basis of it
+        q = b @ c
+        assert np.abs(q.T @ q - np.eye(size)).max() < 1e-5
         u, sv, _ = np.linalg.svd(_whole_grid_bumps(g), full_matrices=False)
         u = u[:, sv > 1e-6 * sv[0]]
-        cosines = np.linalg.svd(u.T @ q, compute_uv=False)
+        cosines = np.linalg.svd(u.T @ np.linalg.qr(q)[0], compute_uv=False)
         assert u.shape[1] == size
         assert cosines.min() >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize(
+        "spec, rel",
+        [((1e-4, 100, 500), 1e-9), ((1e-4, 100, 2000), 1e-9), ((1e-4, 100, 8000), 1e-9),
+         # r_min = 1e-8 resolves the value to a few 1e-6 only (see README)
+         ((1e-8, 1000, 600), 1e-5)],
+    )
+    def test_value_matches_explicit_svd_dictionary(self, spec, rel):
+        # the oracle: Ritz values on the thin SVD's orthonormal basis of the
+        # raw bumps, pruned by sigma > 1e-6 sigma_max
+        g = make_log_grid(*spec)
+        u, sv, _ = np.linalg.svd(_whole_grid_bumps(g), full_matrices=False)
+        u = u[:, sv > 1e-6 * sv[0]]
+        mred = u.T @ _band_product(double_commutator_matrix(g), u)
+        oracle = np.linalg.eigvalsh(0.5 * (mred + mred.T))[-1]
+        rep = check_double_commutator_cube(g, tol=1e-1)
+        assert rep.details == {"dictionary_size": u.shape[1]}
+        assert rep.extremal_eigenvalue == pytest.approx(oracle, rel=rel)
 
     @pytest.mark.parametrize(
         "r_min,r_max,n", [(1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,9 @@ class TestGridRecord:
             (1e-4, np.inf, 2000),
             (1.0, np.nextafter(1.0, 2.0), 2000),
             (1e-4, 100.0, 3),
+            (1.0, sys.float_info.max, 5),  # finite radii, overflowing weights
+            (1e-4, 100.0, 2000.0),
+            (1e-4, 100.0, True),
         ],
     )
     def test_refused(self, r_min, r_max, n):
@@ -250,7 +254,7 @@ def _hydrogen(grid):
 
 class TestReducedLaplacian:
     def test_hydrogen_ground_state(self, default_grid):
-        vals, _ = extremal_eigs(_hydrogen(default_grid), k=1)
+        vals = extremal_eigs(_hydrogen(default_grid), k=1)
         assert vals[0] == pytest.approx(-0.25, abs=1e-3)
 
     def test_symmetry_exact(self, coarse_grid):
@@ -280,14 +284,14 @@ class TestReducedLaplacian:
     def test_doubling_n_halves_hydrogen_error(self):
         errors = []
         for n in (32, 64, 128, 256):
-            vals, _ = extremal_eigs(_hydrogen(make_log_grid(1e-4, 1e2, n)), k=1)
+            vals = extremal_eigs(_hydrogen(make_log_grid(1e-4, 1e2, n)), k=1)
             errors.append(abs(vals[0] + 0.25))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2.0
 
 
 class TestExtremalEigs:
-    """The tridiagonal path (bisection plus inverse iteration) against oracles."""
+    """The tridiagonal path (bisection) against oracles."""
 
     @staticmethod
     def _hardy(grid):
@@ -303,12 +307,10 @@ class TestExtremalEigs:
         mat = self._hardy(g)
         if kind == "diagonal":
             mat = Tridiagonal(np.log(g.r) ** 2, np.zeros(g.n - 1))
-        vals, vecs = extremal_eigs(mat, k=8)
-        ref_vals, ref_vecs = scipy.linalg.eigh(_dense(mat), subset_by_index=(0, 7))
+        vals = extremal_eigs(mat, k=8)
+        ref_vals = scipy.linalg.eigh(_dense(mat), subset_by_index=(0, 7), eigvals_only=True)
         assert np.all(np.diff(vals) >= 0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0)
-        overlaps = np.abs(np.sum(vecs * ref_vecs, axis=0))
-        assert np.all(overlaps >= 1 - 1e-10)
 
     def test_wrong_off_length_rejected(self):
         for size in (0, 10, 11):
@@ -322,7 +324,7 @@ class TestExtremalEigs:
         # stebz at its default tolerance (eps * ||T||_1) misses these by ~1e-4.
         g = make_log_grid(1e-4, 1e2, 2000)
         mat = self._hardy(g)
-        vals, _ = extremal_eigs(mat, k=8)
+        vals = extremal_eigs(mat, k=8)
         band = np.vstack([np.concatenate(([0.0], mat.off)), mat.diag])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
