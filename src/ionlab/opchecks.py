@@ -2,7 +2,10 @@
 
 Each check builds the relevant symmetric matrix from the reduced radial
 operators, reports an extremal eigenvalue, and grades it against the
-inequality's bound at the caller's tolerance.  Matrices are
+inequality's bound at the caller's tolerance.  The three lower checks
+grade twice: by the smallest eigenvalue, and by whether T - (bound - tol) I
+is positive definite (one LDL^T factorization), and raise
+ConvergenceError if the verdicts differ.  Matrices are
 ``radial.Tridiagonal`` records; the pentadiagonal double commutator is
 held by rows.  Before any eigen-solve a check refuses, with DomainError,
 a grid with fewer than 10 points per unit of log r (log step >
@@ -15,9 +18,9 @@ matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
 checkerboards near r_min and wall layers near r_max, so the inequality
 is certified on a Galerkin dictionary of smooth compactly supported
 bumps in log r instead, from three 120x120 Gram matrices of the raw
-bumps (see check_double_commutator_cube): 20-21, 28-30 and 45-46 ms at
-n = 2000, 4000 and 8000 with one BLAS thread, where an explicit
-orthonormal n x 120 dictionary took 26-29, 43-45 and 75-77 ms.  It also
+bumps summed over row tiles (see _bump_grams): 10-14, 13-17 and 16-22 ms
+at n = 2000, 4000 and 8000 with one BLAS thread, where forming the
+whole n x 120 bump matrix took 13-18, 19-28 and 39-42 ms.  It also
 refuses a dictionary whose roughest unit vector has a second difference
 of norm above MAX_BUMP_ROUGHNESS = 2: a wave sampled at k points per
 wavelength has second difference 4 sin^2(pi/k) times its norm, so 2 is
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, ParameterError
-from .radial import RadialGrid, Tridiagonal, extremal_eigs, reduced_laplacian
+from .errors import ConvergenceError, DomainError, ParameterError
+from .radial import RadialGrid, Tridiagonal, extremal_eigs, reduced_laplacian, spectrum_above
 
 __all__ = [
     "InequalityReport",
@@ -51,6 +54,7 @@ MAX_BUMP_ROUGHNESS = 2.0  # at least 4 grid points per wavelength
 BUMP_HALF_WIDTHS = (1.0, 2.0, 4.0)  # in log r
 BUMP_PER_WIDTH = 40
 BUMP_WALL_CLEARANCE_NODES = 10
+GRAM_TILE_WIDTH = 1.5  # in log r: the row tiles the Gram matrices are summed over
 
 # Sharp lower bound of the |x|^2 check: the Hardy constant 1/4 minus |grad|x||^2 = 1.
 IMS_BOUND = 0.25 - 1.0
@@ -115,8 +119,20 @@ def _report(name, value, grid, tol, bound=0.0, side="lower", details=None):
     )
 
 
-def _smallest(matrix) -> float:
-    return float(extremal_eigs(matrix, k=1)[0])
+def _graded_lower(name, t, grid, tol, bound=0.0, details=None):
+    """Grade the smallest eigenvalue of t against bound - tol, and again by
+    whether t - (bound - tol) I is positive definite, which holds exactly
+    when the check passes: ConvergenceError naming both verdicts if the
+    two disagree."""
+    rep = _report(name, float(extremal_eigs(t, k=1)[0]), grid, tol, bound=bound, details=details)
+    definite = spectrum_above(t, bound - tol)
+    if definite != rep.passed:
+        raise ConvergenceError(
+            f"{name} on grid {grid.descriptor()}: the eigenvalue "
+            f"{rep.extremal_eigenvalue!r} {'passes' if rep.passed else 'fails'} the bound "
+            f"{bound - tol!r}, but the factorization finds the shifted matrix "
+            f"{'positive definite' if definite else 'not positive definite'}")
+    return rep
 
 
 def symmetrized_product(a: Tridiagonal, g: np.ndarray) -> Tridiagonal:
@@ -129,14 +145,14 @@ def check_hardy(grid: RadialGrid, tol: float) -> InequalityReport:
     """-Laplace >= 1/(4 |x|^2): smallest eigenvalue of A - 1/(4 r^2)."""
     tol = _admit(grid, tol)
     a = reduced_laplacian(grid)
-    return _report("hardy", _smallest(Tridiagonal(a.diag - 0.25 / grid.r**2, a.off)), grid, tol)
+    return _graded_lower("hardy", Tridiagonal(a.diag - 0.25 / grid.r**2, a.off), grid, tol)
 
 
 def check_lieb_symmetrization(grid: RadialGrid, tol: float) -> InequalityReport:
     """(-Laplace)|x| + |x|(-Laplace) >= 0 via the symmetrized product."""
     tol = _admit(grid, tol)
     s_op = symmetrized_product(reduced_laplacian(grid), grid.r)
-    return _report("lieb_symmetrization", _smallest(s_op), grid, tol)
+    return _graded_lower("lieb_symmetrization", s_op, grid, tol)
 
 
 def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> InequalityReport:
@@ -166,8 +182,8 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
                       s_op.off - r[:-1] * a.off * r[1:])
     frob2 = [t.diag @ t.diag + 2.0 * (t.off @ t.off) for t in (dev, a)]
     rel_dev = np.sqrt(frob2[0] / frob2[1])
-    return _report(
-        "ims_x2", _smallest(s_op), grid, tol, bound=bound,
+    return _graded_lower(
+        "ims_x2", s_op, grid, tol, bound=bound,
         details={"identity_rel_deviation": float(rel_dev)},
     )
 
@@ -208,43 +224,90 @@ def _band_product(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _smooth_bump(t: np.ndarray) -> np.ndarray:
-    """exp(1 - 1/(1-t^2)) inside |t| < 1, exactly zero outside."""
-    out = np.zeros_like(t)
-    m = np.abs(t) < 1.0
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - t[m] ** 2))
-    return out
+    """exp(1 - 1/(1-t^2)) inside |t| < 1, exactly zero outside.
 
-
-def _bump_matrix(grid: RadialGrid) -> np.ndarray:
-    """The n x k matrix B of the dictionary's raw bumps, one per column.
-
-    BUMP_PER_WIDTH bumps of each of the BUMP_HALF_WIDTHS, in the weighted
-    (psi) representation, each vanishing identically within
-    BUMP_WALL_CLEARANCE_NODES of both ends so that wall layers cannot
-    couple in.  Each bump is evaluated on its support |log r - c| < half
-    only, found by bisection and widened by one node on each side against
-    rounding; every node outside it is the exact zero the whole-grid
-    evaluation gives.  B is C-ordered: on it the einsum of
-    ``_band_product`` sums each row in the order of a CSR product.
+    Written without a gather: 1 - t^2 is clipped at 0, where -1/0 = -inf
+    and exp(1 - inf) = 0; inside, each entry takes the arithmetic of the
+    formula, and |t| < 1 exactly when t^2 < 1.
     """
-    x = np.log(grid.r)
-    s = np.sqrt(4.0 * np.pi * grid.mass)
-    lo, hi = x[0], x[-1]
+    u = t * t
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    with np.errstate(divide="ignore"):
+        np.divide(-1.0, u, out=u)
+    u += 1.0
+    return np.exp(u, out=u)
+
+
+def _bumps(grid: RadialGrid) -> np.ndarray:
+    """The dictionary's bumps, one (centre, half-width) row each, in log r.
+
+    BUMP_PER_WIDTH bumps of each of the BUMP_HALF_WIDTHS that fits,
+    centred so that each vanishes identically within
+    BUMP_WALL_CLEARANCE_NODES of both ends, where wall layers would couple
+    in.  DomainError when none fits.
+    """
+    lo, hi = np.log(grid.r[[0, -1]])
     clear = BUMP_WALL_CLEARANCE_NODES * grid.log_step
-    bumps = []
-    for half in BUMP_HALF_WIDTHS:
-        cmin = lo + clear + half
-        cmax = hi - clear - half
-        if cmin < cmax:
-            bumps += [(c, half) for c in np.linspace(cmin, cmax, BUMP_PER_WIDTH)]
+    bumps = [(c, half)
+             for half in BUMP_HALF_WIDTHS if lo + clear + half < hi - clear - half
+             for c in np.linspace(lo + clear + half, hi - clear - half, BUMP_PER_WIDTH)]
     if not bumps:
         raise DomainError(f"no bump of the dictionary fits on grid {grid.descriptor()}")
-    b = np.zeros((x.size, len(bumps)))
-    for col, (c, half) in enumerate(bumps):
-        i = max(int(np.searchsorted(x, c - half)) - 1, 0)
-        j = int(np.searchsorted(x, c + half)) + 1
-        b[i:j, col] = s[i:j] * _smooth_bump((x[i:j] - c) / half)
-    return b
+    return np.array(bumps)
+
+
+def _bump_matrix(grid: RadialGrid, start: int = 0, stop: int | None = None,
+                 bumps: np.ndarray | None = None) -> np.ndarray:
+    """Rows start:stop of the n x k matrix B of the dictionary's raw bumps,
+    one per column, in the weighted (psi) representation: of every bump of
+    ``_bumps(grid)``, or of the rows ``bumps`` of it.
+
+    Each entry is evaluated in the arithmetic of the whole-grid evaluation,
+    so a block is bit for bit the rows and columns it cuts out of B.  B is
+    C-ordered: on it the einsum of ``_band_product`` sums each row in the
+    order of a CSR product.
+    """
+    if bumps is None:
+        bumps = _bumps(grid)
+    x = np.log(grid.r[start:stop])
+    s = np.sqrt(4.0 * np.pi * grid.mass[start:stop])
+    return s[:, None] * _smooth_bump((x[:, None] - bumps[:, 0]) / bumps[:, 1])
+
+
+def _bump_grams(grid: RadialGrid):
+    """The three k x k Gram matrices of the raw bumps B: B^T B, (D B)^T (D B)
+    with D the second difference, and B^T (M B) with M the double commutator.
+
+    Summed over row tiles GRAM_TILE_WIDTH wide in log r.  On each tile,
+    with two halo rows on each side for D and M, only the bumps whose
+    support (found by bisection and widened by one node against rounding)
+    meets it are evaluated, and a tile that none meets adds nothing; so
+    no n x k array is formed.  Each sum is B's product with its terms
+    grouped by tile, equal to the whole-grid one to rounding.
+    """
+    bumps = _bumps(grid)
+    n, k = grid.n, len(bumps)
+    x = np.log(grid.r)
+    first = np.searchsorted(x, bumps[:, 0] - bumps[:, 1]) - 1
+    stop = np.searchsorted(x, bumps[:, 0] + bumps[:, 1]) + 1
+    m = double_commutator_matrix(grid)
+    g0, g2, gm = np.zeros((3, k, k))
+    height = max(1, round(GRAM_TILE_WIDTH / grid.log_step))
+    for i in range(0, n, height):
+        j = min(i + height, n)
+        a, b = max(i - 2, 0), min(j + 2, n)
+        cols = np.flatnonzero((first < b) & (stop > a))
+        if not cols.size:
+            continue
+        blk = _bump_matrix(grid, a, b, bumps[cols])
+        tile = blk[i - a:j - a]
+        d = np.diff(blk[i - a:min(j, n - 2) + 2 - a], 2, axis=0)  # rows i.. of D B
+        ix = np.ix_(cols, cols)
+        g0[ix] += tile.T @ tile
+        g2[ix] += d.T @ d
+        gm[ix] += tile.T @ _band_product(m[a:b], blk)[i - a:j - a]
+    return g0, g2, gm
 
 
 def _canonical_coefficients(g0: np.ndarray) -> np.ndarray:
@@ -284,29 +347,21 @@ def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityRepo
     MAX_BUMP_ROUGHNESS.
 
     Every number reported is a Ritz value of a k x k problem (k <= 120),
-    so the check never forms an orthonormal n x k basis: with B the raw
-    bumps and C = _canonical_coefficients(B^T B), the roughness is
-    sqrt(lam_max(C^T (D B)^T (D B) C)), D the second difference, and the
-    value is lam_max(C^T B^T (M B) C).  Three n x k^2 products in all.
+    so the check forms neither an orthonormal n x k basis nor B itself:
+    with B the raw bumps and C = _canonical_coefficients(B^T B), the
+    roughness is sqrt(lam_max(C^T (D B)^T (D B) C)), D the second
+    difference, and the value is lam_max(C^T B^T (M B) C), from the three
+    Grams that ``_bump_grams`` sums over row tiles.
     """
     tol = _admit(grid, tol)
-    b = _bump_matrix(grid)
-    c = _canonical_coefficients(b.T @ b)
-    # the second difference D B, summed in place: np.diff(b, 2, axis=0)
-    # would hold a third n x k array at the peak
-    d = b[2:] - b[1:-1]
-    d -= b[1:-1]
-    d += b[:-2]
-    # spectral norm of d C, the roughest unit vector's second difference
-    roughness = float(np.sqrt(np.linalg.eigvalsh(c.T @ (d.T @ d) @ c)[-1]))
-    # before M b: at n = 8000 this check sets the peak RSS of a
-    # certificates pass, 78-82 MB with the del and 86 MB without it
-    # (63 MB with the check left out)
-    del d
+    g0, g2, gm = _bump_grams(grid)
+    c = _canonical_coefficients(g0)
+    # spectral norm of D B C, the roughest unit vector's second difference
+    roughness = float(np.sqrt(np.linalg.eigvalsh(c.T @ g2 @ c)[-1]))
     if roughness > MAX_BUMP_ROUGHNESS:
         raise DomainError(f"bump dictionary on grid {grid.descriptor()} has roughness "
                           f"{roughness:.3g}: fewer than 4 points per wavelength")
-    mred = c.T @ (b.T @ _band_product(double_commutator_matrix(grid), b)) @ c
+    mred = c.T @ gm @ c
     vals = np.linalg.eigvalsh(0.5 * (mred + mred.T))
     return _report(
         "double_commutator_r3", float(vals[-1]), grid, tol, side="upper",

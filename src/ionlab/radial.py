@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
 
 from .errors import DomainError, ParameterError
 
@@ -31,8 +31,19 @@ __all__ = [
     "Tridiagonal",
     "reduced_laplacian",
     "tridiagonal_solver",
+    "spectrum_above",
     "extremal_eigs",
 ]
+
+# The Noda bracket of extremal_eigs is converged once its width is NODA_RTOL
+# of the eigenvalue.  It is then widened by NODA_RTOL on each side: on the
+# graded certificate matrices its ends and stebz's value disagree by up to
+# 7e-11 relative.  Past NODA_MAX_STEPS steps the bracket is given up.
+NODA_RTOL = 1e-8
+NODA_MAX_STEPS = 30
+# stebz's default tolerance is eps * ||T||_1, far too loose on graded
+# matrices whose spectrum spans many decades; ask for full accuracy.
+_STEBZ_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -250,14 +261,86 @@ def tridiagonal_solver(t: Tridiagonal):
     return solve
 
 
+def spectrum_above(t: Tridiagonal, shift: float) -> bool:
+    """Whether every eigenvalue of the symmetric tridiagonal t exceeds shift:
+    whether t - shift I is positive definite, which one LDL^T factorization
+    (LAPACK pttrf) decides in O(n).  Its pivots d_i - e_(i-1)^2 / p_(i-1)
+    read the off-diagonal squared only, so they are those of
+    T' = (diag, -|off|) as well."""
+    return dpttrf(t.diag - shift, t.off)[2] == 0
+
+
+def _noda_bracket(t: Tridiagonal):
+    """A bracket (lo, hi) with lo < lambda_1 certified, or None.
+
+    T' = (diag, -|off|) is a Z-matrix with t's spectrum, so for sigma below
+    lambda_1 the inverse of T' - sigma is entrywise nonnegative, and for any
+    x > 0 and y = (T' - sigma)^(-1) x the Collatz-Wielandt bounds give
+    sigma + 1/max(y/x) <= lambda_1 <= sigma + 1/min(y/x).  Noda's inverse
+    iteration (Numer. Math. 17, 1971) moves sigma to the lower bound and x
+    to y, from the Gershgorin bound and x = 1.  Each sigma is certified
+    below lambda_1 by its own pttrf before it is used, and so is the
+    widened lower end.  None when a factorization fails, y or the next x
+    is not positive and finite, or NODA_MAX_STEPS pass without the bracket
+    narrowing to NODA_RTOL: a reducible t, such as a diagonal one, and
+    graded ones whose eigenvector is so small at some nodes that the
+    ratios there carry no digits.
+    """
+    d = t.diag
+    e = -np.abs(t.off)
+    # on entries near the float range the Gershgorin radii, the shifted
+    # diagonal or a bound overflow; the checks below then fail, and the
+    # index range answers without a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        radius = np.zeros_like(d)
+        radius[1:] -= e
+        radius[:-1] -= e
+        sigma = float(np.min(d - radius))
+        sigma -= NODA_RTOL * abs(sigma)
+        x = np.ones_like(d)
+        for _ in range(NODA_MAX_STEPS):
+            p, l, info = dpttrf(d - sigma, e)
+            if info:
+                return None
+            y = dpttrs(p, l, x)[0]
+            q = y / x
+            qmin, qmax = q.min(), q.max()
+            if not (qmin > 0.0 and qmax < np.inf):
+                return None
+            lo, hi = sigma + 1.0 / qmax, sigma + 1.0 / qmin
+            scale = NODA_RTOL * max(abs(lo), abs(hi))
+            if hi - lo <= scale:
+                pad = hi - lo + scale
+                lo, hi = lo - pad, hi + pad
+                return (lo, hi) if spectrum_above(t, lo) else None
+            sigma = lo
+            x = y / y.max()
+            if not x.min() > 0.0:
+                return None
+    return None
+
+
 def extremal_eigs(t: Tridiagonal, k: int = 1) -> np.ndarray:
     """The k smallest eigenvalues of the symmetric tridiagonal t, ascending,
-    by bisection (LAPACK stebz), O(n k) in time and memory; k <= n, and a
-    misshapen t raises ValueError.
+    by bisection (LAPACK stebz) at full accuracy; k <= n, and a misshapen t
+    raises ValueError.
+
+    For k = 1 the bisection runs on the value range of ``_noda_bracket``,
+    whose lower end is certified below lambda_1, and the smallest value
+    stebz finds there is the answer: a few O(n) Noda steps and a short
+    bisection in place of one over the whole Gershgorin interval.  Without
+    a bracket, or with nothing found in it, and for k > 1, the bisection
+    is over the index range 0..k-1, O(n k) in time and memory.
     """
-    # stebz's default tolerance is eps * ||T||_1, far too loose on graded
-    # matrices whose spectrum spans many decades; ask for full accuracy.
+    if t.off.shape != (t.diag.size - 1,):
+        raise ValueError(f"off-diagonal of length {t.off.size} for a diagonal of {t.diag.size}")
+    if k == 1 and t.off.size:  # the LAPACK wrappers take no 1 x 1 pttrf
+        bracket = _noda_bracket(t)
+        if bracket is not None:
+            m, w, _, _, info = dstebz(t.diag, t.off, 1, *bracket, 1, 1, _STEBZ_TOL, "E")
+            if info == 0 and m > 0:
+                return w[:1].copy()
     return scipy.linalg.eigh_tridiagonal(
         t.diag, t.off, eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+        lapack_driver="stebz", tol=_STEBZ_TOL,
     )

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ionlab.errors import DomainError, ParameterError
+from ionlab import opchecks
+from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.opchecks import (
     BUMP_HALF_WIDTHS,
     BUMP_PER_WIDTH,
     BUMP_WALL_CLEARANCE_NODES,
     IMS_BOUND,
     _band_product,
+    _bump_grams,
     _bump_matrix,
     _canonical_coefficients,
     _smooth_bump,
@@ -19,7 +23,13 @@ from ionlab.opchecks import (
     double_commutator_matrix,
     symmetrized_product,
 )
-from ionlab.radial import Tridiagonal, extremal_eigs, make_log_grid, reduced_laplacian
+from ionlab.radial import (
+    Tridiagonal,
+    extremal_eigs,
+    make_log_grid,
+    reduced_laplacian,
+    spectrum_above,
+)
 
 
 def _whole_grid_bumps(g):
@@ -276,8 +286,15 @@ class TestDoubleCommutator:
         "r_min,r_max,n", [(1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]
     )
     def test_support_evaluation_is_bit_identical(self, r_min, r_max, n):
+        # the whole matrix, and the row blocks of a few bumps the tiles take
         g = make_log_grid(r_min, r_max, n)
-        assert np.array_equal(_bump_matrix(g), _whole_grid_bumps(g))
+        whole = _whole_grid_bumps(g)
+        assert np.array_equal(_bump_matrix(g), whole)
+        bumps = opchecks._bumps(g)
+        cols = np.arange(3, len(bumps), 7)
+        for start, stop in [(0, n // 3), (n // 3 - 2, n // 2 + 2), (n - 37, n)]:
+            block = _bump_matrix(g, start, stop, bumps[cols])
+            assert np.array_equal(block, whole[start:stop, cols])
 
     @pytest.mark.parametrize(
         "r_min,r_max,n",
@@ -294,6 +311,86 @@ class TestDoubleCommutator:
     def test_unresolved_dictionary_refused(self, r_min, r_max, n):
         with pytest.raises(DomainError):
             check_double_commutator_cube(make_log_grid(r_min, r_max, n), tol=1e-1)
+
+
+class TestGramTiles:
+    """The three Grams summed over row tiles against the whole-grid products."""
+
+    @staticmethod
+    def _whole_grid_grams(g):
+        b = _bump_matrix(g)
+        d = np.diff(b, 2, axis=0)
+        return b.T @ b, d.T @ d, b.T @ _band_product(double_commutator_matrix(g), b)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [(1e-4, 100, 2000), (1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000),
+         (1e-4, 100, 2001)],
+    )
+    def test_equal_the_whole_grid_products(self, spec):
+        g = make_log_grid(*spec)
+        height = round(opchecks.GRAM_TILE_WIDTH / g.log_step)
+        if spec[2] == 2001:
+            assert g.n % height != 0 and g.n // height > 1
+        for tiled, whole in zip(_bump_grams(g), self._whole_grid_grams(g)):
+            assert np.abs(tiled - whole).max() <= 1e-14 * np.abs(whole).max()
+
+    def test_tiles_that_hold_no_bump_add_nothing(self, monkeypatch, coarse_grid):
+        # 4-row tiles: the first and the last, with their halo rows, lie
+        # inside the 10 wall nodes where every bump vanishes, one node
+        # short of the supports widened against rounding
+        g = coarse_grid
+        monkeypatch.setattr(opchecks, "GRAM_TILE_WIDTH", 4 * g.log_step)
+        evaluated = []
+
+        def spy(grid, start=0, stop=None, bumps=None):
+            evaluated.append((start, stop))
+            return _bump_matrix(grid, start, stop, bumps)
+
+        monkeypatch.setattr(opchecks, "_bump_matrix", spy)
+        tiled = _bump_grams(g)
+        assert len(evaluated) == g.n // 4 - 2
+        assert min(start for start, _ in evaluated) > 0
+        assert max(stop for _, stop in evaluated) < g.n
+        for t, w in zip(tiled, self._whole_grid_grams(g)):
+            assert np.abs(t - w).max() <= 1e-14 * np.abs(w).max()
+
+    def test_peak_memory_below_one_n_by_120_array(self):
+        g = make_log_grid(1e-4, 100, 8000)
+        check_double_commutator_cube(g, tol=1e-1)
+        tracemalloc.start()
+        try:
+            check_double_commutator_cube(g, tol=1e-1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n * 120 * 8
+
+
+class TestSecondGradingRoute:
+    """Each lower check also grades by whether T - (bound - tol) I is
+    positive definite, and refuses to answer when the two verdicts differ."""
+
+    @pytest.mark.parametrize("n", [2000, 4000, 8000])
+    @pytest.mark.parametrize("check", [check_hardy, check_lieb_symmetrization, check_ims_x2])
+    def test_agrees_on_the_certificate_grids(self, check, n):
+        assert check(make_log_grid(1e-4, 100, n), tol=1e-2).passed
+
+    def test_agrees_on_a_failing_bound(self, default_grid):
+        rep = check_ims_x2(default_grid, tol=1e-2, bound=-3.0 / 8.0)
+        assert not rep.passed
+
+    def test_agrees_on_the_sign_flipped_lieb_operator(self, coarse_grid):
+        g = coarse_grid
+        t = symmetrized_product(reduced_laplacian(g), -g.r)
+        assert extremal_eigs(t)[0] < -1e-2
+        assert not spectrum_above(t, -1e-2)
+
+    @pytest.mark.parametrize("check", [check_hardy, check_lieb_symmetrization, check_ims_x2])
+    def test_disagreement_raises(self, check, monkeypatch, coarse_grid):
+        monkeypatch.setattr(opchecks, "spectrum_above", lambda t, shift: False)
+        with pytest.raises(ConvergenceError, match="passes .* not positive definite"):
+            check(coarse_grid, tol=1e-2)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionlab import radial
 from ionlab.errors import DomainError, ParameterError
+from ionlab.opchecks import symmetrized_product
 from ionlab.radial import (
     RadialField,
     RadialGrid,
@@ -18,6 +22,7 @@ from ionlab.radial import (
     make_log_grid,
     newton_potential,
     reduced_laplacian,
+    spectrum_above,
     tridiagonal_solver,
 )
 from ionlab.tf import _TAIL_GRID_N, _TAIL_R_MAX
@@ -328,6 +333,104 @@ class TestExtremalEigs:
         band = np.vstack([np.concatenate(([0.0], mat.off)), mat.diag])
         ref = scipy.linalg.eig_banded(band, select="i", select_range=(0, 7), eigvals_only=True)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+def _index_range_smallest(t):
+    """The smallest eigenvalue by stebz over the index range 0..0, the call
+    extremal_eigs makes without a bracket."""
+    return scipy.linalg.eigh_tridiagonal(
+        t.diag, t.off, eigvals_only=True, select="i", select_range=(0, 0),
+        lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
+    )
+
+
+def _bracket_cases():
+    """Hardy, Lieb, IMS, hydrogen and the sign-flipped Lieb operator on grids
+    from r_min = 1e-8 to 0.5 and r_max to 1.2e4, n from 64 to 5000."""
+    for r_min, r_max, n in itertools.product(
+        [1e-8, 1e-6, 1e-4, 1e-2, 0.5], [10.0, 100.0, 1.2e4], [64, 600, 5000]
+    ):
+        g = make_log_grid(r_min, r_max, n)
+        a = reduced_laplacian(g)
+        yield f"hardy {g.descriptor()}", Tridiagonal(a.diag - 0.25 / g.r**2, a.off)
+        yield f"lieb {g.descriptor()}", symmetrized_product(a, g.r)
+        yield f"ims {g.descriptor()}", symmetrized_product(a, 0.5 * g.r**2)
+        yield f"hydrogen {g.descriptor()}", _hydrogen(g)
+        yield f"flipped lieb {g.descriptor()}", symmetrized_product(a, -g.r)
+
+
+class TestNodaBracket:
+    """k = 1 bisects on a certified Noda bracket; the index range answers
+    whenever there is none."""
+
+    def test_equals_index_range_value_within_2_ulps(self):
+        for case, t in _bracket_cases():
+            ref = _index_range_smallest(t)[0]
+            assert abs(extremal_eigs(t)[0] - ref) <= 2.0 * np.spacing(abs(ref)), case
+            # the certificates' own operators always take the bracket
+            if case.startswith(("hardy", "lieb", "ims")):
+                assert radial._noda_bracket(t) is not None, case
+
+    @pytest.mark.parametrize("n", [2000, 4000, 8000])
+    def test_certificate_matrices_take_a_certified_bracket(self, n):
+        g = make_log_grid(1e-4, 1e2, n)
+        a = reduced_laplacian(g)
+        for t in (Tridiagonal(a.diag - 0.25 / g.r**2, a.off), symmetrized_product(a, g.r),
+                  symmetrized_product(a, 0.5 * g.r**2)):
+            lo, hi = radial._noda_bracket(t)
+            ref = _index_range_smallest(t)[0]
+            assert lo < ref <= hi
+            assert hi - lo <= 4.0 * radial.NODA_RTOL * abs(ref)
+            assert spectrum_above(t, lo) and not spectrum_above(t, hi)
+
+    def test_reducible_matrix_falls_back_to_the_index_range(self):
+        # zero off-diagonals: each node keeps its own ratio y/x, so the
+        # bracket never narrows, and the index-range call answers
+        t = Tridiagonal(np.linspace(3.0, -1.0, 50) ** 2, np.zeros(49))
+        assert radial._noda_bracket(t) is None
+        assert np.array_equal(extremal_eigs(t), _index_range_smallest(t))
+
+    def test_empty_bracket_falls_back_to_the_index_range(self, monkeypatch, default_grid):
+        t = _hydrogen(default_grid)
+        ref = _index_range_smallest(t)
+        monkeypatch.setattr(radial, "_noda_bracket", lambda t: (ref[0] - 2.0, ref[0] - 1.0))
+        assert np.array_equal(extremal_eigs(t), ref)
+
+    def test_no_warning_on_underflowing_or_extreme_matrices(self):
+        g = make_log_grid(1e-8, 1.2e4, 5000)
+        a = reduced_laplacian(g)
+        extreme = [
+            _hydrogen(g),
+            symmetrized_product(a, -g.r),
+            Tridiagonal(np.geomspace(1e-300, 1e300, 400), np.zeros(399)),
+            Tridiagonal(np.geomspace(1e-300, 1e300, 400), np.full(399, -1e-300)),
+        ]
+        # entries near the float range overflow the Gershgorin radii; the
+        # index range answers, here with the error it raises on its own
+        near_max = Tridiagonal(np.array([-1e308, 1e308, -1e308]), np.array([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in extreme:
+                ref = _index_range_smallest(t)[0]
+                assert abs(extremal_eigs(t)[0] - ref) <= 2.0 * np.spacing(abs(ref))
+            assert radial._noda_bracket(near_max) is None
+            with pytest.raises(np.linalg.LinAlgError):
+                _index_range_smallest(near_max)
+            with pytest.raises(np.linalg.LinAlgError):
+                extremal_eigs(near_max)
+
+
+class TestSpectrumAbove:
+    @pytest.mark.parametrize("kind", ["hardy", "flipped lieb", "hydrogen"])
+    def test_agrees_with_the_smallest_eigenvalue(self, kind, coarse_grid):
+        g = coarse_grid
+        a = reduced_laplacian(g)
+        t = {"hardy": Tridiagonal(a.diag - 0.25 / g.r**2, a.off),
+             "flipped lieb": symmetrized_product(a, -g.r),
+             "hydrogen": _hydrogen(g)}[kind]
+        lam = extremal_eigs(t)[0]
+        for shift in (lam - 1.0, lam - 1e-6 * abs(lam), lam + 1e-6 * abs(lam), lam + 1.0):
+            assert spectrum_above(t, shift) == (shift < lam)
 
 
 class TestTridiagonalSolver:
