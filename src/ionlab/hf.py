@@ -4,8 +4,8 @@ A single-center basis of s-type Gaussians gives analytic one- and
 two-body Coulomb integrals.  On top of it:
 
   * relaxed minimization over density matrices 0 <= gamma <= 1 with
-    fixed trace: one projected-gradient descent on the convex set,
-    started from the aufbau projection of h0,
+    fixed trace: one spectral projected-gradient descent on the convex
+    set, started from the aufbau projection of h0,
   * aufbau self-consistent field over orthogonal-projection states,
     seeded from that relaxed minimizer and stopped when the projection
     commutes with its own Fock matrix, ||[F(P), P]|| small,
@@ -22,6 +22,7 @@ chemists' index order eri[i,j,k,l] = (ij|kl).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -170,6 +171,20 @@ def fock_matrix(gamma: np.ndarray, basis: OneBodyBasis) -> np.ndarray:
     return 0.5 * (f + f.T)
 
 
+def _electron_count(n, dim: int, least: int) -> int:
+    """n as an int in least..dim; ParameterError for an n that is not an
+    integer (a bool included) or lies outside that range."""
+    try:
+        k = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        k = None
+    if k is None:
+        raise ParameterError(f"the electron count must be an integer, got {n!r}")
+    if not least <= k <= dim:
+        raise ParameterError(f"need {least} <= n <= dim, got n={k}, dim={dim}")
+    return k
+
+
 def _aufbau(fock: np.ndarray, n: int):
     evals, evecs = np.linalg.eigh(fock)
     c = evecs[:, :n]
@@ -192,8 +207,7 @@ def solve_hf_scf(basis: OneBodyBasis, n: int, seed: int = 0) -> DensityMatrixSta
     ignored: the seeding relaxed solve draws no random start.
     """
     d = basis.dim
-    if not (1 <= n <= d):
-        raise ParameterError(f"need 1 <= n <= dim, got n={n}, dim={d}")
+    n = _electron_count(n, d, 1)
     relaxed = solve_hf_relaxed(basis, n)
     proj, degenerate = _aufbau(fock_matrix(relaxed.gamma, basis), n)
     scale = 1.0 + abs(float(np.trace(basis.h0)))
@@ -242,12 +256,22 @@ def solve_hf_relaxed(
     n: int,
     seed: int = 0,
 ) -> DensityMatrixState:
-    """Projected-gradient minimization over {0 <= gamma <= 1, Tr = n}.
+    """Spectral projected-gradient minimization over {0 <= gamma <= 1, Tr = n}.
 
     One descent, started from the aufbau projection of h0.  The relaxed
     minimum is the projection minimum (Lieb's variational principle), and
     further starts only land on copies of the same minimum to within the
     stopping tolerance, so none are drawn; ``seed`` is ignored.
+
+    Each step projects once, d = P(gamma - alpha F) - gamma, and backtracks
+    along the feasible segment gamma + t d by halving t (Armijo with
+    constant 1e-4, plus a 1e-14 (1 + |E|) rounding slack; at most 40
+    halvings).  The next alpha is the Barzilai-Borwein step s.s / s.y of
+    the accepted step s and the change y of the Fock matrix, clipped to
+    [1e-10, 1e10], and 1e10 when s.y <= 0 (Birgin, Martinez & Raydan,
+    SIAM J. Optim. 10, 2000); the Fock matrix at the new point is also
+    the next gradient, so each step builds one.  The first alpha is
+    0.5 / (1 + ||h0||).
 
     First-order optimality is measured by the aufbau gap
     Tr(F gamma) - sum of the n lowest eigenvalues of F, which is
@@ -257,35 +281,38 @@ def solve_hf_relaxed(
     _RELAXED_MAX_ITER steps end it with converged=False.
     """
     d = basis.dim
-    if not (0 <= n <= d):
-        raise ParameterError(f"need 0 <= n <= dim, got n={n}, dim={d}")
+    n = _electron_count(n, d, 0)
     if n == 0:
         return DensityMatrixState(gamma=np.zeros((d, d)), energy=0.0)
     gamma = _aufbau(basis.h0, n)[0]
     energy = hf_energy(gamma, basis)
-    step = 0.5 / (1.0 + np.linalg.norm(basis.h0))
+    f = fock_matrix(gamma, basis)
+    alpha = 0.5 / (1.0 + np.linalg.norm(basis.h0))
     gap = np.inf
     scale = 1.0
     it = 0
     for it in range(1, _RELAXED_MAX_ITER + 1):
-        f = fock_matrix(gamma, basis)
         evals = np.linalg.eigvalsh(f)
         gap = float(np.sum(f * gamma) - np.sum(evals[:n]))
         scale = 1.0 + abs(energy)
         if gap < _RELAXED_TOL * scale:
             break
-        accepted = False
+        step = _project_box_trace(gamma - alpha * f, n) - gamma
+        slope = float(np.sum(f * step))  # at most -|step|^2 / alpha
+        t = 1.0
         for _ in range(40):
-            cand = _project_box_trace(gamma - step * f, n)
+            cand = gamma + t * step
             e_cand = hf_energy(cand, basis)
-            if e_cand <= energy + 1e-14 * scale:
-                gamma, energy = cand, e_cand
-                step = min(step * 1.3, 1e3)
-                accepted = True
+            if e_cand <= energy + 1e-4 * t * slope + 1e-14 * scale:
                 break
-            step *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             break
+        f_cand = fock_matrix(cand, basis)
+        s = cand - gamma
+        sy = float(np.sum(s * (f_cand - f)))
+        alpha = min(max(float(np.sum(s * s)) / sy, 1e-10), 1e10) if sy > 0 else 1e10
+        gamma, energy, f = cand, e_cand, f_cand
     return DensityMatrixState(
         gamma=gamma,
         energy=energy,
@@ -379,8 +406,7 @@ def _sector_hamiltonian(basis: OneBodyBasis, n: int) -> np.ndarray:
 def exact_diagonalization(basis: OneBodyBasis, n: int) -> float:
     """Ground energy of the n-fermion sector; E_0 = 0 by convention."""
     d = basis.dim
-    if not (0 <= n <= d):
-        raise ParameterError(f"need 0 <= n <= dim, got n={n}, dim={d}")
+    n = _electron_count(n, d, 0)
     if comb(d, n) > SECTOR_CAP:
         raise CapacityError(f"sector dimension C({d},{n}) exceeds {SECTOR_CAP}")
     if n == 0:

@@ -123,8 +123,15 @@ def _graded_lower(name, t, grid, tol, bound=0.0, details=None):
     """Grade the smallest eigenvalue of t against bound - tol, and again by
     whether t - (bound - tol) I is positive definite, which holds exactly
     when the check passes: ConvergenceError naming both verdicts if the
-    two disagree."""
-    rep = _report(name, float(extremal_eigs(t, k=1)[0]), grid, tol, bound=bound, details=details)
+    two disagree, and naming the check and the grid if the eigenvalue
+    bisection fails (as it does on grids reaching r_min = 1e-100)."""
+    try:
+        value = float(extremal_eigs(t, k=1)[0])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"{name} on grid {grid.descriptor()}: the smallest eigenvalue was not found "
+            f"({exc})") from exc
+    rep = _report(name, value, grid, tol, bound=bound, details=details)
     definite = spectrum_above(t, bound - tol)
     if definite != rep.passed:
         raise ConvergenceError(
@@ -162,6 +169,9 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     ``details["identity_rel_deviation"]``, |S - (R A R - I)|_F / |A|_F.  On a
     log grid S - (R A R - I) is tridiag(-1/2, 1, -1/2) exactly, so the
     deviation is sqrt(1.5 n - 0.5) / |A|_F, a property of the grid alone.
+    Each Frobenius sum is taken over entries scaled by a power of two near
+    the largest, which is exact, so no square overflows near r_min = 1e-100
+    and the ratio is the unscaled one wherever that is finite.
 
     The default bound is the sharp -3/4.  With the kinetic operator
     -Laplace (no 1/2), S = |x|(-Laplace)|x| - |grad|x||^2 = R A R - I,
@@ -180,8 +190,13 @@ def check_ims_x2(grid: RadialGrid, tol: float, bound: float = IMS_BOUND) -> Ineq
     s_op = symmetrized_product(a, 0.5 * r**2)
     dev = Tridiagonal(s_op.diag - (r * a.diag * r - 1.0),  # S - (R A R - I)
                       s_op.off - r[:-1] * a.off * r[1:])
-    frob2 = [t.diag @ t.diag + 2.0 * (t.off @ t.off) for t in (dev, a)]
-    rel_dev = np.sqrt(frob2[0] / frob2[1])
+    scaled = []
+    for t in (dev, a):
+        e = int(np.frexp(max(np.abs(t.diag).max(), np.abs(t.off).max(initial=0.0)))[1])
+        d, o = np.ldexp(t.diag, -e), np.ldexp(t.off, -e)
+        scaled.append((d @ d + 2.0 * (o @ o), e))
+    (f_dev, e_dev), (f_a, e_a) = scaled
+    rel_dev = np.ldexp(np.sqrt(f_dev / f_a), e_dev - e_a)
     return _graded_lower(
         "ims_x2", s_op, grid, tol, bound=bound,
         details={"identity_rel_deviation": float(rel_dev)},

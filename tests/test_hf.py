@@ -223,6 +223,26 @@ class TestSolvers:
         assert len(calls) == st.iterations  # one Fock build per step, one start
         assert np.array_equal(st.gamma, solve_hf_relaxed(basis, 2, seed=1).gamma)
 
+    def test_relaxed_projects_once_per_step(self, rng, monkeypatch):
+        """Every first trial point reads as a rise, so each line search
+        backtracks once: still one projection and one Fock build per step."""
+        basis = random_basis(rng, 5)
+        calls = {"fock_matrix": [], "_project_box_trace": []}
+        for name, log in calls.items():
+            fn = getattr(ionlab.hf, name)
+            monkeypatch.setattr(ionlab.hf, name, lambda *a, fn=fn, log=log: (
+                log.append(1) or fn(*a)))
+        energies = []
+        energy = ionlab.hf.hf_energy
+        monkeypatch.setattr(ionlab.hf, "hf_energy", lambda g, b: (
+            energies.append(1) or (energy(g, b) if len(energies) % 2 else np.inf)))
+        st = solve_hf_relaxed(basis, 2)
+        assert st.converged
+        steps = st.iterations - 1  # the last iteration passes the stop test
+        assert len(energies) == 1 + 2 * steps  # the start, then two trials a step
+        assert len(calls["_project_box_trace"]) == steps
+        assert len(calls["fock_matrix"]) == st.iterations
+
     def test_line_search_failure_reports_iteration_reached(self, helium_like, monkeypatch):
         rising = iter(range(10**6))
         monkeypatch.setattr(ionlab.hf, "hf_energy", lambda g, b: float(next(rising)))
@@ -255,6 +275,54 @@ class TestSolvers:
             solve_hf_scf(helium_like, 0)
         with pytest.raises(ParameterError):
             solve_hf_relaxed(helium_like, 5)
+
+    @pytest.mark.parametrize("solve", [solve_hf_relaxed, solve_hf_scf, exact_diagonalization])
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, np.float64(2.0)], ids=repr)
+    def test_non_integer_n_refused(self, helium_like, solve, n):
+        with pytest.raises(ParameterError, match="electron count must be an integer"):
+            solve(helium_like, n)
+
+    def test_numpy_integer_n_accepted(self, helium_like):
+        two = np.int64(2)
+        assert solve_hf_relaxed(helium_like, two).energy == solve_hf_relaxed(helium_like, 2).energy
+        assert solve_hf_scf(helium_like, two).energy == solve_hf_scf(helium_like, 2).energy
+        assert exact_diagonalization(helium_like, two) == exact_diagonalization(helium_like, 2)
+
+
+def _sgauss_family():
+    """s-Gaussian bases of charge Z and d exponents geomspace(a_min, 50 Z^2, d),
+    each with the electron counts 1, Z, Z+1 and Z+2 that fit."""
+    for z in (1, 2, 3, 4, 6):
+        for d, a_min in ((8, 2e-2), (12, 5e-3), (16, 2e-3), (20, 1e-3)):
+            basis = build_sgauss_basis(z, np.geomspace(a_min, 50.0 * z * z, d))
+            for n in sorted({1, z, z + 1, z + 2}):
+                if n <= d:
+                    yield basis, n
+
+
+class TestRelaxedDescent:
+    def test_sgauss_family_within_40_steps(self, monkeypatch):
+        """Every relaxed solve of the family converges, feasibly, to the SCF
+        energy within A5's 1e-6, in at most 40 spectral projected-gradient
+        steps (the halve-or-grow step rule took up to 70), projecting once
+        per step."""
+        calls = []
+        project = ionlab.hf._project_box_trace
+        monkeypatch.setattr(ionlab.hf, "_project_box_trace",
+                            lambda m, n: calls.append(1) or project(m, n))
+        solves = 0
+        for basis, n in _sgauss_family():
+            calls.clear()
+            st = solve_hf_relaxed(basis, n)
+            assert st.converged and st.iterations <= 40, (basis.z, basis.dim, n)
+            assert len(calls) == st.iterations - 1
+            solves += 1
+            evals = np.linalg.eigvalsh(st.gamma)
+            assert evals.min() >= -1e-10 and evals.max() <= 1 + 1e-10
+            assert np.trace(st.gamma) == pytest.approx(n, abs=1e-9)
+            scf = solve_hf_scf(basis, n)
+            assert abs(scf.energy - st.energy) / (1.0 + abs(scf.energy)) <= 1e-6
+        assert solves == 76
 
 
 def _bisection_projection(sym, n):

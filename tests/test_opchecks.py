@@ -1,10 +1,12 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ionlab import opchecks
-from ionlab.errors import ConvergenceError, DomainError, ParameterError
+from ionlab.errors import ConvergenceError, DomainError, IonlabError, ParameterError
 from ionlab.opchecks import (
     BUMP_HALF_WIDTHS,
     BUMP_PER_WIDTH,
@@ -410,6 +412,58 @@ def test_violation_magnitude_shrinks_with_resolution(check):
         rep = check(make_log_grid(1e-4, 1e2, n), tol=1e-2)
         defects.append(max(0.0, -rep.extremal_eigenvalue))
     assert all(b <= a + 1e-12 for a, b in zip(defects, defects[1:]))
+
+
+@pytest.mark.parametrize("r_min", [1e-100, 1e-150])
+@pytest.mark.parametrize(
+    "check",
+    [check_hardy, check_lieb_symmetrization, check_ims_x2, check_double_commutator_cube],
+)
+def test_extreme_grid_ends_in_a_report_or_an_ionlab_error(check, r_min):
+    """Entries near 1/r_min^2 = 1e300: the eigenvalue bisection may fail
+    (hardy's does), but as an ionlab error naming the grid, and no
+    Frobenius sum overflows."""
+    grid = make_log_grid(r_min, 1.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rep = check(grid, tol=1e-2)
+        except IonlabError as exc:
+            assert grid.descriptor() in str(exc)
+            return
+    if check is check_lieb_symmetrization:
+        assert rep.passed
+    if check is check_ims_x2:
+        # sqrt(1.5 n - 0.5) / |A|_F, with |A|_F from A scaled by r_min^2
+        a = reduced_laplacian(grid)
+        d, o = a.diag * r_min**2, a.off * r_min**2
+        closed = np.sqrt(1.5 * grid.n - 0.5) / np.sqrt(d @ d + 2.0 * (o @ o)) * r_min**2
+        assert rep.details["identity_rel_deviation"] == pytest.approx(closed, rel=1e-9)
+
+
+def test_bisection_failure_names_the_check_and_grid(monkeypatch, coarse_grid):
+    def fail(t, k=1):
+        raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
+
+    monkeypatch.setattr(opchecks, "extremal_eigs", fail)
+    named = re.escape(f"hardy on grid {coarse_grid.descriptor()}")
+    with pytest.raises(ConvergenceError, match=named):
+        check_hardy(coarse_grid, tol=1e-2)
+
+
+@pytest.mark.parametrize(
+    "spec", [(1e-4, 1e2, 2000), (1e-4, 1e2, 8000), (1e-8, 1e4, 600), (1e-30, 1.0, 4000)])
+def test_identity_deviation_is_the_unscaled_ratio(spec):
+    """Scaling by a power of two is exact: where the plain Frobenius sums
+    are finite, the reported ratio is theirs to the bit."""
+    g = make_log_grid(*spec)
+    a = reduced_laplacian(g)
+    r = g.r
+    s_op = symmetrized_product(a, 0.5 * r**2)
+    dev = Tridiagonal(s_op.diag - (r * a.diag * r - 1.0), s_op.off - r[:-1] * a.off * r[1:])
+    frob2 = [t.diag @ t.diag + 2.0 * (t.off @ t.off) for t in (dev, a)]
+    rel_dev = check_ims_x2(g, tol=1e-2).details["identity_rel_deviation"]
+    assert rel_dev == float(np.sqrt(frob2[0] / frob2[1]))
 
 
 def test_reports_serialize(default_grid):
