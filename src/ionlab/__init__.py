@@ -24,8 +24,10 @@ from .errors import (  # noqa: F401
 
 # Submodules load on first attribute access (PEP 562), so ``import ionlab``
 # and a CLI command pay only for the solvers they use.  ``drop`` imports
-# scipy inside the two functions that call it; ``classical`` and ``hf``
-# never import it.
+# scipy inside the two functions that call it; ``radial`` (and through it
+# ``krylov``, ``tf``, ``tfw``, ``hartree`` and ``opchecks``) loads only
+# SciPy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, not the
+# ``scipy.linalg`` package; ``classical`` and ``hf`` never touch SciPy.
 _SUBMODULES = (
     "classical", "drop", "hartree", "hf", "krylov", "opchecks", "radial", "tf", "tfw",
 )

@@ -11,9 +11,11 @@ leaves out its trailing residual product, which a Newton step never reads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
 
 from .errors import ConvergenceError
+from .radial import _flapack
+
+dlartg = _flapack.dlartg
 
 # Newton steps per solve before ConvergenceError: TF takes 9 to 23, TFW and
 # Hartree 6 to 21 on their default grids.

@@ -11,7 +11,12 @@ held by rows.  Before any eigen-solve a check refuses, with DomainError,
 a grid with fewer than 10 points per unit of log r (log step >
 MAX_LOG_STEP = 0.1): coarser grids have discrete minima that are grid
 artifacts (Hardy reads -28489 on make_log_grid(1e-6, 1e4, 12)), while
-lowest modes held at the walls appear only at 7.2 points or fewer.
+lowest modes held at the walls appear only at 7.2 points or fewer.  The
+three lower checks also refuse a matrix with a non-finite entry or an
+off-diagonal whose square overflows: LAPACK's bisection and LDL^T pivots
+square the off-diagonal, and in a scan of r_min the bisection failed on
+exactly these matrices (Hardy's from r_min near 1e-76, Lieb's and IMS's
+near 1e-152, at n = 4000).
 
 The double-commutator check is special: on a graded (log) mesh the raw
 matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
@@ -124,7 +129,14 @@ def _graded_lower(name, t, grid, tol, bound=0.0, details=None):
     whether t - (bound - tol) I is positive definite, which holds exactly
     when the check passes: ConvergenceError naming both verdicts if the
     two disagree, and naming the check and the grid if the eigenvalue
-    bisection fails (as it does on grids reaching r_min = 1e-100)."""
+    bisection fails.  DomainError, naming both, refuses before either a t
+    with a non-finite entry or an off-diagonal whose square overflows."""
+    with np.errstate(over="ignore"):
+        in_range = np.isfinite(t.diag).all() and np.isfinite(np.square(t.off)).all()
+    if not in_range:
+        raise DomainError(
+            f"{name} on grid {grid.descriptor()}: the matrix has an entry or a squared "
+            f"off-diagonal entry past the float range, which LAPACK cannot bisect or factor")
     try:
         value = float(extremal_eigs(t, k=1)[0])
     except np.linalg.LinAlgError as exc:

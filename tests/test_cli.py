@@ -491,21 +491,56 @@ class TestLazyImports:
         assert scipy_modules == []
 
     def test_radial_commands_load_no_sparse(self):
-        """The radial layer holds its tridiagonal matrices as two arrays and
-        runs its own GMRES cycle: a TF and a TFW command, a capped Hartree
-        solve and the operator checks load no scipy.sparse module."""
+        """The radial layer holds its tridiagonal matrices as two arrays,
+        runs its own GMRES cycle and loads SciPy's compiled LAPACK wrappers
+        alone: a TF and a TFW command, a capped Hartree solve and the
+        operator checks load no scipy module but scipy.linalg._flapack,
+        neither scipy.sparse nor the scipy.linalg package."""
         code = (
             "import json, sys\n"
             "from ionlab import cli, hartree\n"
             "argvs = ['tf --Z 1 --N 2', 'tfw --sweep 1', 'opcheck --grid-n 500']\n"
             "codes = [cli.main(a.split()) for a in argvs]\n"
             "hartree.minimize_e(0.7)\n"
-            "sparse = sorted(m for m in sys.modules if m.startswith('scipy.sparse'))\n"
-            "print(json.dumps([codes, sparse]))\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, scipy]))\n"
         )
-        codes, sparse_modules = json.loads(_fresh_python(code).splitlines()[-1])
+        codes, scipy_modules = json.loads(_fresh_python(code).splitlines()[-1])
         assert codes == [0] * 3
-        assert sparse_modules == []
+        assert scipy_modules == ["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize("first", ["ionlab", "scipy"])
+    def test_lapack_wrappers_are_scipys_in_either_import_order(self, first):
+        """The wrappers radial and krylov load are scipy.linalg.lapack's own
+        compiled functions whether the package is imported after them or
+        before, and the package still works after either order."""
+        imports = {
+            "ionlab": "from ionlab import krylov, radial\nimport scipy.linalg, scipy.optimize\n",
+            "scipy": "import scipy.linalg, scipy.optimize\nfrom ionlab import krylov, radial\n",
+        }[first]
+        code = imports + (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "fortran = type(radial.dstebz)\n"
+            "used = {f'{m.__name__}.{n}': n for m in (radial, krylov)\n"
+            "        for n, v in vars(m).items() if type(v) is fortran}\n"
+            "same = {k: getattr(sys.modules[k.rsplit('.', 1)[0]], n)\n"
+            "        is getattr(scipy.linalg.lapack, n) for k, n in used.items()}\n"
+            "w = scipy.linalg.eigh_tridiagonal(np.array([2.0, 2.0]), np.array([1.0]),\n"
+            "                                  eigvals_only=True)\n"
+            "root = scipy.optimize.brentq(lambda x: x * x - 2.0, 0.0, 2.0)\n"
+            "flapack = radial._flapack is sys.modules['scipy.linalg._flapack']\n"
+            "print(json.dumps([same, flapack, w.tolist(), root]))\n"
+        )
+        same, flapack, w, root = json.loads(_fresh_python(code).splitlines()[-1])
+        assert same == {
+            f"ionlab.{name}": True
+            for name in ("radial.dgttrf", "radial.dgttrs", "radial.dpttrf", "radial.dpttrs",
+                         "radial.dstebz", "krylov.dlartg")
+        }
+        assert flapack
+        assert w == pytest.approx([1.0, 3.0], rel=1e-14)
+        assert root == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_unknown_attribute_raises(self):
         import ionlab

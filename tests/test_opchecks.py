@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ionlab import opchecks
-from ionlab.errors import ConvergenceError, DomainError, IonlabError, ParameterError
+from ionlab.errors import ConvergenceError, DomainError, ParameterError
 from ionlab.opchecks import (
     BUMP_HALF_WIDTHS,
     BUMP_PER_WIDTH,
@@ -419,20 +419,26 @@ def test_violation_magnitude_shrinks_with_resolution(check):
     "check",
     [check_hardy, check_lieb_symmetrization, check_ims_x2, check_double_commutator_cube],
 )
-def test_extreme_grid_ends_in_a_report_or_an_ionlab_error(check, r_min):
-    """Entries near 1/r_min^2 = 1e300: the eigenvalue bisection may fail
-    (hardy's does), but as an ionlab error naming the grid, and no
-    Frobenius sum overflows."""
+def test_extreme_grid_ends_in_a_report_or_an_ionlab_error(check, r_min, monkeypatch):
+    """Entries near 1/r_min^2 = 1e300: hardy's off-diagonal squared
+    overflows, which LAPACK's bisection and LDL^T cannot take, so hardy is
+    refused with DomainError naming the grid before either runs; the
+    other checks pass, and no Frobenius sum overflows."""
     grid = make_log_grid(r_min, 1.0, 4000)
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            rep = check(grid, tol=1e-2)
-        except IonlabError as exc:
-            assert grid.descriptor() in str(exc)
+        if check is check_hardy:
+            monkeypatch.setattr(opchecks, "extremal_eigs", no_lapack)
+            monkeypatch.setattr(opchecks, "spectrum_above", no_lapack)
+            with pytest.raises(DomainError, match=re.escape(f"hardy on grid {grid.descriptor()}")):
+                check(grid, tol=1e-2)
             return
-    if check is check_lieb_symmetrization:
-        assert rep.passed
+        rep = check(grid, tol=1e-2)
+    assert rep.passed
     if check is check_ims_x2:
         # sqrt(1.5 n - 0.5) / |A|_F, with |A|_F from A scaled by r_min^2
         a = reduced_laplacian(grid)

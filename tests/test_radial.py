@@ -317,6 +317,42 @@ class TestExtremalEigs:
         assert np.all(np.diff(vals) >= 0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("kind, k", [
+        ("hardy", 2), ("hardy", 8), ("hardy", 300), ("reducible", 3), ("reducible", 50),
+        ("single", 1),
+    ])
+    def test_index_range_equals_eigh_tridiagonal(self, kind, k):
+        """The index-range bisection calls LAPACK stebz directly, bit for bit
+        what SciPy's eigh_tridiagonal returns for the same selection."""
+        t = _index_range_case(kind)
+        ref = _index_range_smallest(t, k)
+        vals = extremal_eigs(t, k)
+        assert vals.shape == ref.shape == (k,)
+        assert np.array_equal(vals, ref)
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("hardy", "nan diag"), ("hardy", "inf off"), ("hardy", "k=0"), ("hardy", "k=n+1"),
+        ("single", "inf diag"), ("single", "k=0"), ("single", "k=n+1"),
+    ])
+    def test_non_finite_or_k_out_of_range_rejected(self, kind, bad):
+        """ValueError, not its subclass LinAlgError, wherever eigh_tridiagonal
+        raises it for the same call."""
+        t = _index_range_case(kind)
+        diag, off, k = t.diag.copy(), t.off.copy(), 1
+        if bad == "nan diag":
+            diag[-1] = np.nan
+        elif bad == "inf diag":
+            diag[0] = np.inf
+        elif bad == "inf off":
+            off[0] = np.inf
+        else:
+            k = 0 if bad == "k=0" else diag.size + 1
+        t = Tridiagonal(diag, off)
+        for solve in (_index_range_smallest, extremal_eigs):
+            with pytest.raises(ValueError) as exc:
+                solve(t, k)
+            assert exc.type is ValueError
+
     def test_wrong_off_length_rejected(self):
         for size in (0, 10, 11):
             mat = Tridiagonal(2.0 * np.ones(10), np.ones(size))
@@ -335,13 +371,25 @@ class TestExtremalEigs:
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
 
-def _index_range_smallest(t):
-    """The smallest eigenvalue by stebz over the index range 0..0, the call
-    extremal_eigs makes without a bracket."""
+def _index_range_smallest(t, k=1):
+    """The k smallest eigenvalues by stebz over the index range 0..k-1, the
+    call extremal_eigs makes without a bracket, through SciPy's wrapper."""
     return scipy.linalg.eigh_tridiagonal(
-        t.diag, t.off, eigvals_only=True, select="i", select_range=(0, 0),
+        t.diag, t.off, eigvals_only=True, select="i", select_range=(0, k - 1),
         lapack_driver="stebz", tol=2.0 * np.finfo(float).tiny,
     )
+
+
+def _index_range_case(kind):
+    """A graded Hardy matrix (n = 300), a reducible one with no Noda
+    bracket (n = 50), and a 1 x 1 one."""
+    if kind == "hardy":
+        g = make_log_grid(1e-4, 1e2, 300)
+        a = reduced_laplacian(g)
+        return Tridiagonal(a.diag - 0.25 / g.r**2, a.off)
+    if kind == "reducible":
+        return Tridiagonal(np.linspace(3.0, -1.0, 50) ** 2, np.zeros(49))
+    return Tridiagonal(np.array([-2.5]), np.zeros(0))
 
 
 def _bracket_cases():
