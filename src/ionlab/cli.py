@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.command:
-        parser.print_help()
+        parser.print_help(sys.stderr)
         return EXIT_VALIDATION
     try:
         config = _config_from_args(args)

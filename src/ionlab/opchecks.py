@@ -6,13 +6,13 @@ inequality's bound at the caller's tolerance.  The three lower checks
 grade twice: by the smallest eigenvalue, and by whether T - (bound - tol) I
 is positive definite (one LDL^T factorization), and raise
 ConvergenceError if the verdicts differ.  Matrices are
-``radial.Tridiagonal`` records; the pentadiagonal double commutator is
-held by rows.  Before any eigen-solve a check refuses, with DomainError,
-a grid with fewer than 10 points per unit of log r (log step >
-MAX_LOG_STEP = 0.1): coarser grids have discrete minima that are grid
-artifacts (Hardy reads -28489 on make_log_grid(1e-6, 1e4, 12)), while
-lowest modes held at the walls appear only at 7.2 points or fewer.  The
-three lower checks also refuse a matrix with a non-finite entry or an
+``radial.Tridiagonal`` records; the double commutator enters only through
+its two tridiagonal factors.  Before any eigen-solve a check refuses,
+with DomainError, a grid with fewer than 10 points per unit of log r
+(log step > MAX_LOG_STEP = 0.1): coarser grids have discrete minima that
+are grid artifacts (Hardy reads -28489 on make_log_grid(1e-6, 1e4, 12)),
+while lowest modes held at the walls appear only at 7.2 points or fewer.
+The three lower checks also refuse a matrix with a non-finite entry or an
 off-diagonal whose square overflows: LAPACK's bisection and LDL^T pivots
 square the off-diagonal, and in a scan of r_min the bisection failed on
 exactly these matrices (Hardy's from r_min near 1e-76, Lieb's and IMS's
@@ -23,13 +23,12 @@ matrix [A,[A,r^3]] carries large positive spurious modes, sub-grid
 checkerboards near r_min and wall layers near r_max, so the inequality
 is certified on a Galerkin dictionary of smooth compactly supported
 bumps in log r instead, from three 120x120 Gram matrices of the raw
-bumps summed over row tiles (see _bump_grams): 10-14, 13-17 and 16-22 ms
-at n = 2000, 4000 and 8000 with one BLAS thread, where forming the
-whole n x 120 bump matrix took 13-18, 19-28 and 39-42 ms.  It also
-refuses a dictionary whose roughest unit vector has a second difference
-of norm above MAX_BUMP_ROUGHNESS = 2: a wave sampled at k points per
-wavelength has second difference 4 sin^2(pi/k) times its norm, so 2 is
-4 points per wavelength, below which the checkerboards couple in.
+bumps summed over row tiles (see _bump_grams), so that no n x 120 array
+is formed.  It also refuses a dictionary whose roughest unit vector has
+a second difference of norm above MAX_BUMP_ROUGHNESS = 2: a wave sampled
+at k points per wavelength has second difference 4 sin^2(pi/k) times
+its norm, so 2 is 4 points per wavelength, below which the
+checkerboards couple in.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .radial import RadialGrid, Tridiagonal, extremal_eigs, reduced_laplacian, spectrum_above
@@ -50,7 +48,6 @@ __all__ = [
     "check_double_commutator_cube",
     "symmetrized_product",
     "commutator_with_diagonal",
-    "double_commutator_matrix",
 ]
 
 MAX_LOG_STEP = 0.1        # at least 10 grid points per unit of log r
@@ -225,31 +222,6 @@ def commutator_with_diagonal(a: Tridiagonal, g: np.ndarray) -> np.ndarray:
     return a.off * (g[1:] - g[:-1])
 
 
-def double_commutator_matrix(grid: RadialGrid) -> np.ndarray:
-    """[Laplace, [Laplace, r^3]] restricted to the radial sector, by rows:
-    ``m[i, s]`` is M_(i, i-2+s), zero outside the matrix.
-
-    M = A C - C A with A the reduced -Laplace and C = [A, r^3]; the double
-    commutator is even in the sign of A.  Each entry is written out as
-    the difference of the two products' entries, exactly symmetric.
-    """
-    a = reduced_laplacian(grid)
-    c = commutator_with_diagonal(a, grid.r ** 3.0)
-    m = np.zeros((grid.n, 5))
-    m[2:, 0] = m[:-2, 4] = c[1:] * a.off[:-1] - a.off[1:] * c[:-1]
-    m[1:, 1] = m[:-1, 3] = c * a.diag[:-1] - c * a.diag[1:]
-    m[:, 2] = -2.0 * np.diff(np.pad(a.off * c, 1))
-    return m
-
-
-def _band_product(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """M q for M by rows, rows 0, 1, n-2 and n-1 left zero: exact when q, like
-    the bumps (zero within BUMP_WALL_CLEARANCE_NODES), is zero near each wall."""
-    mq = np.zeros_like(q)
-    np.einsum("ns,nks->nk", m[2:-2], sliding_window_view(q, 5, axis=0), out=mq[2:-2])
-    return mq
-
-
 def _smooth_bump(t: np.ndarray) -> np.ndarray:
     """exp(1 - 1/(1-t^2)) inside |t| < 1, exactly zero outside.
 
@@ -291,9 +263,7 @@ def _bump_matrix(grid: RadialGrid, start: int = 0, stop: int | None = None,
     ``_bumps(grid)``, or of the rows ``bumps`` of it.
 
     Each entry is evaluated in the arithmetic of the whole-grid evaluation,
-    so a block is bit for bit the rows and columns it cuts out of B.  B is
-    C-ordered: on it the einsum of ``_band_product`` sums each row in the
-    order of a CSR product.
+    so a block is bit for bit the rows and columns it cuts out of B.
     """
     if bumps is None:
         bumps = _bumps(grid)
@@ -304,22 +274,33 @@ def _bump_matrix(grid: RadialGrid, start: int = 0, stop: int | None = None,
 
 def _bump_grams(grid: RadialGrid):
     """The three k x k Gram matrices of the raw bumps B: B^T B, (D B)^T (D B)
-    with D the second difference, and B^T (M B) with M the double commutator.
+    with D the second difference, and B^T M B with M = A C - C A the double
+    commutator, A the reduced -Laplace and C = [A, r^3].
+
+    A is symmetric and C antisymmetric, so B^T M B = G + G^T with
+    G = (A B)^T (C B), and M is never formed.  On (1e-4, 100, 2000),
+    (1e-4, 100, 8000) and (0.5, 1.2e4, 3000) this sum is 3.6e-13, 2.1e-12
+    and 7.3e-13 of the largest entry off a long-double evaluation;
+    B^T (M B), from the five bands of M, is 8.8e-12, 2.0e-10 and 4.4e-11
+    off.
 
     Summed over row tiles GRAM_TILE_WIDTH wide in log r.  On each tile,
-    with two halo rows on each side for D and M, only the bumps whose
-    support (found by bisection and widened by one node against rounding)
-    meets it are evaluated, and a tile that none meets adds nothing; so
-    no n x k array is formed.  Each sum is B's product with its terms
-    grouped by tile, equal to the whole-grid one to rounding.
+    with two halo rows on each side, only the bumps whose support (found
+    by bisection and widened by one node against rounding) meets it are
+    evaluated, and a tile that none meets adds nothing; so no n x k array
+    is formed.  D takes the two rows after each of its rows, A B and C B
+    one on each side; rows 0 and n - 1 of A B and C B are skipped, where
+    the bumps and their images vanish.  Each sum is B's product with its
+    terms grouped by tile, equal to the whole-grid one to rounding.
     """
     bumps = _bumps(grid)
     n, k = grid.n, len(bumps)
     x = np.log(grid.r)
     first = np.searchsorted(x, bumps[:, 0] - bumps[:, 1]) - 1
     stop = np.searchsorted(x, bumps[:, 0] + bumps[:, 1]) + 1
-    m = double_commutator_matrix(grid)
-    g0, g2, gm = np.zeros((3, k, k))
+    lap = reduced_laplacian(grid)
+    c = commutator_with_diagonal(lap, grid.r ** 3.0)
+    g0, g2, gac = np.zeros((3, k, k))
     height = max(1, round(GRAM_TILE_WIDTH / grid.log_step))
     for i in range(0, n, height):
         j = min(i + height, n)
@@ -330,11 +311,16 @@ def _bump_grams(grid: RadialGrid):
         blk = _bump_matrix(grid, a, b, bumps[cols])
         tile = blk[i - a:j - a]
         d = np.diff(blk[i - a:min(j, n - 2) + 2 - a], 2, axis=0)  # rows i.. of D B
+        lo, hi = max(i, 1), min(j, n - 1)  # rows lo..hi-1 of A B and C B
+        below, mid, above = (blk[lo + s - a:hi + s - a] for s in (-1, 0, 1))
+        ab = (lap.diag[lo:hi, None] * mid + lap.off[lo - 1:hi - 1, None] * below
+              + lap.off[lo:hi, None] * above)
+        cb = c[lo:hi, None] * above - c[lo - 1:hi - 1, None] * below
         ix = np.ix_(cols, cols)
         g0[ix] += tile.T @ tile
         g2[ix] += d.T @ d
-        gm[ix] += tile.T @ _band_product(m[a:b], blk)[i - a:j - a]
-    return g0, g2, gm
+        gac[ix] += ab.T @ cb
+    return g0, g2, gac + gac.T
 
 
 def _canonical_coefficients(g0: np.ndarray) -> np.ndarray:
@@ -377,7 +363,7 @@ def check_double_commutator_cube(grid: RadialGrid, tol: float) -> InequalityRepo
     so the check forms neither an orthonormal n x k basis nor B itself:
     with B the raw bumps and C = _canonical_coefficients(B^T B), the
     roughness is sqrt(lam_max(C^T (D B)^T (D B) C)), D the second
-    difference, and the value is lam_max(C^T B^T (M B) C), from the three
+    difference, and the value is lam_max(C^T B^T M B C), from the three
     Grams that ``_bump_grams`` sums over row tiles.
     """
     tol = _admit(grid, tol)

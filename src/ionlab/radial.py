@@ -254,7 +254,8 @@ def reduced_laplacian(grid: RadialGrid) -> Tridiagonal:
     matrix acts in the weighted representation psi_i = sqrt(4 pi m_i) phi_i,
     in which the Euclidean inner product equals the L2(R3) product of the
     underlying radial functions.  Multiplication operators are diagonal and
-    identical in both representations.
+    identical in both representations.  DomainError, naming the grid,
+    refuses a grid whose entries, about 2 / (h r_min)^2, pass the float range.
     """
     r = grid.r
     n = grid.n
@@ -263,14 +264,18 @@ def reduced_laplacian(grid: RadialGrid) -> Tridiagonal:
     dr_lo = r[0] - r[0] * np.exp(-h)   # ghost cell below r_min
     dr_hi = r[-1] * np.exp(h) - r[-1]  # ghost cell above r_max
 
-    inv = 1.0 / dr
-    diag = np.empty(n)
-    diag[0] = 1.0 / dr_lo + inv[0]
-    diag[1:-1] = inv[:-1] + inv[1:]
-    diag[-1] = inv[-1] + 1.0 / dr_hi
+    with np.errstate(over="ignore", divide="ignore"):
+        inv = 1.0 / dr
+        diag = np.empty(n)
+        diag[0] = 1.0 / dr_lo + inv[0]
+        diag[1:-1] = inv[:-1] + inv[1:]
+        diag[-1] = inv[-1] + 1.0 / dr_hi
 
-    s = 1.0 / np.sqrt(grid.mass)
-    return Tridiagonal(diag * s * s, -inv * s[:-1] * s[1:])
+        s = 1.0 / np.sqrt(grid.mass)
+        t = Tridiagonal(diag * s * s, -inv * s[:-1] * s[1:])
+    if not (np.isfinite(t.diag).all() and np.isfinite(t.off).all()):
+        raise DomainError(f"grid {grid.descriptor()}: reduced Laplacian entries overflow")
+    return t
 
 
 def tridiagonal_solver(t: Tridiagonal):

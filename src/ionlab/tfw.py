@@ -308,17 +308,17 @@ def excess_charge_sweep(
     c_w: float = 1.0,
     grid: RadialGrid | None = None,
 ):
-    """Rows (z, q, u(1), phi(1)) over increasing charges, each row the
-    ``solve_tfw`` answer at its charge.
+    """Rows (z, q, u(1), phi(1)), one per charge in the order given, each
+    row the ``solve_tfw`` answer at its charge.
 
-    Successive differences of each column contract as the large-Z limits
-    emerge.
+    Over increasing charges, successive differences of each column
+    contract as the large-Z limits emerge.
     """
     zs = [float(z) for z in zs]
     if not zs:
         raise ParameterError("need at least one charge")
-    if not all(z > 0 for z in zs) or sorted(zs) != zs or len(set(zs)) != len(zs):
-        raise ParameterError("charges must be positive and strictly increasing")
+    if not all(z > 0 for z in zs):
+        raise ParameterError("charges must be positive")
     grid = grid if grid is not None else default_tfw_grid()
 
     rows = []
@@ -342,10 +342,12 @@ def subharmonic_majorant_check(sol: TFWSolution) -> MajorantCheck:
     """Excess-charge bound from the subharmonic majorant
     p = (4 pi c_w u^2 + Phi^2)^(1/2).
 
-    r p(r) decreases to q at infinity, so q <= min over r >= 1 of r p(r);
-    the check also verifies the decrease beyond the bulk of the density.
-    Inputs that do not satisfy the stationarity equation (relative
-    residual above _MAJORANT_RESIDUAL_CAP) are rejected rather than scored.
+    r p(r) decreases to q at infinity, so q <= min of r p(r) over
+    1 <= r <= r_bulk (DomainError if no node lies there), r_bulk the bulk
+    of the density; further out r p(r) is q to 3e-7 and says nothing.
+    The check also verifies the decrease beyond the bulk.  Inputs that do
+    not satisfy the stationarity equation (relative residual above
+    _MAJORANT_RESIDUAL_CAP) are rejected rather than scored.
     """
     grid = sol.u.grid
     model = _TFWModel(sol.params, grid)
@@ -356,14 +358,16 @@ def subharmonic_majorant_check(sol: TFWSolution) -> MajorantCheck:
         )
     p = np.sqrt(4.0 * np.pi * sol.params.c_w * sol.u.values**2 + sol.phi.values**2)
     rp = grid.r * p
-    mask = grid.r >= 1.0
-    q_bound = float(np.min(rp[mask]))
 
     # Bulk radius: smallest r enclosing all but 1e-3 of the orbital mass.
     cum = np.cumsum(grid.w * grid.r**2 * sol.u.values**2)
     cum /= cum[-1]
     bulk_idx = int(np.searchsorted(cum, 1.0 - 1e-3))
     bulk_idx = min(bulk_idx, grid.n - 2)
+    window = rp[np.searchsorted(grid.r, 1.0):bulk_idx + 1]
+    if not window.size:
+        raise DomainError(f"no grid node lies in [1, r_bulk = {grid.r[bulk_idx]:.3g}]")
+    q_bound = float(np.min(window))
     tail = rp[bulk_idx:]
     monotone = bool(np.all(np.diff(tail) <= 1e-9 * np.max(np.abs(tail))))
     return MajorantCheck(

@@ -137,6 +137,8 @@ class TestMainExitCodes:
             ["sigal", "--eps", "1"],
             ["drop", "--check-identities", "--mc-pairs", "-5"],
             ["opcheck", "--check", "double_commutator", "--tol", "-1"],
+            ["opcheck", "--check", "nosuch"],
+            [],
         ],
     )
     def test_count_below_range_exit_2(self, argv, capsysbinary):
@@ -205,7 +207,8 @@ class TestMainExitCodes:
         "argv",
         [["hf", "--z", "1e308"], ["hf", "--exponents", "1e308,1"],
          ["tf", "--Z", "1e-300"], ["tf", "--Z", "1e300"],
-         ["drop", "--m", "1e160", "--mc-pairs", "10"]],
+         ["drop", "--m", "1e160", "--mc-pairs", "10"],
+         ["tf", "--Z", "1", "--N", "1", "--rmin", "1e-160", "--grid-n", "4000"]],
     )
     def test_input_that_overflows_its_model_exit_2(self, argv, capsysbinary):
         assert cli.main(argv) == 2

@@ -1,6 +1,7 @@
 """Library input checks refuse NaN: each is written so that a NaN fails
 it (``not x > 0``) and raises ParameterError, rather than returning nan or
-False or ending in some later, unrelated error."""
+False or ending in some later, unrelated error.  Empty, zero-sized and
+misshapen inputs are refused by the same error."""
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ NAN = float("nan")
         pytest.param(hf.build_sgauss_basis, (1.0, [1.0, NAN]), {}, id="sgauss-exponent"),
         pytest.param(hartree.hartree_energy_direct, (2.0, NAN), {}, id="hartree_direct-z"),
         pytest.param(hartree.hartree_energy_direct, (NAN, 1.0), {}, id="hartree_direct-N"),
+        pytest.param(drop.BallConfiguration, ((),), {}, id="BallConfiguration-empty"),
+        pytest.param(drop.mc_ball_coulomb, (1.0, 0), {}, id="mc_ball_coulomb-no-pairs"),
+        pytest.param(drop.half_space_average, (np.zeros(3),), {}, id="half_space_average-z0"),
+        pytest.param(hf.random_basis, (np.random.default_rng(0), 0), {}, id="random_basis-d0"),
+        pytest.param(classical.PointConfig, (np.ones((2, 2)),), {}, id="PointConfig-shape"),
     ],
 )
 def test_nan_input_raises_parameter_error(fn, args, kwargs):

@@ -12,7 +12,6 @@ from ionlab.opchecks import (
     BUMP_PER_WIDTH,
     BUMP_WALL_CLEARANCE_NODES,
     IMS_BOUND,
-    _band_product,
     _bump_grams,
     _bump_matrix,
     _canonical_coefficients,
@@ -22,7 +21,6 @@ from ionlab.opchecks import (
     check_ims_x2,
     check_lieb_symmetrization,
     commutator_with_diagonal,
-    double_commutator_matrix,
     symmetrized_product,
 )
 from ionlab.radial import (
@@ -32,6 +30,7 @@ from ionlab.radial import (
     reduced_laplacian,
     spectrum_above,
 )
+from ionlab.tfw import TFWParams, solve_tfw
 
 
 def _whole_grid_bumps(g):
@@ -44,6 +43,29 @@ def _whole_grid_bumps(g):
         for half in BUMP_HALF_WIDTHS
         for c in np.linspace(x[0] + clear + half, x[-1] - clear - half, BUMP_PER_WIDTH)
     ]).T
+
+
+def _double_commutator_csr(g):
+    """M = A C - C A with C = [A, r^3], formed as a sparse product."""
+    import scipy.sparse
+
+    a = reduced_laplacian(g)
+    c = commutator_with_diagonal(a, g.r**3.0)
+    a_csr = scipy.sparse.diags([a.off, a.diag, a.off], [-1, 0, 1], format="csr")
+    c_csr = scipy.sparse.diags([-c, c], [-1, 1], format="csr")
+    return (a_csr @ c_csr - c_csr @ a_csr).tocsr()
+
+
+def _factor_gram(a, c, b):
+    """B^T (A C - C A) B = G + G^T with G = (A B)^T (C B), on the whole grid:
+    A symmetric tridiagonal, C antisymmetric with superdiagonal c."""
+    ab, cb = a.diag[:, None] * b, np.zeros_like(b)
+    ab[1:] += a.off[:, None] * b[:-1]
+    ab[:-1] += a.off[:, None] * b[1:]
+    cb[:-1] += c[:, None] * b[1:]
+    cb[1:] -= c[:, None] * b[:-1]
+    g = ab.T @ cb
+    return g + g.T
 
 
 class TestHardy:
@@ -196,43 +218,15 @@ class TestDoubleCommutator:
         c_dense = np.diag(c, 1) - np.diag(c, -1)
         assert np.allclose(c_dense, dense, rtol=1e-12, atol=1e-8)
 
-    @pytest.mark.parametrize(
-        "spec", [(1e-4, 100, 2000), (1e-4, 100, 8000), (1e-8, 1000, 600), (0.5, 1.2e4, 3000)]
-    )
-    def test_rows_and_product_equal_sparse_bit_for_bit(self, spec):
-        """The rows of M and the Galerkin product M B against the sparse
-        products A C - C A and m @ B, formed inline in CSR.  A CSR product
-        sums each row in storage order; with sorted columns that is the
-        ascending order of the einsum, and of the CSR matrix the check
-        built before it held M by rows."""
-        import scipy.sparse
-
-        g = make_log_grid(*spec)
-        a = reduced_laplacian(g)
-        c = commutator_with_diagonal(a, g.r**3.0)
-        a_csr = scipy.sparse.diags([a.off, a.diag, a.off], [-1, 0, 1], format="csr")
-        c_csr = scipy.sparse.diags([-c, c], [-1, 1], format="csr")
-        m_csr = (a_csr @ c_csr - c_csr @ a_csr).tocsr()
-        m_csr.sort_indices()
-        m = double_commutator_matrix(g)
-        assert m.shape == (g.n, 5)
-        for s in range(5):
-            k = s - 2  # row i of column s holds M_(i, i + k)
-            assert np.array_equal(m[max(0, -k):g.n - max(0, k), s], m_csr.diagonal(k))
-        assert not m[:2, 0].any() and not m[:1, 1].any()
-        assert not m[-1:, 3].any() and not m[-2:, 4].any()
-        b = _bump_matrix(g)
-        assert np.array_equal(_band_product(m, b), m_csr @ b)
-
     def test_quadratic_form_matches_continuum(self, default_grid):
         # smooth compactly supported bump: discrete form vs -24 int r phi'^2
         g = default_grid
-        m = double_commutator_matrix(g)
+        m = _double_commutator_csr(g)
         x = np.log(g.r)
         t = (x - np.log(1.0)) / 2.0
         phi = np.where(np.abs(t) < 1, np.exp(1.0 - 1.0 / (1.0 - np.minimum(t * t, 0.999999))), 0.0)
         psi = np.sqrt(4 * np.pi * g.mass) * phi
-        quad = float(psi @ _band_product(m, psi[:, None])[:, 0])
+        quad = float(psi @ (m @ psi))
         dphi = np.gradient(phi, g.r)
         cont = -24.0 * 4 * np.pi * np.trapezoid(g.r * dphi**2, g.r)
         assert quad == pytest.approx(cont, rel=2e-3)
@@ -278,7 +272,7 @@ class TestDoubleCommutator:
         g = make_log_grid(*spec)
         u, sv, _ = np.linalg.svd(_whole_grid_bumps(g), full_matrices=False)
         u = u[:, sv > 1e-6 * sv[0]]
-        mred = u.T @ _band_product(double_commutator_matrix(g), u)
+        mred = u.T @ (_double_commutator_csr(g) @ u)
         oracle = np.linalg.eigvalsh(0.5 * (mred + mred.T))[-1]
         rep = check_double_commutator_cube(g, tol=1e-1)
         assert rep.details == {"dictionary_size": u.shape[1]}
@@ -322,7 +316,9 @@ class TestGramTiles:
     def _whole_grid_grams(g):
         b = _bump_matrix(g)
         d = np.diff(b, 2, axis=0)
-        return b.T @ b, d.T @ d, b.T @ _band_product(double_commutator_matrix(g), b)
+        a = reduced_laplacian(g)
+        c = commutator_with_diagonal(a, g.r**3.0)
+        return b.T @ b, d.T @ d, _factor_gram(a, c, b)
 
     @pytest.mark.parametrize(
         "spec",
@@ -356,6 +352,35 @@ class TestGramTiles:
         assert max(stop for _, stop in evaluated) < g.n
         for t, w in zip(tiled, self._whole_grid_grams(g)):
             assert np.abs(t - w).max() <= 1e-14 * np.abs(w).max()
+
+    @pytest.mark.parametrize("spec", [(0.5, 1.2e4, 3000), (1e-4, 100, 8000)])
+    def test_double_commutator_gram_matches_long_double(self, spec):
+        """B^T M B against A, C and B built in long double from the grid's
+        three numbers by the same formulas.  B^T (M B), from the five bands
+        of M, is 4.4e-11 and 2.0e-10 of the largest entry off here."""
+        ld = np.longdouble
+        r_min, r_max, n = spec
+        x = np.linspace(np.log(ld(r_min)), np.log(ld(r_max)), n, dtype=ld)
+        h = x[1] - x[0]
+        r = np.exp(x)
+        mass = 2 * np.sinh(h / 2) * r
+        inv = 1 / np.diff(r)
+        diag = np.concatenate(([1 / (r[0] - r[0] * np.exp(-h))], inv)) + np.concatenate(
+            (inv, [1 / (r[-1] * np.exp(h) - r[-1])]))
+        s = 1 / np.sqrt(mass)
+        a = Tridiagonal(diag * s * s, -inv * s[:-1] * s[1:])
+        c = commutator_with_diagonal(a, r**3)
+        centres = opchecks._bumps(make_log_grid(*spec))
+        lo, hi = x[0] + BUMP_WALL_CLEARANCE_NODES * h, x[-1] - BUMP_WALL_CLEARANCE_NODES * h
+        b = np.sqrt(4 * np.pi * mass)[:, None] * np.array([
+            _smooth_bump((x - centre) / ld(half))
+            for half in BUMP_HALF_WIDTHS if lo + half < hi - half
+            for centre in np.linspace(lo + half, hi - half, BUMP_PER_WIDTH, dtype=ld)
+        ]).T
+        assert b.shape[1] == len(centres)
+        ref = _factor_gram(a, c, b)
+        gm = _bump_grams(make_log_grid(*spec))[2]
+        assert np.abs(gm - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_peak_memory_below_one_n_by_120_array(self):
         g = make_log_grid(1e-4, 100, 8000)
@@ -445,6 +470,25 @@ def test_extreme_grid_ends_in_a_report_or_an_ionlab_error(check, r_min, monkeypa
         d, o = a.diag * r_min**2, a.off * r_min**2
         closed = np.sqrt(1.5 * grid.n - 0.5) / np.sqrt(d @ d + 2.0 * (o @ o)) * r_min**2
         assert rep.details["identity_rel_deviation"] == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("r_min", [1e-155, 1e-170])
+@pytest.mark.parametrize(
+    "solve",
+    [check_hardy, check_lieb_symmetrization, check_ims_x2, check_double_commutator_cube,
+     lambda grid, tol: solve_tfw(TFWParams(z=1.0), grid)],
+    ids=["hardy", "lieb", "ims_x2", "double_commutator", "solve_tfw"],
+)
+def test_laplacian_past_the_float_range_refused(solve, r_min):
+    """The grid passes MAX_LOG_STEP, but its reduced Laplacian has entries
+    past the float range: refused where the operator is built, naming the
+    grid, before any overflow warns."""
+    grid = make_log_grid(r_min, 1.0, 4000)
+    assert grid.log_step <= opchecks.MAX_LOG_STEP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"grid {grid.descriptor()}")):
+            solve(grid, 1e-2)
 
 
 def test_bisection_failure_names_the_check_and_grid(monkeypatch, coarse_grid):

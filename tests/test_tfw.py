@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import ionlab.cli
 import ionlab.hartree
 import ionlab.krylov
 import ionlab.radial
@@ -56,9 +59,13 @@ class TestExcessCharge:
         with pytest.raises(ParameterError):
             excess_charge_sweep([])
 
-    def test_decreasing_sweep_rejected(self):
-        with pytest.raises(ParameterError):
-            excess_charge_sweep([4.0, 1.0])
+    def test_sweep_in_any_order(self, capsysbinary):
+        # every row is the solve at its own charge, so order is free
+        up, down = excess_charge_sweep([1.0, 64.0]), excess_charge_sweep([64.0, 1.0])
+        assert down == up[::-1]
+        assert ionlab.cli.main(["tfw", "--sweep", "64,1"]) == 0
+        table = json.loads(capsysbinary.readouterr().out)["table"]
+        assert [row[0] for row in table] == [64.0, 1.0]
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
@@ -247,6 +254,16 @@ class TestMajorant:
         assert chk.passed
         assert chk.monotone_beyond_bulk
         assert tfw_z1.q <= chk.q_bound + 1e-6
+
+    def test_bound_taken_inside_the_bulk(self, tfw_z1):
+        # over all r >= 1 the minimum sits at the grid's end, q + 3.2e-7
+        chk = subharmonic_majorant_check(tfw_z1)
+        assert chk.q_bound - tfw_z1.q > 1e-4
+
+    def test_box_without_nodes_past_one_refused(self):
+        sol = solve_tfw(TFWParams(z=64.0), make_log_grid(1e-4, 0.9, 800))
+        with pytest.raises(DomainError, match=r"no grid node lies in \[1, r_bulk"):
+            subharmonic_majorant_check(sol)
 
     def test_bound_is_order_one_at_z50(self):
         sol = solve_tfw(TFWParams(z=50.0))
