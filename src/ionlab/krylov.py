@@ -17,8 +17,9 @@ from .radial import _flapack
 
 dlartg = _flapack.dlartg
 
-# Newton steps per solve before ConvergenceError: TF takes 9 to 23, TFW and
-# Hartree 6 to 21 on their default grids.
+# Newton steps per solve before ConvergenceError: TF takes 3 to 8 on its
+# default grid and 7 to 9 on the far-tail boxes, TFW and Hartree 6 to 21 on
+# their default grids.
 MAX_NEWTON_STEPS = 50
 # Krylov steps per Newton step, and the relative residual at which they stop.
 GMRES_RESTART = 40
@@ -100,9 +101,13 @@ def newton_krylov(x, defect, linearize, tol, stage, case):
     starting merit is not finite, or once MAX_NEWTON_STEPS steps pass or
     the step underflows.
     """
-    # a start that overflows is refused on its merit, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, merit, res, state = defect(x)
+    def evaluate(x):
+        # a start or trial that overflows is judged on its merit, not
+        # warned about: a start is refused, a trial backtracks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return defect(x)
+
+    f, merit, res, state = evaluate(x)
     if not np.isfinite(merit):
         raise ConvergenceError(
             f"{stage} cannot start: the merit of the starting defect is {merit} ({case})",
@@ -118,7 +123,7 @@ def newton_krylov(x, defect, linearize, tol, stage, case):
         y = _gmres(lambda y: jac(precond(y)), -f)
         dx, step = step_of(y), 1.0
         while step >= 1e-10:
-            trial = defect(x + step * dx)
+            trial = evaluate(x + step * dx)
             if trial[1] <= (1.0 - 1e-4 * step) * merit:
                 break
             step *= 0.5

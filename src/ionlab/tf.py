@@ -18,6 +18,14 @@ and started from the neutral state took damped steps of 2e-4 to 4e-3 at
 Z = 5, N = 3, and after 58 steps had shed only 0.17 of the 2 units of
 mass.
 
+Each solve starts from Sommerfeld's closed-form atom (``_initial_density``):
+three quarters of its potential V_S plus a quarter of Z/r less the potential
+of its density.  The neutral solves on the default grid then take 4 Newton
+steps and the far-tail boxes 7 to 9, where a screened-core start with a
+bare r^-4 tail took 9 to 10 and 13 to 17, creeping for 5 to 8 steps before
+Newton turned quadratic.  V_S alone is within 10% of the solution out to
+r ~ 1e3, but full steps from it drive V below 0 in the far tail.
+
 The default grid reaches r_max = 400: the neutral potential has the
 universal r^-4 tail, and the density mass beyond r ~ 100 is ~3e-3, too
 much for per-mille mass checks on a shorter box.
@@ -153,20 +161,24 @@ def _projected_target(
     )
 
 
-def _initial_density(grid: RadialGrid, params: TFParams) -> np.ndarray:
-    """Screened-core profile plus the universal r^-4 potential tail,
-    scaled to the neutral mass Z; under a cap N < Z the first evaluation
-    projects it onto mass N.  A charge whose profile is not finite on the
-    grid is refused, rather than handed to the solver."""
+def _initial_density(grid: RadialGrid, params: TFParams):
+    """Sommerfeld's closed-form TF potential V_S = Z chi_S(r/b)/r
+    (Z. Phys. 78, 1932), chi_S(x) = (1 + (x/144^(1/3))^0.772)^(-3/0.772),
+    on the TF length b = (4 pi)^(-2/3) (5 c_tf/3) Z^(-1/3) of this
+    functional, so that its r^-4 tail is the universal one,
+    144 b^3 Z = sommerfeld_amplitude(c_tf); and the density of V_S,
+    scaled to the neutral mass Z.  Under a cap N < Z the first evaluation
+    projects it onto mass N.  Returns (V_S, density).  A charge whose
+    profile is not finite on the grid is refused, rather than handed to
+    the solver."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            scale = params.z ** (1.0 / 3.0)
-            amp = sommerfeld_amplitude(params.c_tf)
-            phi_guess = params.z / grid.r * np.exp(-scale * grid.r) + amp / (
-                grid.r**4 + (3.0 / scale) ** 4
-            )
-            rho = (3.0 / (5.0 * params.c_tf) * phi_guess) ** 1.5
-            return params.z / integrate_3d(RadialField(grid, rho)) * rho
+            b = ((4.0 * np.pi) ** (-2.0 / 3.0) * (5.0 * params.c_tf / 3.0)
+                 * params.z ** (-1.0 / 3.0))
+            x = grid.r / (b * 144.0 ** (1.0 / 3.0))
+            v_s = params.z / grid.r * (1.0 + x**0.772) ** (-3.0 / 0.772)
+            rho = (3.0 / (5.0 * params.c_tf) * v_s) ** 1.5
+            return v_s, params.z / integrate_3d(RadialField(grid, rho)) * rho
     except ArithmeticError:
         raise ParameterError(
             f"charge Z = {params.z:g} with c_tf = {params.c_tf:g} is out of range: "
@@ -187,8 +199,12 @@ def _newton(
     4 pi A^(-1) on reduced weighted functions s r f, so the right
     preconditioner (A + 4 pi rho')^(-1) A, at one LU per Newton step and
     one back-substitution per Krylov step, inverts the Jacobian up to the
-    projection term and the box-edge condition.  Steps backtrack on
-    |sqrt(q) G|; the stopping residual is the L1(R3) norm of the
+    projection term.  Its A has a Neumann last row: past the box the
+    quadrature potential is Q/r, so r phi is flat at the edge, not zero as
+    the Dirichlet ghost cell of ``reduced_laplacian`` has it.  From the
+    same starts, the eight TF solves of a benchmark density pass make 78
+    Krylov steps with it and 110 with the Dirichlet row.  Steps backtrack
+    on |sqrt(q) G|; the stopping residual is the L1(R3) norm of the
     Euler-Lagrange defect at rho(V).  Returns ((mu, rho, vh), residual,
     Newton steps), the state unpacked from the final defect evaluation, with
     vh = rho * 1/|x| of the returned rho: no Coulomb solve follows the solve.
@@ -197,6 +213,10 @@ def _newton(
     q = 4.0 * np.pi * grid.w * grid.r**2
     sqrt_q = np.sqrt(q)
     a = reduced_laplacian(grid)
+    # the Neumann last row, with no ghost cell
+    diag = a.diag.copy()
+    diag[-1] = (1.0 / (grid.r[-1] - grid.r[-2])) / grid.mass[-1]
+    a = Tridiagonal(diag, a.off)
 
     def defect(phi):
         mu, rho = _projected_target(grid, params, phi, n_cap)
@@ -243,8 +263,10 @@ def solve_tf(
         raise ParameterError(f"tolerance must be positive, got {tol}")
     grid = grid if grid is not None else default_tf_grid()
     capped = params.n_electrons < params.z
-    rho0 = RadialField(grid, _initial_density(grid, params))
-    phi = params.z / grid.r - newton_potential(rho0).values
+    # a quarter of the potential of Sommerfeld's density holds the tail up
+    v_s, rho0 = _initial_density(grid, params)
+    vh0 = newton_potential(RadialField(grid, rho0)).values
+    phi = 0.75 * v_s + 0.25 * (params.z / grid.r - vh0)
     (mu, rho, vh), res, steps = _newton(
         "constrained stage" if capped else "unconstrained stage",
         grid, params, phi, params.n_electrons if capped else np.inf, tol=tol,

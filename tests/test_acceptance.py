@@ -51,7 +51,7 @@ def test_criterion_2_tf_scaling_identity(z):
     assert ok
 
 
-@pytest.mark.parametrize("z", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("z", [1.0, 10.0, 30.0, 100.0])
 def test_criterion_2_tf_tail_exponent(z):
     from ionlab.tf import neutral_tail_solution, tf_tail_exponent
 

@@ -271,8 +271,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["tf", "--Z", "1e100"], ["tf", "--Z", "1e210"], ["tf", "--Z", "1e250"],
-         ["tfw", "--Z", "1e250"]],
+        [["tf", "--Z", "1e210"], ["tf", "--Z", "1e250"], ["tfw", "--Z", "1e250"]],
     )
     def test_charge_whose_newton_start_overflows_exit_3(self, argv, capsysbinary):
         assert cli.main(argv) == 3
@@ -281,6 +280,20 @@ class TestMainExitCodes:
         # the one line of the refusal, with no NumPy warning before it
         assert captured.err.startswith(b"ionlab: convergence error: ")
         assert b"cannot start" in captured.err and captured.err.count(b"\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tf", "--Z", "1e80"], ["tf", "--Z", "1e100"], ["tfw", "--Z", "1e100"]],
+    )
+    def test_charge_whose_newton_step_overflows_exit_3(self, argv, capsysbinary):
+        # The start is finite but a trial step overflows: the step
+        # backtracks on its non-finite merit, and the solve ends in one
+        # line, with no NumPy warning (an error under this suite).
+        assert cli.main(argv) == 3
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.startswith(b"ionlab: convergence error: ")
+        assert b"stalled" in captured.err and captured.err.count(b"\n") == 1
 
     def test_capacity_error_exit_4(self, monkeypatch):
         monkeypatch.setattr(ionlab.hf, "SECTOR_CAP", 2)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import ionlab.krylov
+import ionlab.tf
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
-from ionlab.radial import RadialField, integrate_3d, make_log_grid
+from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log_grid
 from ionlab.tf import (
+    C_TF_DEFAULT,
     TFParams,
+    _initial_density,
     default_tail_window,
     neutral_tail_solution,
     solve_tf,
@@ -166,6 +169,56 @@ class TestNewtonSolve:
         sol = solve_tf(TFParams(z=5.0, n_electrons=3.0))
         assert calls == ["constrained stage"]
         assert sol.iterations <= 6
+
+
+class TestNewtonStart:
+    """The solve starts from Sommerfeld's closed-form atom, and its
+    preconditioner leaves r phi free at the box edge."""
+
+    @pytest.mark.parametrize("c_tf", [1.0, C_TF_DEFAULT])
+    def test_sommerfeld_potential_limits(self, c_tf):
+        # Z/r at the nucleus and the universal A r^-4 tail far out, at
+        # every Z: the TF length b carries the c_tf and the Z.
+        grid = make_log_grid(1e-8, 1e8, 400)
+        r = grid.r
+        amp = sommerfeld_amplitude(c_tf)
+        for z in (1.0, 8.0):
+            v_s, _ = _initial_density(grid, TFParams(z=z, n_electrons=z, c_tf=c_tf))
+            assert r[0] * v_s[0] == pytest.approx(z, rel=1e-5, abs=0.0)
+            gap = np.abs(r**4 * v_s / amp - 1.0)
+            assert gap[-1] < 1e-4
+            assert np.all(np.diff(gap[grid.n // 2:]) < 0)
+
+    @pytest.fixture
+    def jacobian_products(self, monkeypatch):
+        # each Krylov step is one Jacobian product, one Coulomb solve
+        count = [0]
+
+        def counted(rho):
+            count[0] += 1
+            return coulomb_potential(rho)
+
+        monkeypatch.setattr(ionlab.tf, "coulomb_potential", counted)
+        return count
+
+    @pytest.mark.parametrize(
+        "z, n, steps, products",
+        [(1.0, 1.0, 4, 8), (5.0, 10.0, 4, 8), (5.0, 3.0, 4, 12)],
+    )
+    def test_density_job_steps(self, jacobian_products, z, n, steps, products):
+        assert solve_tf(TFParams(z=z, n_electrons=n)).iterations <= steps
+        assert jacobian_products[0] <= products
+
+    def test_tail_box_steps(self, jacobian_products):
+        assert neutral_tail_solution(1.0).iterations <= 8
+        assert jacobian_products[0] <= 16
+
+    @pytest.mark.parametrize("z", [1.0, 4.0, 16.0, 64.0])
+    def test_tfw_seed_steps(self, jacobian_products, z):
+        from ionlab.tfw import default_tfw_grid
+
+        assert solve_tf(TFParams(z=z, n_electrons=z), default_tfw_grid()).iterations <= 4
+        assert jacobian_products[0] <= 9
 
 
 class TestEnergyFunctional:

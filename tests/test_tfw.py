@@ -80,10 +80,10 @@ class TestExcessCharge:
         # Newton's converged answers at full precision, so that a Hartree
         # potential reused for the wrong density cannot pass unnoticed.
         expected = [
-            (1.0, 0.08995507883456155, 0.05751440770593306, 0.7850480774324257),
-            (4.0, 0.16451079487360065, 0.26670912417618337, 2.187353028420992),
-            (16.0, 0.21964232920795723, 0.662121226369011, 5.521843624510462),
-            (64.0, 0.262807570473214, 1.338318981142752, 13.73718342142532),
+            (1.0, 0.08995507883457154, 0.057514407705942176, 0.7850480774324045),
+            (4.0, 0.1645107948736193, 0.2667091241761814, 2.187353028421035),
+            (16.0, 0.21964232920703353, 0.6621212263690174, 5.521843624510402),
+            (64.0, 0.2628075704735551, 1.33831898114277, 13.737183421425454),
         ]
         for row, want in zip(tfw_sweep_rows, expected, strict=True):
             assert row == pytest.approx(want, rel=1e-12)
