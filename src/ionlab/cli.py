@@ -172,7 +172,7 @@ def _run_tf(
     sol = solve_tf(tfp, grid, tol=tol)
     payload = {
         "Z": tfp.z, "N": tfp.n_electrons, "mu": sol.mu, "mass": sol.mass,
-        "energy": sol.energy, "residual": sol.residual,
+        "energy": sol.terms.total, "residual": sol.residual,
     }
     table = [
         (float(r), float(rho), float(phi))
@@ -195,7 +195,7 @@ def _run_hartree(
         return {"points": len(rows)}, rows, ("t", "e", "mu", "bound_mass"), {}
     st = minimize_e(t, grid)
     payload = {
-        "t": st.t, "e": st.energy, "mu": st.mu, "bound_mass": st.bound_mass,
+        "t": st.t, "e": st.terms.total, "mu": st.mu, "bound_mass": st.bound_mass,
         "residual": st.residual,
     }
     return payload, None, None, {"iterations": st.iterations}
@@ -214,7 +214,7 @@ def _run_tfw(
     sol = solve_tfw(TFWParams(z=Z, **kw))
     chk = subharmonic_majorant_check(sol)
     payload = {
-        "Z": Z, "n_c": sol.n_c, "q": sol.q, "energy": sol.energy,
+        "Z": Z, "n_c": sol.n_c, "q": sol.q, "energy": sol.terms.total,
         "residual": sol.residual, "majorant_bound": chk.q_bound,
         "majorant_passed": chk.passed,
     }

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .radial import RadialField, RadialGrid
+from .tf import EnergyTerms
 from .tfw import TFWParams, _TFWModel, default_tfw_grid
 
 __all__ = [
@@ -37,7 +38,7 @@ class HartreeState:
     v: RadialField
     t: float
     mu: float
-    energy: float
+    terms: EnergyTerms
     bound_mass: float
     residual: float  # relative stationarity defect
     iterations: int
@@ -60,7 +61,7 @@ def _state(model: _TFWModel, t: float) -> HartreeState:
         v=RadialField(model.grid, st.u, nonnegative=True),
         t=float(t),
         mu=0.0 - st.lam,  # +0.0, not -0.0, off the cap
-        energy=model.energy(st.u, st.vh),
+        terms=model.terms(st.u, st.vh),
         bound_mass=model.mass(st.u),
         residual=st.residual,
         iterations=st.iterations,
@@ -88,6 +89,8 @@ def compute_tc(grid: RadialGrid | None = None, tol: float = 0.01) -> float:
         raise ParameterError(f"tolerance must be positive, got {tol}")
     model = _model(grid)
     tc = model.mass(model.minimize().u)
+    if not tol < tc:
+        raise ParameterError(f"tolerance {tol} must lie below t_c = {tc}")
     mu = 0.0 - model.minimize(tc - tol).lam
     if not mu > 0:
         raise ConvergenceError(
@@ -109,7 +112,7 @@ def e_curve(ts, grid: RadialGrid | None = None):
     rows = []
     for t in ts:
         st = _state(model, t)
-        rows.append((float(t), st.energy, st.mu, st.bound_mass))
+        rows.append((float(t), st.terms.total, st.mu, st.bound_mass))
     return rows
 
 
@@ -135,4 +138,4 @@ def hartree_energy_direct(
             f"cap N - 1 = {n_particles - 1.0:g} does not bind at Z = {z:g}: "
             "it exceeds the critical mass"
         )
-    return float(n_particles) / (n_particles - 1.0) * model.energy(st.u, st.vh)
+    return float(n_particles) / (n_particles - 1.0) * model.terms(st.u, st.vh).total

@@ -53,14 +53,15 @@ from .radial import (
 
 __all__ = [
     "C_TF_DEFAULT",
+    "EnergyTerms",
     "TFParams",
     "TFSolution",
     "TailFit",
     "default_tf_grid",
     "default_tail_window",
+    "energy_terms",
     "neutral_tail_solution",
     "solve_tf",
-    "tf_energy",
     "tf_scaling_check",
     "tf_tail_exponent",
     "sommerfeld_amplitude",
@@ -83,11 +84,32 @@ class TFParams:
 
 
 @dataclass(frozen=True)
+class EnergyTerms:
+    """The terms of E = c_w int |grad u|^2 + c_tf int rho^(5/3) - Z int rho/|x|
+    + (1/2) int rho (rho * 1/|x|), each nonnegative.  The virial defect (2K + P)/|P|,
+    K = gradient + bulk and P = hartree - attraction, is 0 at a continuum minimizer."""
+
+    gradient: float
+    bulk: float
+    attraction: float
+    hartree: float
+
+    @property
+    def total(self) -> float:
+        return self.gradient + self.bulk - self.attraction + self.hartree
+
+    @property
+    def virial_defect(self) -> float:
+        potential = self.hartree - self.attraction
+        return (2.0 * (self.gradient + self.bulk) + potential) / abs(potential)
+
+
+@dataclass(frozen=True)
 class TFSolution:
     rho: RadialField
     phi: RadialField  # Z/r - rho * 1/|x| - mu
     mu: float
-    energy: float
+    terms: EnergyTerms
     mass: float
     residual: float
     iterations: int
@@ -106,12 +128,15 @@ def default_tf_grid() -> RadialGrid:
     return make_log_grid(1e-4, 400.0, 2200)
 
 
-def _energy(grid: RadialGrid, params: TFParams, rho: np.ndarray, vh: np.ndarray) -> float:
-    """The functional at a density rho >= 0 with Hartree potential vh."""
-    kinetic = params.c_tf * integrate_3d(RadialField(grid, rho ** (5.0 / 3.0)))
-    attraction = params.z * integrate_3d(RadialField(grid, rho), radial_power=-1)
-    hartree = 0.5 * integrate_3d(RadialField(grid, rho * vh))
-    return float(kinetic - attraction + hartree)
+def energy_terms(grid: RadialGrid, z: float, c_tf: float, rho: np.ndarray, vh: np.ndarray,
+                 gradient: float = 0.0) -> EnergyTerms:
+    """The terms at a density rho >= 0 with vh = rho * 1/|x|, given the gradient term."""
+    return EnergyTerms(
+        gradient=gradient,
+        bulk=c_tf * integrate_3d(RadialField(grid, rho ** (5.0 / 3.0))),
+        attraction=z * integrate_3d(RadialField(grid, rho), radial_power=-1),
+        hartree=0.5 * integrate_3d(RadialField(grid, rho * vh)),
+    )
 
 
 def _mass_of_target(grid: RadialGrid, coeff: float, phi_bare: np.ndarray, mu: float):
@@ -275,20 +300,12 @@ def solve_tf(
         rho=RadialField(grid, rho, nonnegative=True),
         phi=RadialField(grid, params.z / grid.r - vh - mu),
         mu=mu,
-        energy=_energy(grid, params, rho, vh),
+        terms=energy_terms(grid, params.z, params.c_tf, rho, vh),
         mass=integrate_3d(RadialField(grid, rho)),
         residual=res,
         iterations=steps,
         params=params,
     )
-
-
-def tf_energy(rho: RadialField, params: TFParams) -> float:
-    """c_tf int rho^(5/3) - Z int rho/|x| + (1/2) int rho (rho * 1/|x|).
-
-    A density below zero beyond rounding raises DomainError."""
-    vh = newton_potential(rho).values
-    return _energy(rho.grid, params, np.clip(rho.values, 0.0, None), vh)
 
 
 def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:
@@ -300,9 +317,9 @@ def tf_scaling_check(params: TFParams, grid: RadialGrid | None = None) -> float:
     grid = grid if grid is not None else default_tf_grid()
     scale = params.z ** (-1.0 / 3.0)
     scaled_grid = replace(grid, r_min=grid.r_min * scale, r_max=grid.r_max * scale)
-    e_z = solve_tf(params, scaled_grid).energy
+    e_z = solve_tf(params, scaled_grid).terms.total
     ref = TFParams(z=1.0, n_electrons=params.n_electrons / params.z, c_tf=params.c_tf)
-    e_1 = solve_tf(ref, grid).energy
+    e_1 = solve_tf(ref, grid).terms.total
     return float(abs(e_z - params.z ** (7.0 / 3.0) * e_1) / abs(e_z))
 
 
@@ -355,9 +372,9 @@ def tf_tail_exponent(sol: TFSolution, fit_window: tuple | None = None) -> TailFi
         fit_window = default_tail_window(sol.params.z)
     lo, hi = fit_window
     grid = sol.rho.grid
-    if not (grid.r_min <= lo < hi <= grid.r_max):
-        raise ParameterError(f"fit window {fit_window} outside grid")
     mask = (grid.r >= lo) & (grid.r <= hi)
+    if not (grid.r_min <= lo < hi <= grid.r_max and np.count_nonzero(mask) >= 2):
+        raise ParameterError(f"fit window {fit_window} is off the grid or holds < 2 nodes")
     if sol.mu > 1e-8 or np.any(sol.phi.values[mask] <= 0.0):
         return TailFit(None, None, compact_support=True, window=fit_window)
     x = np.log(grid.r[mask])

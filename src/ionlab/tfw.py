@@ -48,7 +48,7 @@ from .radial import (
     reduced_laplacian,
     tridiagonal_solver,
 )
-from .tf import C_TF_DEFAULT, TFParams, solve_tf
+from .tf import C_TF_DEFAULT, EnergyTerms, TFParams, energy_terms, solve_tf
 
 __all__ = [
     "TFWParams",
@@ -86,7 +86,7 @@ class TFWSolution:
     phi: RadialField  # Z/|x| - u^2 * 1/|x|
     n_c: float
     q: float
-    energy: float
+    terms: EnergyTerms
     residual: float  # relative stationarity defect
     iterations: int  # Newton steps
     params: TFWParams
@@ -126,16 +126,10 @@ class _TFWModel:
         p = self.params
         return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - (p.z / self.grid.r - vh)
 
-    def energy(self, u: np.ndarray, vh: np.ndarray) -> float:
-        grid = self.grid
-        p = self.params
-        u2 = RadialField(grid, u * u)
+    def terms(self, u: np.ndarray, vh: np.ndarray) -> EnergyTerms:
         psi = self.grid.sr * u
-        kin = p.c_w * float(psi @ (self.a @ psi))
-        bulk = p.c_tf * integrate_3d(RadialField(grid, np.abs(u) ** (10.0 / 3.0)))
-        attract = p.z * integrate_3d(u2, radial_power=-1)
-        hart = 0.5 * integrate_3d(RadialField(grid, u * u * vh))
-        return float(kin + bulk - attract + hart)
+        gradient = self.params.c_w * float(psi @ (self.a @ psi))
+        return energy_terms(self.grid, self.params.z, self.params.c_tf, u * u, vh, gradient)
 
     def mass(self, u: np.ndarray) -> float:
         return float(integrate_3d(RadialField(self.grid, u * u)))
@@ -295,7 +289,7 @@ def solve_tfw(params: TFWParams, grid: RadialGrid | None = None) -> TFWSolution:
         phi=RadialField(grid, params.z / grid.r - st.vh),
         n_c=n_c,
         q=n_c - params.z,
-        energy=model.energy(st.u, st.vh),
+        terms=model.terms(st.u, st.vh),
         residual=st.residual,
         iterations=st.iterations,
         params=params,

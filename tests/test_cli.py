@@ -261,6 +261,12 @@ class TestMainExitCodes:
         assert captured.out == b""
         assert b"ionlab: " in captured.err
 
+    def test_tolerance_not_below_tc_exit_2(self, capsysbinary):
+        assert cli.main(["hartree", "--tc", "--tol", "1.5"]) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert b"t_c = " in captured.err and captured.err.count(b"\n") == 1
+
     def test_convergence_error_exit_3(self):
         # unreachable residual tolerance on a tiny grid
         code = cli.main(

@@ -8,7 +8,7 @@ from ionlab.hartree import (
     hartree_energy_direct,
     minimize_e,
 )
-from ionlab.radial import RadialField, make_log_grid
+from ionlab.radial import make_log_grid
 from ionlab.tfw import TFWParams, _TFWModel
 
 
@@ -21,12 +21,12 @@ class TestMinimize:
     def test_tiny_mass_is_hydrogenic(self, grid):
         st = minimize_e(1e-6, grid)
         assert st.mu == pytest.approx(0.25, rel=0.01)
-        assert st.energy / 1e-6 == pytest.approx(-0.25, rel=0.01)
+        assert st.terms.total / 1e-6 == pytest.approx(-0.25, rel=0.01)
         assert st.bound_mass == pytest.approx(1e-6, rel=1e-9)
 
     def test_unit_mass_binds(self, grid):
         st = minimize_e(1.0, grid)
-        assert st.energy < 0
+        assert st.terms.total < 0
         assert st.mu > 0
         assert st.bound_mass == pytest.approx(1.0, rel=1e-9)
 
@@ -37,8 +37,8 @@ class TestMinimize:
         assert st.bound_mass == pytest.approx(hartree_tc, abs=0.02)
 
     def test_flat_branch_energy(self, grid):
-        e16 = minimize_e(1.6, grid).energy
-        e20 = minimize_e(2.0, grid).energy
+        e16 = minimize_e(1.6, grid).terms.total
+        e20 = minimize_e(2.0, grid).terms.total
         assert abs(e16 - e20) < 1e-4
 
     def test_nonpositive_mass_rejected(self, grid):
@@ -54,7 +54,7 @@ class TestMinimize:
             trial = np.exp(-scale * grid.r)
             trial /= np.sqrt(model.mass(trial))
             vh = model.coulomb(trial)
-            assert model.energy(trial, vh) >= st.energy - 1e-12
+            assert model.terms(trial, vh).total >= st.terms.total - 1e-12
 
 
 class TestCriticalMass:
@@ -72,6 +72,12 @@ class TestCriticalMass:
             compute_tc(tol=0.0)
         with pytest.raises(ParameterError):
             compute_tc(tol=float("nan"))
+
+    def test_tolerance_not_below_tc_rejected(self, hartree_tc):
+        # tol = t_c would certify at a cap of 0, and tol > t_c at a negative one
+        for tol in (hartree_tc, 1.5):
+            with pytest.raises(ParameterError, match=r"t_c = 1\.207435"):
+                compute_tc(tol=tol)
 
     def test_matches_multiplier_bisection(self, hartree_tc):
         # Oracle: bisect on the sign of mu(t) over [1, 2]; mu > 0 while
@@ -112,7 +118,7 @@ class TestCriticalMass:
         assert tc == minimize_e(2.0, grid).bound_mass
         for t, energy, mu, bound in rows:
             st = minimize_e(t, grid)
-            assert (energy, mu, bound) == (st.energy, st.mu, st.bound_mass)
+            assert (energy, mu, bound) == (st.terms.total, st.mu, st.bound_mass)
 
 
 class TestECurve:
@@ -138,22 +144,11 @@ class TestECurve:
         with pytest.raises(ParameterError):
             e_curve([0.5, float("nan")], grid)
 
-    def test_virial_diagnostic_recorded(self, grid):
-        # 2K + V_attr + V_hartree vanishes at constrained minimizers;
-        # recorded here as a diagnostic, not asserted.  The parts must
-        # add up to the energy of the shared model.
-        from ionlab.radial import integrate_3d, newton_potential
-
-        st = minimize_e(1.0, grid)
-        v = st.v.values
-        model = _TFWModel(TFWParams(z=1.0, c_tf=0.0), grid)
-        psi = grid.sr * v
-        kin = float(psi @ (model.a @ psi))
-        attract = -integrate_3d(RadialField(grid, v * v), radial_power=-1)
-        u2 = RadialField(grid, v * v)
-        hart = 0.5 * integrate_3d(RadialField(grid, v * v * newton_potential(u2).values))
-        print(f"virial 2K + V = {2 * kin + attract + hart:.3e} (K={kin:.4f})")
-        assert kin + attract + hart == pytest.approx(st.energy, rel=1e-12)
+    def test_virial_defect_small(self):
+        # 2K + P vanishes at a minimizer, on the cap or off it: a dilation
+        # keeps the mass.  The default grid reads -9.58e-5 to -9.67e-5.
+        for t in (0.2, 0.6, 1.0, 2.0):
+            assert abs(minimize_e(t).terms.virial_defect) < 2e-4, t
 
 
 class TestScalingConsistency:
@@ -162,7 +157,7 @@ class TestScalingConsistency:
         direct = hartree_energy_direct(n_particles, z, grid)
         t = (n_particles - 1.0) / z
         st = minimize_e(t, grid)
-        predicted = n_particles * z**3 / (n_particles - 1.0) * st.energy
+        predicted = n_particles * z**3 / (n_particles - 1.0) * st.terms.total
         assert abs(direct - predicted) / abs(direct) < 1e-3
 
     def test_unscaled_matches_rescaled_form_below_unit_charge(self):
@@ -170,7 +165,7 @@ class TestScalingConsistency:
         # seed runs into the null state; the deflated steps reach the
         # minimizer.
         direct = hartree_energy_direct(1.5, 0.5)
-        predicted = 1.5 * 0.5**3 / 0.5 * minimize_e(1.0).energy
+        predicted = 1.5 * 0.5**3 / 0.5 * minimize_e(1.0).terms.total
         assert abs(direct - predicted) / abs(direct) < 1e-3
 
     def test_direct_requires_multiple_particles(self, grid):
@@ -199,7 +194,7 @@ class TestReferenceValues:
         ],
     )
     def test_e_of_t(self, t, energy):
-        assert minimize_e(t).energy == pytest.approx(energy, rel=1e-8)
+        assert minimize_e(t).terms.total == pytest.approx(energy, rel=1e-8)
 
     def test_direct_energy(self):
         assert hartree_energy_direct(3.0, 2.5) == pytest.approx(

@@ -4,16 +4,22 @@ import pytest
 import ionlab.krylov
 import ionlab.tf
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
-from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log_grid
+from ionlab.radial import (
+    RadialField,
+    coulomb_potential,
+    integrate_3d,
+    make_log_grid,
+    newton_potential,
+)
 from ionlab.tf import (
     C_TF_DEFAULT,
     TFParams,
     _initial_density,
     default_tail_window,
+    energy_terms,
     neutral_tail_solution,
     solve_tf,
     sommerfeld_amplitude,
-    tf_energy,
     tf_scaling_check,
     tf_tail_exponent,
 )
@@ -138,7 +144,7 @@ class TestNewtonSolve:
         sol = solve_tf(TFParams(z=z, n_electrons=n))
         rel = {"mass": 1e-10, "mu": 1e-8}[field]
         assert getattr(sol, field) == pytest.approx(value, rel=rel, abs=0.0)
-        assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+        assert sol.terms.total == pytest.approx(energy, rel=1e-12, abs=0.0)
 
     def test_reaches_tight_tolerance(self):
         # The far-field Coulomb shells are summed from the box edge inward;
@@ -221,15 +227,21 @@ class TestNewtonStart:
         assert jacobian_products[0] <= 9
 
 
+def energy_of(rho, params):
+    """The functional at a density field, its Coulomb potential solved here."""
+    vh = newton_potential(rho).values
+    return energy_terms(rho.grid, params.z, params.c_tf, rho.values, vh).total
+
+
 class TestEnergyFunctional:
     def test_zero_density(self, small_grid):
         rho = RadialField(small_grid, np.zeros(small_grid.n))
-        assert tf_energy(rho, TFParams(z=1.0, n_electrons=1.0)) == 0.0
+        assert energy_of(rho, TFParams(z=1.0, n_electrons=1.0)) == 0.0
 
     def test_reported_energy_self_consistent(self, small_grid):
         params = TFParams(z=1.0, n_electrons=1.0)
         sol = solve_tf(params, small_grid)
-        assert tf_energy(sol.rho, params) == pytest.approx(sol.energy, abs=1e-10)
+        assert energy_of(sol.rho, params) == pytest.approx(sol.terms.total, abs=1e-10)
 
     def test_minimizer_beats_trial_densities(self, small_grid):
         params = TFParams(z=1.0, n_electrons=1.0)
@@ -238,16 +250,23 @@ class TestEnergyFunctional:
             trial = RadialField(small_grid, np.exp(-scale * small_grid.r))
             mass = integrate_3d(trial)
             trial = RadialField(small_grid, trial.values / mass)  # mass 1
-            assert tf_energy(trial, params) >= sol.energy - 1e-12
+            assert energy_of(trial, params) >= sol.terms.total - 1e-12
 
     def test_negative_density_rejected(self, small_grid):
         rho = RadialField(small_grid, -np.ones(small_grid.n))
         with pytest.raises(DomainError):
-            tf_energy(rho, TFParams(z=1.0, n_electrons=1.0))
+            energy_of(rho, TFParams(z=1.0, n_electrons=1.0))
+
+    def test_virial_defect_falls_with_r_min(self, tf_neutral_z1):
+        # 2K + P vanishes at the minimizer; the grid's defect goes as
+        # r_min^(1/2): -1.110e-3 at r_min = 1e-4, -1.105e-4 at 1e-6.
+        coarse = tf_neutral_z1.terms.virial_defect
+        fine = solve_tf(TFParams(z=1.0, n_electrons=1.0), make_log_grid(1e-6, 400.0, 3000))
+        assert abs(fine.terms.virial_defect) * 5.0 <= abs(coarse)
 
     def test_energy_nonincreasing_in_n_and_flat_above_z(self, small_grid):
         params = [TFParams(z=1.0, n_electrons=n) for n in (0.4, 0.7, 1.0, 1.5, 2.5)]
-        energies = [solve_tf(p, small_grid).energy for p in params]
+        energies = [solve_tf(p, small_grid).terms.total for p in params]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 1e-10
         assert energies[-1] == pytest.approx(energies[-2], abs=1e-8)
@@ -294,6 +313,15 @@ class TestTail:
         with pytest.raises(ParameterError):
             tf_tail_exponent(tf_neutral_z1, (5.0, 5000.0))
 
+    @pytest.mark.parametrize("lo, hi, nodes", [(1.001, 1.002, 0), (0.999, 1.001, 1)])
+    def test_window_under_two_nodes_rejected(self, tf_tail_z1, lo, hi, nodes):
+        # about the first node past r = 2000: inside one cell, or around the node
+        r = tf_tail_z1.rho.grid.r
+        window = tuple(factor * r[np.searchsorted(r, 2000.0)] for factor in (lo, hi))
+        assert np.count_nonzero((r >= window[0]) & (r <= window[1])) == nodes
+        with pytest.raises(ParameterError):
+            tf_tail_exponent(tf_tail_z1, window)
+
     def test_default_window_scales_with_charge(self):
         lo1, hi1 = default_tail_window(1.0)
         lo8, hi8 = default_tail_window(8.0)
@@ -328,6 +356,6 @@ class TestUniquenessAndPositivity:
 
     def test_grid_refinement_stability(self):
         params = TFParams(z=1.0, n_electrons=1.0)
-        e1 = solve_tf(params, make_log_grid(1e-4, 400.0, 1100)).energy
-        e2 = solve_tf(params, make_log_grid(1e-4, 400.0, 2200)).energy
+        e1 = solve_tf(params, make_log_grid(1e-4, 400.0, 1100)).terms.total
+        e2 = solve_tf(params, make_log_grid(1e-4, 400.0, 2200)).terms.total
         assert abs(e2 - e1) / abs(e2) < 1e-4

@@ -110,6 +110,14 @@ class TestStationarity:
     def test_residual_small(self, tfw_z1):
         assert tfw_z1.residual < 1e-9
 
+    def test_virial_defect_linear_in_r_min(self):
+        # -9.88e-4 at r_min = 1e-4 and -1.03e-4 at 1e-5.  Not at Z = 1,
+        # where the outer box sets the defect.
+        params = TFWParams(z=64.0)
+        coarse = solve_tfw(params, make_log_grid(1e-4, 100.0, 2000)).terms.virial_defect
+        fine = solve_tfw(params, make_log_grid(1e-5, 100.0, 2000)).terms.virial_defect
+        assert abs(fine) * 5.0 <= abs(coarse)
+
     def test_solution_mass_equals_nc(self, tfw_z1):
         mass = integrate_3d(RadialField(tfw_z1.u.grid, tfw_z1.u.values**2))
         assert mass == pytest.approx(tfw_z1.n_c, rel=1e-12)
@@ -282,7 +290,7 @@ class TestMajorant:
             phi=tfw_z1.phi,
             n_c=tfw_z1.n_c,
             q=tfw_z1.q,
-            energy=tfw_z1.energy,
+            terms=tfw_z1.terms,
             residual=tfw_z1.residual,
             iterations=tfw_z1.iterations,
             params=tfw_z1.params,
@@ -308,7 +316,7 @@ class TestMajorant:
             phi=RadialField(grid, tfw_z1.params.z / grid.r - vh),
             n_c=model.mass(bad_u),
             q=model.mass(bad_u) - tfw_z1.params.z,
-            energy=model.energy(bad_u, vh),
+            terms=model.terms(bad_u, vh),
             residual=res,
             iterations=tfw_z1.iterations,
             params=tfw_z1.params,
