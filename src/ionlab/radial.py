@@ -245,15 +245,15 @@ class Tridiagonal:
         return y
 
 
-def reduced_laplacian(grid: RadialGrid) -> Tridiagonal:
+def reduced_laplacian(grid: RadialGrid, mass: np.ndarray | None = None) -> Tridiagonal:
     """-d^2/dr^2 on phi = r*f with Dirichlet at both grid ends.
 
     Assembled as the piecewise-linear stiffness matrix, with ghost nodes
     extending the log spacing one step past each end where phi = 0, then
-    symmetrized against the lumped mass:  A = M^(-1/2) K M^(-1/2).  The
-    matrix acts in the weighted representation psi_i = sqrt(4 pi m_i) phi_i,
-    in which the Euclidean inner product equals the L2(R3) product of the
-    underlying radial functions.  Multiplication operators are diagonal and
+    symmetrized against the lumped mass m (``grid.mass`` by default) as
+    A = M^(-1/2) K M^(-1/2), acting in the weighted representation
+    psi_i = sqrt(4 pi m_i) phi_i, whose Euclidean inner product is the
+    m-lumped L2(R3) product.  Multiplication operators are diagonal and
     identical in both representations.  DomainError, naming the grid,
     refuses a grid whose entries, about 2 / (h r_min)^2, pass the float range.
     """
@@ -271,7 +271,7 @@ def reduced_laplacian(grid: RadialGrid) -> Tridiagonal:
         diag[1:-1] = inv[:-1] + inv[1:]
         diag[-1] = inv[-1] + 1.0 / dr_hi
 
-        s = 1.0 / np.sqrt(grid.mass)
+        s = 1.0 / np.sqrt(grid.mass if mass is None else mass)
         t = Tridiagonal(diag * s * s, -inv * s[:-1] * s[1:])
     if not (np.isfinite(t.diag).all() and np.isfinite(t.off).all()):
         raise DomainError(f"grid {grid.descriptor()}: reduced Laplacian entries overflow")

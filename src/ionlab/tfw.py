@@ -113,8 +113,8 @@ class _TFWModel:
     def __init__(self, params: TFWParams, grid: RadialGrid):
         self.params = params
         self.grid = grid
-        self.a = reduced_laplacian(grid)
-        self.wm = grid.w / grid.mass  # mass = sum wm psi^2
+        self.a = reduced_laplacian(grid, grid.w)  # lumped on the quadrature weights
+        self.sw = np.sqrt(4.0 * np.pi * grid.w) * grid.r  # psi = sw u, mass = sum psi^2
 
     def coulomb(self, u: np.ndarray) -> np.ndarray:
         """Hartree potential u^2 * 1/|x|: the one Coulomb solve per density.
@@ -127,7 +127,7 @@ class _TFWModel:
         return (5.0 / 3.0) * p.c_tf * np.abs(u) ** (4.0 / 3.0) - (p.z / self.grid.r - vh)
 
     def terms(self, u: np.ndarray, vh: np.ndarray) -> EnergyTerms:
-        psi = self.grid.sr * u
+        psi = self.sw * u
         gradient = self.params.c_w * float(psi @ (self.a @ psi))
         return energy_terms(self.grid, self.params.z, self.params.c_tf, u * u, vh, gradient)
 
@@ -137,7 +137,7 @@ class _TFWModel:
     def stationarity(self, u: np.ndarray, vh: np.ndarray, lam: float = 0.0):
         """F = (c_w A + vloc - lambda) psi, and its norm relative to the
         sizes of its kinetic and potential parts."""
-        psi = self.grid.sr * u
+        psi = self.sw * u
         kin_part = self.params.c_w * (self.a @ psi)
         pot_part = (self.local_potential(u, vh) - lam) * psi
         f = kin_part + pot_part
@@ -159,15 +159,14 @@ class _TFWModel:
         tf0 = solve_tf(TFParams(z=p.z, n_electrons=p.z, c_tf=p.c_tf), self.grid)
         return np.sqrt(np.clip(tf0.rho.values, 0.0, None)) + 1e-30
 
-    def newton(self, u: np.ndarray, cap: float | None, stage: str):
+    def newton(self, u: np.ndarray, cap: float | None, stage: str, lam: float = 0.0):
         """Newton-GMRES on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
 
-        Without a cap lambda = 0.  Under a cap lambda is a second unknown,
-        bordered by the quadrature mass row sum (w/m) psi^2 - cap and
-        started at the Rayleigh quotient of u.  The Jacobian-vector product
+        Without a cap lambda = 0; under one it is an unknown started at lam,
+        bordered by the mass row sum psi^2 - cap.  The Jacobian-vector product
 
             c_w A d + (vloc + (20/9) c_tf |u|^(4/3) - lambda) d
-                    + psi (2 u d/(s r)) * 1/|x|
+                    + psi (2 u d/sw) * 1/|x|
 
         costs one Coulomb solve.  GMRES is right-preconditioned by the
         tridiagonal part T, bordered under a cap, at one LU per Newton step
@@ -191,18 +190,16 @@ class _TFWModel:
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
         deflate = cap is None and c_tf == 0.0
-        x = self.grid.sr * u
-        if cap is not None:
-            x = np.append(x, float(x @ self.stationarity(u, self.coulomb(u))[0]) / float(x @ x))
+        x = self.sw * u if cap is None else np.append(self.sw * u, lam)
 
         def defect(x):
             psi = x[:n]
             lam = x[n] if cap is not None else 0.0
-            u = psi / self.grid.sr
+            u = psi / self.sw
             vh = self.coulomb(u)
             f, rel = self.stationarity(u, vh, lam)
             if cap is not None:
-                dm = float(self.wm @ (psi * psi)) - cap
+                dm = float(psi @ psi) - cap
                 f = np.append(f, dm)
                 rel = max(rel, abs(dm) / cap)
             merit = np.linalg.norm(f) / (psi @ psi if deflate else 1.0)
@@ -213,9 +210,9 @@ class _TFWModel:
             bulk = (20.0 / 9.0) * c_tf * np.abs(u) ** (4.0 / 3.0)
             diag = self.local_potential(u, vh) + bulk - lam
             t_solve = tridiagonal_solver(Tridiagonal(c_w * self.a.diag + diag, c_w * self.a.off))
-            g = 2.0 * u / self.grid.sr
+            g = 2.0 * u / self.sw
             if cap is not None:
-                c = 2.0 * self.wm * psi
+                c = 2.0 * psi
                 t_psi = t_solve(psi)
 
             def jac(y):
@@ -224,7 +221,7 @@ class _TFWModel:
                 out = c_w * (self.a @ d) + diag * d + psi * dvh
                 if cap is None:
                     return out
-                return np.append(out - y[n] * psi, 2.0 * self.wm @ (psi * d))
+                return np.append(out - y[n] * psi, c @ d)
 
             def precond(y):
                 # Block elimination of the bordered T under a cap.
@@ -261,15 +258,18 @@ class _TFWModel:
         gradient-corrected and product-state solves.
 
         The uncapped minimizer stands unless it carries more than cap;
-        then a bordered Newton solve follows, started from it rescaled
-        onto the cap.  Returns that solve's ``_State``, its iterations the
-        steps of both stages.
+        then a bordered Newton solve follows from it and its vh rescaled
+        onto the cap, lambda at their Rayleigh quotient.  Returns that
+        solve's ``_State``, its iterations the steps of both stages.
         """
         free = self.uncapped
         mass = self.mass(free.u)
         if cap is None or mass <= cap:
             return free
-        state = self.newton(np.sqrt(cap / mass) * free.u, cap, "constrained stage")
+        u = np.sqrt(cap / mass) * free.u
+        psi = self.sw * u
+        lam = float(psi @ self.stationarity(u, (cap / mass) * free.vh)[0]) / float(psi @ psi)
+        state = self.newton(u, cap, "constrained stage", lam)
         return replace(state, iterations=free.iterations + state.iterations)
 
 

@@ -105,9 +105,9 @@ class TestCriticalMass:
         caps = []
         newton = ionlab.tfw._TFWModel.newton
 
-        def counted(self, u, cap, stage):
+        def counted(self, u, cap, stage, *lam):
             caps.append(cap)
-            return newton(self, u, cap, stage)
+            return newton(self, u, cap, stage, *lam)
 
         monkeypatch.setattr(ionlab.tfw._TFWModel, "newton", counted)
         tc = compute_tc(grid)
@@ -146,7 +146,7 @@ class TestECurve:
 
     def test_virial_defect_small(self):
         # 2K + P vanishes at a minimizer, on the cap or off it: a dilation
-        # keeps the mass.  The default grid reads -9.58e-5 to -9.67e-5.
+        # keeps the mass.  The default grid reads -9.78e-5 to -9.87e-5.
         for t in (0.2, 0.6, 1.0, 2.0):
             assert abs(minimize_e(t).terms.virial_defect) < 2e-4, t
 
@@ -203,4 +203,4 @@ class TestReferenceValues:
 
     def test_critical_mass_pinned(self, hartree_tc):
         # Newton's converged t_c at full precision, not just the old SCF's 1e-8.
-        assert hartree_tc == pytest.approx(1.2074350454540084, rel=1e-12)
+        assert hartree_tc == pytest.approx(1.207435045943805, rel=1e-12)

@@ -497,7 +497,7 @@ class TestTridiagonalSolver:
         model = _TFWModel(TFWParams(z=1.0), default_tfw_grid())
         u = model.seed()
         vloc = model.local_potential(u, model.coulomb(u))
-        return Tridiagonal(model.a.diag + vloc, model.a.off), model.grid.sr * u
+        return Tridiagonal(model.a.diag + vloc, model.a.off), model.sw * u
 
     @staticmethod
     def _pivoting_matrix(n=200):

@@ -80,10 +80,10 @@ class TestExcessCharge:
         # Newton's converged answers at full precision, so that a Hartree
         # potential reused for the wrong density cannot pass unnoticed.
         expected = [
-            (1.0, 0.08995507883457154, 0.057514407705942176, 0.7850480774324045),
-            (4.0, 0.1645107948736193, 0.2667091241761814, 2.187353028421035),
-            (16.0, 0.21964232920703353, 0.6621212263690174, 5.521843624510402),
-            (64.0, 0.2628075704735551, 1.33831898114277, 13.737183421425454),
+            (1.0, 0.08995520621160802, 0.05751431823182184, 0.785048317625722),
+            (4.0, 0.1645111492299911, 0.2667090125485306, 2.1873538727659234),
+            (16.0, 0.21964288502589469, 0.6621212637327327, 5.521844444759957),
+            (64.0, 0.2628082726787113, 1.3383190378596175, 13.737183518057925),
         ]
         for row, want in zip(tfw_sweep_rows, expected, strict=True):
             assert row == pytest.approx(want, rel=1e-12)
@@ -133,7 +133,7 @@ class TestStationarity:
     )
     def test_coulomb_solve_budget_per_newton_step(self, monkeypatch, params, cap):
         """A Newton step costs one Coulomb solve per density tried and one
-        per Jacobian product, 4.6 to 6.7 in these cases (the gradient-free
+        per Jacobian product, 5.0 to 6.7 in these cases (the gradient-free
         seed's own solves are not counted)."""
         counts = {"density": 0, "signed": 0}
 
@@ -179,8 +179,12 @@ class TestStationarity:
 )
 def test_no_coulomb_solve_after_the_last_newton_solve(monkeypatch, solve):
     """Every answer is read off the final state of the Newton solve that
-    produced it, which carries the Hartree potential of its density."""
-    count = {"solves": 0, "at_last_newton": None}
+    produced it, which carries the Hartree potential of its density, and a
+    capped solve starts from the uncapped state rescaled onto the cap, whose
+    Hartree potential rescales with it: once the first Newton solve begins,
+    every Coulomb solve falls inside one."""
+    count = {"solves": 0}
+    marks = []  # the count on entering and on leaving each Newton solve
     coulomb = ionlab.radial.coulomb_potential
 
     def counted_coulomb(*args, **kwargs):
@@ -188,8 +192,9 @@ def test_no_coulomb_solve_after_the_last_newton_solve(monkeypatch, solve):
         return coulomb(*args, **kwargs)
 
     def counted_newton(*args, **kwargs):
+        marks.append(count["solves"])
         out = ionlab.krylov.newton_krylov(*args, **kwargs)
-        count["at_last_newton"] = count["solves"]
+        marks.append(count["solves"])
         return out
 
     for module in (ionlab.radial, ionlab.tf, ionlab.tfw):
@@ -197,8 +202,57 @@ def test_no_coulomb_solve_after_the_last_newton_solve(monkeypatch, solve):
     for module in (ionlab.tf, ionlab.tfw):
         monkeypatch.setattr(module, "newton_krylov", counted_newton)
     solve()
-    assert count["at_last_newton"] is not None
-    assert count["solves"] == count["at_last_newton"]
+    assert marks
+    assert marks[2::2] == marks[1:-1:2]
+    assert count["solves"] == marks[-1]
+
+
+class TestExactGradient:
+    """F = (c_w A + vloc - lambda) psi is half the gradient in psi of the
+    energy the solve reports, terms().total, less lambda's mass term."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(TFWParams(z=z), None) for z in (1.0, 4.0, 16.0, 64.0)]
+        + [(TFWParams(z=1.0, c_tf=0.0), t) for t in (0.2, 0.6)],
+        ids=["tfw-Z1", "tfw-Z4", "tfw-Z16", "tfw-Z64", "hartree-t0.2", "hartree-t0.6"],
+    )
+    def state(self, request):
+        params, cap = request.param
+        model = _TFWModel(params, default_tfw_grid())
+        st = model.minimize(cap)
+        assert (st.lam < 0) == (cap is not None)
+        return model, st
+
+    def test_along_u(self, state):
+        # E(s u) has the terms s^2 gradient, s^(10/3) bulk, s^2 attraction
+        # and s^4 hartree, so d/ds at s = 1 needs no finite difference.
+        model, st = state
+        terms = model.terms(st.u, st.vh)
+        de = 2.0 * terms.gradient + (10.0 / 3.0) * terms.bulk
+        de += 4.0 * terms.hartree - 2.0 * terms.attraction
+        psi = model.sw * st.u
+        f, _ = model.stationarity(st.u, st.vh, st.lam)
+        assert abs(de - 2.0 * st.lam * (psi @ psi) - 2.0 * (psi @ f)) <= 1e-12 * abs(terms.total)
+
+    def test_in_a_random_direction(self, state):
+        # The five-point central difference is exact on the quadratic and
+        # quartic terms and, at this step, on the bulk term far inside the
+        # bound; what it reads, up to 7e-10 |E|, is the end-node asymmetry
+        # of the Coulomb map.
+        model, st = state
+        du = st.u * np.random.default_rng(46).standard_normal(st.u.size)
+        eps = 3e-3
+
+        def energy(s):
+            u = st.u + s * eps * du
+            return model.terms(u, model.coulomb(u)).total
+
+        de = (8.0 * (energy(1) - energy(-1)) - (energy(2) - energy(-2))) / (12.0 * eps)
+        psi, dpsi = model.sw * st.u, model.sw * du
+        f, _ = model.stationarity(st.u, st.vh, st.lam)
+        total = model.terms(st.u, st.vh).total
+        assert abs(de - 2.0 * st.lam * (psi @ dpsi) - 2.0 * (f @ dpsi)) <= 1e-8 * abs(total)
 
 
 class TestDenseOracle:
@@ -214,28 +268,27 @@ class TestDenseOracle:
             [coulomb_potential(RadialField(grid, e)).values for e in np.eye(n)]
         )
         a = np.diag(model.a.diag) + np.diag(model.a.off, 1) + np.diag(model.a.off, -1)
-        sr = grid.sr
-        wm = grid.w / grid.mass
-        psi = sr * u
+        sw = np.sqrt(4.0 * np.pi * grid.w) * grid.r  # the mass is sum psi^2
+        psi = sw * u
         lam = 0.0
         if cap is not None:
-            psi *= np.sqrt(cap / (wm @ (psi * psi)))
+            psi *= np.sqrt(cap / (psi @ psi))
         for _ in range(100):
-            u = psi / sr
+            u = psi / sw
             bulk = p.c_tf * np.abs(u) ** (4.0 / 3.0)
             vloc = (5.0 / 3.0) * bulk - p.z / grid.r + coul @ (u * u) - lam
             f = p.c_w * (a @ psi) + vloc * psi
             jac = p.c_w * a + np.diag(vloc + (20.0 / 9.0) * bulk)
-            jac += psi[:, None] * coul * (2.0 * u / sr)[None, :]
+            jac += psi[:, None] * coul * (2.0 * u / sw)[None, :]
             if cap is not None:
-                f = np.append(f, wm @ (psi * psi) - cap)
-                jac = np.block([[jac, -psi[:, None]], [2.0 * wm * psi, np.zeros(1)]])
+                f = np.append(f, psi @ psi - cap)
+                jac = np.block([[jac, -psi[:, None]], [2.0 * psi, np.zeros(1)]])
             dx = np.linalg.solve(jac, -f)
             psi = psi + dx[:n]
             if cap is not None:
                 lam += dx[n]
             if np.linalg.norm(dx[:n]) < 1e-14 * np.linalg.norm(psi):
-                return psi / sr, lam
+                return psi / sw, lam
         raise AssertionError("dense Newton did not converge")
 
     @pytest.mark.parametrize(
