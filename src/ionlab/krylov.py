@@ -18,7 +18,7 @@ from .radial import _flapack
 dlartg = _flapack.dlartg
 
 # Newton steps per solve before ConvergenceError: TF takes 3 to 8 on its
-# default grid and 7 to 9 on the far-tail boxes, TFW and Hartree 5 to 29 on
+# default grid and 7 to 9 on the far-tail boxes, TFW and Hartree 5 to 20 on
 # their default grid.
 MAX_NEWTON_STEPS = 50
 # Krylov steps per Newton step, and the relative residual at which they stop.

@@ -33,6 +33,7 @@ __all__ = [
     "Tridiagonal",
     "reduced_laplacian",
     "tridiagonal_solver",
+    "coupled_solver",
     "spectrum_above",
     "extremal_eigs",
 ]
@@ -76,6 +77,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 dstebz = _flapack.dstebz
 
@@ -278,6 +280,17 @@ def reduced_laplacian(grid: RadialGrid, mass: np.ndarray | None = None) -> Tridi
     return t
 
 
+def _poisson_laplacian(grid: RadialGrid, mass: np.ndarray) -> Tridiagonal:
+    """``reduced_laplacian(grid, mass)`` with a Neumann last row and no
+    ghost cell: the operator of Poisson's equation for the potential of a
+    charge inside the box, which is Q/r past it, so r phi is flat at the
+    edge rather than zero."""
+    a = reduced_laplacian(grid, mass)
+    diag = a.diag.copy()
+    diag[-1] = (1.0 / (grid.r[-1] - grid.r[-2])) / mass[-1]
+    return Tridiagonal(diag, a.off)
+
+
 def tridiagonal_solver(t: Tridiagonal):
     """Solve with the symmetric tridiagonal t, factored once.
 
@@ -296,6 +309,42 @@ def tridiagonal_solver(t: Tridiagonal):
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
         return dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
+
+
+def coupled_solver(t: Tridiagonal, a: Tridiagonal, upper: np.ndarray, lower: np.ndarray):
+    """Solve [T, diag(upper); diag(lower), A] (x, w) = (y, 0) for x, factored
+    once, T and A symmetric tridiagonal of one size.
+
+    With the unknowns interleaved as (x_0, w_0, x_1, w_1, ...) the matrix is
+    a band with two sub- and two superdiagonals: LU with partial pivoting
+    (LAPACK gbtrf) on the band, held in Fortran order so that the wrapper
+    factors it in place, then one gbtrs substitution per right-hand side.
+    Raises ValueError on a non-finite or misshapen entry or rhs and
+    LinAlgError on a singular matrix.
+    """
+    m = 2 * t.diag.size
+    # entry (i, j) at ab[4 + i - j, j]; rows 0 and 1 take the fill-in
+    ab = np.zeros((7, m), order="F")
+    ab[2, 2::2] = ab[6, :-2:2] = t.off
+    ab[2, 3::2] = ab[6, 1:-2:2] = a.off
+    ab[3, 1::2] = upper
+    ab[4, ::2] = t.diag
+    ab[4, 1::2] = a.diag
+    ab[5, ::2] = lower
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, ipiv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("array must not contain infs or NaNs")
+        b = np.zeros(m)
+        b[::2] = rhs
+        return dgbtrs(lu, 2, 2, b, ipiv, overwrite_b=1)[0][::2]
 
     return solve
 

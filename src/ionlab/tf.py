@@ -43,11 +43,11 @@ from .radial import (
     RadialField,
     RadialGrid,
     Tridiagonal,
+    _poisson_laplacian,
     coulomb_potential,
     integrate_3d,
     make_log_grid,
     newton_potential,
-    reduced_laplacian,
     tridiagonal_solver,
 )
 
@@ -224,7 +224,8 @@ def _newton(
     4 pi A^(-1) on reduced weighted functions s r f, so the right
     preconditioner (A + 4 pi rho')^(-1) A, at one LU per Newton step and
     one back-substitution per Krylov step, inverts the Jacobian up to the
-    projection term.  Its A has a Neumann last row: past the box the
+    projection term.  Its A, ``radial._poisson_laplacian`` on the mass
+    lumping, has a Neumann last row: past the box the
     quadrature potential is Q/r, so r phi is flat at the edge, not zero as
     the Dirichlet ghost cell of ``reduced_laplacian`` has it.  From the
     same starts, the eight TF solves of a benchmark density pass make 78
@@ -237,11 +238,7 @@ def _newton(
     coeff = (3.0 / (5.0 * params.c_tf)) ** 1.5
     q = 4.0 * np.pi * grid.w * grid.r**2
     sqrt_q = np.sqrt(q)
-    a = reduced_laplacian(grid)
-    # the Neumann last row, with no ghost cell
-    diag = a.diag.copy()
-    diag[-1] = (1.0 / (grid.r[-1] - grid.r[-2])) / grid.mass[-1]
-    a = Tridiagonal(diag, a.off)
+    a = _poisson_laplacian(grid, grid.mass)
 
     def defect(phi):
         mu, rho = _projected_target(grid, params, phi, n_cap)

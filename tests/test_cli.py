@@ -557,8 +557,8 @@ class TestLazyImports:
         same, flapack, w, root = json.loads(_fresh_python(code).splitlines()[-1])
         assert same == {
             f"ionlab.{name}": True
-            for name in ("radial.dgttrf", "radial.dgttrs", "radial.dpttrf", "radial.dpttrs",
-                         "radial.dstebz", "krylov.dlartg")
+            for name in ("radial.dgttrf", "radial.dgttrs", "radial.dgbtrf", "radial.dgbtrs",
+                         "radial.dpttrf", "radial.dpttrs", "radial.dstebz", "krylov.dlartg")
         }
         assert flapack
         assert w == pytest.approx([1.0, 3.0], rel=1e-14)

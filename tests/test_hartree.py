@@ -152,20 +152,26 @@ class TestECurve:
 
 
 class TestScalingConsistency:
-    def test_unscaled_matches_rescaled_form(self, grid):
-        n_particles, z = 3.0, 2.5
+    @pytest.mark.parametrize(
+        "n_particles, z, grid_args",
+        [
+            (3.0, 2.5, (1e-4, 100.0, 1500)),
+            # At Z = 0.5 on the default grid plain Newton from the
+            # hydrogenic seed runs into the null state; the deflated steps
+            # reach the minimizer.
+            (1.5, 0.5, None),
+            # Two capped solves whose mass defect sits at the 1e-9 stop.
+            (3.0, 4.0, None),
+            (1.5, 0.5, (1e-5, 100.0, 2000)),
+        ],
+        ids=["N3-Z2.5", "N1.5-Z0.5", "N3-Z4", "N1.5-Z0.5-rmin1e-5"],
+    )
+    def test_unscaled_matches_rescaled_form(self, n_particles, z, grid_args):
+        grid = make_log_grid(*grid_args) if grid_args else None
         direct = hartree_energy_direct(n_particles, z, grid)
         t = (n_particles - 1.0) / z
         st = minimize_e(t, grid)
         predicted = n_particles * z**3 / (n_particles - 1.0) * st.terms.total
-        assert abs(direct - predicted) / abs(direct) < 1e-3
-
-    def test_unscaled_matches_rescaled_form_below_unit_charge(self):
-        # At Z = 0.5 on the default grid plain Newton from the hydrogenic
-        # seed runs into the null state; the deflated steps reach the
-        # minimizer.
-        direct = hartree_energy_direct(1.5, 0.5)
-        predicted = 1.5 * 0.5**3 / 0.5 * minimize_e(1.0).terms.total
         assert abs(direct - predicted) / abs(direct) < 1e-3
 
     def test_direct_requires_multiple_particles(self, grid):

@@ -16,7 +16,9 @@ from ionlab.radial import (
     RadialField,
     RadialGrid,
     Tridiagonal,
+    _poisson_laplacian,
     coulomb_potential,
+    coupled_solver,
     extremal_eigs,
     integrate_3d,
     make_log_grid,
@@ -543,6 +545,106 @@ class TestTridiagonalSolver:
                 with pytest.raises(ValueError):
                     call()
             arr[2] = 1.0
+
+
+class TestPoissonLaplacian:
+    """The Laplacian of the Coulomb map: Dirichlet at the inner ghost node
+    and a Neumann last row, because the potential is Q/r past the box."""
+
+    @pytest.mark.parametrize("lumping", ["mass", "w"])
+    def test_differs_only_in_the_last_row(self, default_grid, lumping):
+        m = getattr(default_grid, lumping)
+        a, p = reduced_laplacian(default_grid, m), _poisson_laplacian(default_grid, m)
+        assert np.array_equal(p.off, a.off)
+        assert np.array_equal(p.diag[:-1], a.diag[:-1])
+        assert p.diag[-1] < a.diag[-1]
+
+    @pytest.mark.parametrize("lumping", ["mass", "w"])
+    def test_edge_potential_is_q_over_r(self, default_grid, lumping):
+        # 4 pi A^(-1) on s rho, s = sqrt(4 pi m) r, against the Coulomb map at
+        # the last node: 5e-5 relative with the Neumann row, 0.99 with the
+        # Dirichlet ghost cell
+        g = default_grid
+        m = getattr(g, lumping)
+        s = np.sqrt(4.0 * np.pi * m) * g.r
+        rho = np.exp(-g.r)
+        vh = coulomb_potential(RadialField(g, rho)).values
+        for a, bound in ((_poisson_laplacian(g, m), 1e-4), (reduced_laplacian(g, m), None)):
+            v = 4.0 * np.pi * tridiagonal_solver(a)(s * rho) / s
+            gap = abs(v[-1] - vh[-1]) / vh[-1]
+            assert gap < bound if bound else gap > 0.5
+
+
+class TestCoupledSolver:
+    """[T, diag(upper); diag(lower), A] (x, w) = (y, 0) on the interleaved
+    band, against a dense solve of the block system."""
+
+    @staticmethod
+    def _dense(t, a, upper, lower):
+        return np.block([[_dense(t), np.diag(upper)], [np.diag(lower), _dense(a)]])
+
+    @staticmethod
+    def _random_system(n=40):
+        rng = np.random.default_rng(7)
+        t = Tridiagonal(rng.uniform(-0.1, 0.1, n), rng.uniform(-4, 4, n - 1))
+        a = Tridiagonal(rng.uniform(1, 3, n), rng.uniform(-1, 1, n - 1))
+        return t, a, rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), rng.standard_normal(n)
+
+    @staticmethod
+    def _tfw_system():
+        # the preconditioner of the gradient-corrected Newton step at its seed
+        from ionlab.tfw import TFWParams, _TFWModel
+
+        g = make_log_grid(1e-4, 100.0, 300)
+        model = _TFWModel(TFWParams(z=4.0), g)
+        u = model.seed()
+        bulk = (20.0 / 9.0) * model.params.c_tf * u ** (4.0 / 3.0)
+        t = Tridiagonal(model.a.diag + model.local_potential(u, model.coulomb(u)) + bulk,
+                        model.a.off)
+        return t, _poisson_laplacian(g, g.w), 4.0 * np.pi * u, -2.0 * u, model.sw * u
+
+    @pytest.mark.parametrize("kind", ["random", "tfw"])
+    def test_matches_dense_solve(self, kind):
+        t, a, upper, lower, y = self._random_system() if kind == "random" else self._tfw_system()
+        solve = coupled_solver(t, a, upper, lower)
+        dense = self._dense(t, a, upper, lower)
+        for b in (y, np.cos(np.arange(y.size)) * np.max(np.abs(y))):
+            ref = np.linalg.solve(dense, np.append(b, np.zeros(b.size)))[: b.size]
+            assert np.max(np.abs(solve(b) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_band_factored_in_place(self, monkeypatch):
+        # Fortran order: the wrapper takes the band without copying it
+        shared = []
+        factor = radial.dgbtrf
+
+        def checked(ab, *args, **kwargs):
+            out = factor(ab, *args, **kwargs)
+            shared.append(np.shares_memory(out[0], ab))
+            return out
+
+        monkeypatch.setattr(radial, "dgbtrf", checked)
+        coupled_solver(*self._random_system()[:4])
+        assert shared == [True]
+
+    def test_singular_raises_linalg_error(self):
+        t, a, upper, lower, _ = self._random_system(8)
+        t.diag[0] = t.off[0] = lower[0] = 0.0  # first column zero
+        with pytest.raises(np.linalg.LinAlgError):
+            coupled_solver(t, a, upper, lower)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        t, a, upper, lower, y = self._random_system(8)
+        solve = coupled_solver(t, a, upper, lower)
+        y[3] = bad
+        with pytest.raises(ValueError):
+            solve(y)
+        for arr in (t.diag, t.off, a.diag, a.off, upper, lower):
+            kept = arr[2]
+            arr[2] = bad
+            with pytest.raises(ValueError):
+                coupled_solver(t, a, upper, lower)
+            arr[2] = kept
 
 
 def test_field_length_mismatch_rejected(coarse_grid):

@@ -10,7 +10,14 @@ import ionlab.radial
 import ionlab.tf
 import ionlab.tfw
 from ionlab.errors import ConvergenceError, DomainError, ParameterError
-from ionlab.radial import RadialField, coulomb_potential, integrate_3d, make_log_grid
+from ionlab.radial import (
+    RadialField,
+    Tridiagonal,
+    coulomb_potential,
+    extremal_eigs,
+    integrate_3d,
+    make_log_grid,
+)
 from ionlab.tfw import (
     TFWParams,
     TFWSolution,
@@ -80,10 +87,10 @@ class TestExcessCharge:
         # Newton's converged answers at full precision, so that a Hartree
         # potential reused for the wrong density cannot pass unnoticed.
         expected = [
-            (1.0, 0.08995520621160802, 0.05751431823182184, 0.785048317625722),
-            (4.0, 0.1645111492299911, 0.2667090125485306, 2.1873538727659234),
-            (16.0, 0.21964288502589469, 0.6621212637327327, 5.521844444759957),
-            (64.0, 0.2628082726787113, 1.3383190378596175, 13.737183518057925),
+            (1.0, 0.08995520603495466, 0.057514318232185384, 0.7850483176289075),
+            (4.0, 0.1645111130393877, 0.2667090125016537, 2.1873538747152557),
+            (16.0, 0.21964288170692825, 0.6621212636541596, 5.521844447069218),
+            (64.0, 0.26280824644133816, 1.3383190378113998, 13.737183523039064),
         ]
         for row, want in zip(tfw_sweep_rows, expected, strict=True):
             assert row == pytest.approx(want, rel=1e-12)
@@ -133,8 +140,9 @@ class TestStationarity:
     )
     def test_coulomb_solve_budget_per_newton_step(self, monkeypatch, params, cap):
         """A Newton step costs one Coulomb solve per density tried and one
-        per Jacobian product, 5.0 to 6.7 in these cases (the gradient-free
-        seed's own solves are not counted)."""
+        per Jacobian product, 2.2 to 2.7 in these cases: the preconditioner
+        holds the Hartree response, so GMRES takes about one Krylov step
+        per Newton step, and the seed is closed-form."""
         counts = {"density": 0, "signed": 0}
 
         def counted(key, fn):
@@ -155,7 +163,7 @@ class TestStationarity:
         assert st.residual < ionlab.tfw._RESIDUAL_TOL
         assert counts["density"] > steps
         assert counts["signed"] >= steps
-        assert counts["density"] + counts["signed"] <= 8 * steps
+        assert counts["density"] + counts["signed"] <= 3 * steps
 
     def test_gradient_coefficient_trend(self):
         # weaker gradient correction -> smaller excess charge
@@ -164,6 +172,87 @@ class TestStationarity:
             qs.append(solve_tfw(TFWParams(z=1.0, c_w=c_w)).q)
         print(f"q vs c_w (1.0, 0.3, 0.1): {qs}")
         assert qs[0] > qs[1] > qs[2] > 0
+
+
+class TestNewtonWork:
+    """What the sweep costs, as counts rather than timings: the
+    preconditioner keeps the Jacobian's Hartree response through a discrete
+    Poisson solve, and a charge with a bulk term starts from Sommerfeld's
+    closed-form density, not from a gradient-free solve."""
+
+    def test_sweep_steps_and_jacobian_products(self, monkeypatch):
+        # 6, 5, 5 and 5 steps with 21 products, one Coulomb solve each
+        products = [0]
+        coulomb = ionlab.tfw.coulomb_potential
+
+        def counted(rho):
+            products[0] += 1
+            return coulomb(rho)
+
+        monkeypatch.setattr(ionlab.tfw, "coulomb_potential", counted)
+        steps = [solve_tfw(TFWParams(z=z)).iterations for z in (1.0, 4.0, 16.0, 64.0)]
+        assert max(steps) <= 6
+        assert products[0] <= 30
+
+    def test_sweep_runs_no_gradient_free_solve(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a gradient-free solve ran")
+
+        monkeypatch.setattr(ionlab.tf, "solve_tf", refused)
+        monkeypatch.setattr(ionlab.tf, "_newton", refused)
+        assert len(excess_charge_sweep([1.0, 4.0, 16.0, 64.0])) == 4
+
+    @pytest.mark.parametrize("cap", [None, 3.0])
+    def test_step_is_the_preconditioned_gmres_solution(self, monkeypatch, cap):
+        # The step is read off the back-substituted Krylov vectors; a fresh
+        # back-substitution of the GMRES solution must give the same step.
+        gaps = []
+        newton_krylov = ionlab.tfw.newton_krylov
+
+        def checked(x, defect, linearize, *args):
+            def checked_linearize(x, state):
+                jac, precond, step = linearize(x, state)
+                direct = linearize(x, state)[1]
+
+                def checked_step(y):
+                    dx, ref = step(y), direct(y)
+                    gaps.append(np.max(np.abs(dx - ref)) / np.max(np.abs(ref)))
+                    return dx
+
+                return jac, precond, checked_step
+
+            return newton_krylov(x, defect, checked_linearize, *args)
+
+        monkeypatch.setattr(ionlab.tfw, "newton_krylov", checked)
+        st = _TFWModel(TFWParams(z=4.0), default_tfw_grid()).minimize(cap)
+        assert len(gaps) == st.iterations
+        assert max(gaps) < 1e-12
+
+
+class TestGroundState:
+    """Newton stops at any stationary state; the minimizer is the one whose
+    multiplier is the lowest eigenvalue of its own mean-field operator
+    c_w A + v_loc(u), the next eigenvalue above it (by 3.1e-3 to 5.9e-3
+    for the gradient-corrected states)."""
+
+    @pytest.mark.parametrize(
+        "params, cap",
+        [(TFWParams(z=z), None) for z in (1.0, 4.0, 16.0, 64.0)]
+        + [(TFWParams(z=1.0, c_tf=0.0), t) for t in (None, 0.2, 0.6)]
+        + [(TFWParams(z=4.0, c_tf=0.0), 2.0)],
+        ids=["tfw-Z1", "tfw-Z4", "tfw-Z16", "tfw-Z64", "hartree", "hartree-t0.2",
+             "hartree-t0.6", "hartree-Z4-N2"],
+    )
+    def test_multiplier_is_the_lowest_eigenvalue(self, params, cap):
+        model = _TFWModel(params, default_tfw_grid())
+        st = model.minimize(cap)
+        vloc = model.local_potential(st.u, st.vh)
+        c_w = params.c_w
+        lowest, second = extremal_eigs(
+            Tridiagonal(c_w * model.a.diag + vloc, c_w * model.a.off), 2
+        )
+        assert abs(lowest - st.lam) <= 1e-10 * np.max(np.abs(vloc))
+        assert second > st.lam
 
 
 @pytest.mark.parametrize(
