@@ -1,11 +1,13 @@
-"""The Newton-Krylov driver of the radial models: inexact Newton with a
-right-preconditioned GMRES step and backtracking on a merit function
-(Knoll & Keyes, J. Comput. Phys. 193, 2004).
+"""The damped Newton driver of the radial models, and the GMRES cycle of
+TF's Newton-Krylov step (Knoll & Keyes, J. Comput. Phys. 193, 2004).
 
-GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) lives here as
-one restart cycle, ``_gmres``, that follows the arithmetic of SciPy's
+A model passes its defect, its step map and its merit; the driver takes
+the step, backtracks on the merit and stops on the residual.  TF's step
+map is one right-preconditioned GMRES cycle (Saad & Schultz, SIAM J. Sci.
+Stat. Comput. 7, 1986), ``_gmres``, that follows the arithmetic of SciPy's
 ``gmres(A, b, rtol=1e-4, restart=40, maxiter=1)`` step for step but
 leaves out its trailing residual product, which a Newton step never reads.
+The gradient-corrected step map is one band solve, with no Krylov loop.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from .radial import _flapack
 dlartg = _flapack.dlartg
 
 # Newton steps per solve before ConvergenceError: TF takes 3 to 8 on its
-# default grid and 7 to 9 on the far-tail boxes, TFW and Hartree 5 to 20 on
+# default grid and 7 to 9 on the far-tail boxes, TFW and Hartree 5 to 33 on
 # their default grid.
 MAX_NEWTON_STEPS = 50
-# Krylov steps per Newton step, and the relative residual at which they stop.
+# Krylov steps per TF Newton step, and the relative residual at which they stop.
 GMRES_RESTART = 40
 GMRES_RTOL = 1e-4
 
@@ -89,17 +91,15 @@ def _gmres(matvec, b):
 
 
 def newton_krylov(x, defect, linearize, tol, stage, case):
-    """Newton-GMRES from x until the residual drops below tol.
+    """Damped Newton from x until the residual drops below tol.
 
     ``defect(x)`` returns (F, merit, residual, state) and ``linearize(x,
-    state)`` returns (jac, precond, step): the Jacobian-vector product, the
-    right preconditioner and the map from the GMRES solution to the Newton
-    step.  Each Newton step runs one ``_gmres`` cycle on jac(precond(.)),
-    one Jacobian product per Krylov step.  Steps halve until the merit
-    falls by the fraction 1e-4 of the step.  Returns (state, residual,
-    Newton steps); raises ConvergenceError, naming stage and case, if the
-    starting merit is not finite, or once MAX_NEWTON_STEPS steps pass or
-    the step underflows.
+    state)`` returns the step map, which takes a right-hand side b to an
+    approximate solution d of J d = b; the Newton step is its image of -F.
+    Steps halve until the merit falls by the fraction 1e-4 of the step.
+    Returns (state, residual, Newton steps); raises ConvergenceError,
+    naming stage and case, if the starting merit is not finite, or once
+    MAX_NEWTON_STEPS steps pass or the step underflows.
     """
     def evaluate(x):
         # a start or trial that overflows is judged on its merit, not
@@ -119,9 +119,7 @@ def newton_krylov(x, defect, linearize, tol, stage, case):
             return state, res, it
         if it == MAX_NEWTON_STEPS:
             break
-        jac, precond, step_of = linearize(x, state)
-        y = _gmres(lambda y: jac(precond(y)), -f)
-        dx, step = step_of(y), 1.0
+        dx, step = linearize(x, state)(-f), 1.0
         while step >= 1e-10:
             trial = evaluate(x + step * dx)
             if trial[1] <= (1.0 - 1e-4 * step) * merit:

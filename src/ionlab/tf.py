@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .krylov import newton_krylov
+from .krylov import _gmres, newton_krylov
 from .radial import (
     RadialField,
     RadialGrid,
@@ -263,7 +263,7 @@ def _newton(
         def precond(y):
             return solve(a @ (grid.sr * y)) / grid.sr
 
-        return jac, precond, precond
+        return lambda rhs: precond(_gmres(lambda y: jac(precond(y)), rhs))
 
     case = f"Z={params.z:g}, N={params.n_electrons:g}"
     # The residual norm is extensive and scales like Z^(1/3) under the

@@ -16,18 +16,18 @@ with lambda = 0 unless the cap binds, i.e. the uncapped minimizer is a
 zero-mode of its own mean-field operator.  c_tf = 0 with Z = 1 is the
 rescaled product-state functional of ``hartree``.
 
-Solver: Newton-GMRES on the stationarity equation, with the exact
-Jacobian-vector product (one Coulomb solve each) and a right
-preconditioner that keeps the Jacobian's Hartree response through a
-discrete Poisson solve, the physics-based preconditioning of Knoll &
-Keyes (J. Comput. Phys. 193, 2004).  Every charge starts from its own
-closed-form seed, so an answer never depends on another charge and no
-other solve precedes it.  A binding cap adds lambda as an unknown,
-bordered by the mass row; that solve starts from the uncapped minimizer
-rescaled onto the cap.  Eigenvalue-replacement SCF is useless here: at the
-minimizer the local potential cancels against the bulk term, so the
-linearized operator is nearly flat and its ground state is a box mode, not
-the solution.  The Newton loop is ``krylov.newton_krylov``, shared with ``tf``.
+Solver: damped Newton on the stationarity equation, each step one band
+solve of a linearization that keeps the Jacobian's Hartree response
+through a discrete Poisson solve, the physics-based preconditioner of
+Knoll & Keyes (J. Comput. Phys. 193, 2004) taken as the step itself.
+Every charge starts from its own closed-form seed, so an answer never
+depends on another charge and no other solve precedes it.  A binding cap
+adds lambda as an unknown, bordered by the mass row; that solve starts
+from the uncapped minimizer rescaled onto the cap.  Eigenvalue-replacement
+SCF is useless here: at the minimizer the local potential cancels against
+the bulk term, so the linearized operator is nearly flat and its ground
+state is a box mode, not the solution.  The Newton loop is
+``krylov.newton_krylov``, shared with ``tf``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .radial import (
     RadialGrid,
     Tridiagonal,
     _poisson_laplacian,
-    coulomb_potential,
     coupled_solver,
     integrate_3d,
     make_log_grid,
@@ -166,64 +165,56 @@ class _TFWModel:
         return np.sqrt(rho)
 
     def newton(self, u: np.ndarray, cap: float | None, stage: str, lam: float = 0.0):
-        """Newton-GMRES on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
+        """Damped Newton on F(psi) = (c_w A + vloc(u) - lambda) psi = 0.
 
         Without a cap lambda = 0; under one it is an unknown started at lam,
-        bordered by the mass row sum psi^2 - cap.  The Jacobian-vector product
+        bordered by the mass row sum psi^2 - cap.  The Jacobian is
 
             c_w A d + (vloc + (20/9) c_tf |u|^(4/3) - lambda) d
-                    + psi (2 u d/sw) * 1/|x|
+                    + psi (2 u d/sw) * 1/|x|,
 
-        costs one Coulomb solve.  Poisson's equation makes the Hartree term
-        psi (2 u d/sw) * 1/|x| equal u (8 pi A_N^(-1) (u d)), A_N the
-        Laplacian lumped on w with the Neumann last row of a potential that
-        is Q/r past the box, so GMRES is right-preconditioned by the
-        solution d of
+        and Poisson's equation makes its Hartree term u (8 pi A_N^(-1) (u d)),
+        A_N the Laplacian lumped on w with the Neumann last row of a
+        potential that is Q/r past the box.  So the step d solves
 
-            [T, 4 pi diag(u); -2 diag(u), A_N] (d, w) = (y, 0),
+            [T, 4 pi diag(u); -2 diag(u), A_N] (d, w) = (-F, 0),
 
         T = c_w A + diag(vloc + (20/9) c_tf |u|^(4/3) - lambda) the
-        tridiagonal part of the Jacobian: one banded LU per Newton step and
-        one back-substitution per Krylov step (``radial.coupled_solver``),
-        bordered by block elimination under a cap.  The Newton step, the
-        preconditioned GMRES solution, is the same combination of the
-        back-substituted Krylov vectors, so it takes no solve of its own.  It inverts the Jacobian
-        up to the quadrature of the Coulomb map, so GMRES takes about one
-        Krylov step per Newton step on the sweep, where T alone took 5.
-        Steps backtrack on |F|.  The null state solves F = 0 too, and from
-        the hydrogenic seed (c_tf = 0, no cap) plain Newton can run into
-        it; there the steps are deflated (Farrell, Birkisson & Funke, SIAM
-        J. Sci. Comput. 37, 2015): Newton on F/|psi|^2, whose step is F's
-        divided by 1 + 2 <psi, d>/|psi|^2, backtracking on |F|/|psi|^2.
-        Undeflated Newton from a seed of 1 to 2 times the hydrogenic
-        amplitude lost 61 down to 1 of the 276 uncapped c_tf = 0 solves
-        the deflated path converges (Z = 0.1-100, c_w = 0.1-10, 7 grids),
-        and the 2x seed took 11 steps for 10 at Z = c_w = 1, so deflation
-        stays.
+        tridiagonal part of the Jacobian: one banded LU and one
+        back-substitution per Newton step (``radial.coupled_solver``),
+        bordered by block elimination under a cap.  It inverts the Jacobian
+        up to the quadrature of the Coulomb map, and makes no Coulomb solve
+        of its own.  Steps backtrack on |F|.
 
+        The minimizer is positive: A's off-diagonal is negative and every
+        other term reads psi^2, so E(|psi|) <= E(psi).  The solve returns
+        |u|, whose vh, mass and energy terms are those of u: a far tail
+        below what the relative residual sees (about 1e-10 of max psi) can
+        end with sign changes, and dropping them costs no Coulomb solve.
         The residual is the relative stationarity defect, under a cap the
-        larger of it and the relative mass defect.  Returns the ``_State``
-        unpacked from the final defect evaluation, whose vh is that of the
-        returned u: no Coulomb solve follows the solve.
+        larger of it and the relative mass defect, evaluated at |u|.
+        Returns that ``_State``, whose vh is that of the returned u: no
+        Coulomb solve follows the solve.
         """
         n = self.grid.n
         c_w, c_tf = self.params.c_w, self.params.c_tf
         poisson = _poisson_laplacian(self.grid, self.grid.w)
-        deflate = cap is None and c_tf == 0.0
         x = self.sw * u if cap is None else np.append(self.sw * u, lam)
+
+        def bordered(psi, u, vh, lam):
+            f, rel = self.stationarity(u, vh, lam)
+            if cap is None:
+                return f, rel
+            dm = float(psi @ psi) - cap
+            return np.append(f, dm), max(rel, abs(dm) / cap)
 
         def defect(x):
             psi = x[:n]
             lam = x[n] if cap is not None else 0.0
             u = psi / self.sw
             vh = self.coulomb(u)
-            f, rel = self.stationarity(u, vh, lam)
-            if cap is not None:
-                dm = float(psi @ psi) - cap
-                f = np.append(f, dm)
-                rel = max(rel, abs(dm) / cap)
-            merit = np.linalg.norm(f) / (psi @ psi if deflate else 1.0)
-            return f, merit, rel, (psi, lam, u, vh)
+            f, rel = bordered(psi, u, vh, lam)
+            return f, np.linalg.norm(f), rel, (psi, lam, u, vh)
 
         def linearize(x, state):
             psi, lam, u, vh = state
@@ -231,47 +222,25 @@ class _TFWModel:
             diag = self.local_potential(u, vh) + bulk - lam
             j_solve = coupled_solver(Tridiagonal(c_w * self.a.diag + diag, c_w * self.a.off),
                                      poisson, 4.0 * np.pi * u, -2.0 * u)
-            g = 2.0 * u / self.sw
-            if cap is not None:
-                c = 2.0 * psi
-                j_psi = j_solve(psi)
+            if cap is None:
+                return j_solve
+            # Block elimination of the bordered system [J, -psi; 2 psi, 0].
+            c = 2.0 * psi
+            j_psi = j_solve(psi)
 
-            def jac(y):
-                d = y[:n]
-                dvh = coulomb_potential(RadialField(self.grid, g * d)).values
-                out = c_w * (self.a @ d) + diag * d + psi * dvh
-                if cap is None:
-                    return out
-                return np.append(out - y[n] * psi, c @ d)
+            def step(rhs):
+                z = j_solve(rhs[:n])
+                t = (rhs[n] - c @ z) / (c @ j_psi)
+                return np.append(z + t * j_psi, t)
 
-            krylov_in, krylov_out = [], []
-
-            def precond(y):
-                # Block elimination of the bordered system under a cap.
-                z = j_solve(y[:n])
-                if cap is not None:
-                    t = (y[n] - c @ z) / (c @ j_psi)
-                    z = np.append(z + t * j_psi, t)
-                krylov_in.append(y.copy())
-                krylov_out.append(z)
-                return z
-
-            def step(y):
-                # GMRES returns y in the span of the orthonormal Krylov
-                # vectors it preconditioned, so the step is read off their
-                # images, with no back-substitution of its own.
-                dx = (np.array(krylov_in) @ y) @ np.array(krylov_out)
-                if deflate:
-                    dx /= 1.0 + 2.0 * (psi @ dx) / (psi @ psi)
-                return dx
-
-            return jac, precond, step
+            return step
 
         case = f"Z={self.params.z:g}" + ("" if cap is None else f", N={cap:g}")
-        (_, lam, u, vh), rel, steps = newton_krylov(
+        (psi, lam, u, vh), _, steps = newton_krylov(
             x, defect, linearize, _RESIDUAL_TOL, stage, case
         )
-        return _State(u, float(lam), vh, rel, steps)
+        psi, u = np.abs(psi), np.abs(u)
+        return _State(u, float(lam), vh, bordered(psi, u, vh, lam)[1], steps)
 
     @functools.cached_property
     def uncapped(self) -> _State:

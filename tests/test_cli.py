@@ -289,12 +289,15 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["tf", "--Z", "1e80"], ["tf", "--Z", "1e100"], ["tfw", "--Z", "1e100"]],
+        [["tf", "--Z", "1e80"], ["tf", "--Z", "1e100"], ["tfw", "--Z", "1e100"],
+         ["tfw", "--Z", "0.25", "--cw", "10"]],
     )
     def test_charge_whose_newton_step_overflows_exit_3(self, argv, capsysbinary):
         # The start is finite but a trial step overflows: the step
         # backtracks on its non-finite merit, and the solve ends in one
-        # line, with no NumPy warning (an error under this suite).
+        # line, with no NumPy warning (an error under this suite).  The
+        # last input reaches the null state psi = 0, where F = 0 and the
+        # relative residual is infinite, and stalls there the same way.
         assert cli.main(argv) == 3
         captured = capsysbinary.readouterr()
         assert captured.out == b""
@@ -346,6 +349,12 @@ class TestOtherRunners:
         report = cli.run(cli.RunConfig(command="tfw", parameters={"Z": 1.0}))
         assert report.payload["q"] > 0
         assert report.payload["majorant_passed"] is True
+
+    def test_tfw_state_whose_tail_changed_sign(self, capsysbinary):
+        # Newton leaves this state's far tail changing sign below the stop;
+        # the solve returns |u|, which the nonnegative field accepts.
+        assert cli.main(["tfw", "--Z", "16384", "--cw", "10"]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["payload"]["q"] > 0
 
     def test_hf_single_sector(self):
         cfg = cli.RunConfig(

